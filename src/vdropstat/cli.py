@@ -161,6 +161,8 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
                 "kernel_tail": log.kernel_tail,
                 "boundary_spill": log.boundary_spill,
                 "cumulative_lost": log.cumulative_lost,
+                "rows": list(log.rows),
+                "phase_s": log.phase_s,
             }
             for log in report.stage_logs
         ],

@@ -4,7 +4,14 @@ Walks the feeder from the leaf to the substation, carrying the joint law of
 (through-flow S, downstream maximal drop D). One stage does two things:
 
 * convolve along S with the bus load (D unchanged),
-* shear: D becomes max(0, D + rho * S), column by column.
+* shear: D becomes max(0, D + rho * S).
+
+Both act only on the occupied band of D rows: a convolution along S never
+mixes rows, so rows outside the band stay exactly zero, and the shear moves
+the band to rows [r0 + min shift, r1 + max shift]. The integer part of a
+column's shift, floor(rho * S / d_step), is monotone in S, so the shear
+moves whole runs of equal-shift columns at once. Each distinct load's
+kernel (and its transform) is built once per run.
 
 The state keeps exact atoms and the two singular lines (D = 0 and the fresh
 diagonal D = rho * S) outside the 2D grid, so point-mass feeders and the
@@ -21,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .feeder_model import FeederSpec, LineSegment, LoadDensity
 from .mixed_dist import (
@@ -29,6 +35,8 @@ from .mixed_dist import (
     JointLattice,
     JointState,
     MixedDensity1D,
+    convolve_lines,
+    line_spectrum,
     marginal_drop,
 )
 
@@ -80,6 +88,9 @@ class StageLog:
     kernel_tail: float      # mass dropped with the load-support truncation
     boundary_spill: float   # mass clipped at lattice edges and the drop top
     cumulative_lost: float
+    rows: tuple[int, int] = (0, 0)  # D-row band [r0, r1) convolved and sheared
+    # seconds per phase: kernel, lift, convolve, shear, lines
+    phase_s: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -130,13 +141,17 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
     origin = 0  # masses[i] sits at (origin + i) * h
     s_lo = np.empty(n)
     s_hi = np.empty(n)
+    splits: dict[tuple[LoadDensity, float], tuple[int, np.ndarray]] = {}
     for j in range(n - 1, -1, -1):
-        if spec.loads[j].is_atomic():
-            locs = np.array([x for x, _ in spec.loads[j].atoms()])
-            ams = np.array([m for _, m in spec.loads[j].atoms()])
-        else:
-            locs, ams = _fine_law(spec.loads[j], h, 0.1 * budget)
-        k0, w = _split_onto(locs / h, ams)
+        load = spec.loads[j]
+        if (load, h) not in splits:
+            if load.is_atomic():
+                locs = np.array([x for x, _ in load.atoms()])
+                ams = np.array([m for _, m in load.atoms()])
+            else:
+                locs, ams = _fine_law(load, h, 0.1 * budget)
+            splits[load, h] = _split_onto(locs / h, ams)
+        k0, w = splits[load, h]
         masses = np.convolve(masses, w)
         origin += k0
         cum = np.cumsum(masses)
@@ -207,12 +222,16 @@ class _Kernel:
     """One bus load, prepared for lattice work.
 
     Continuous mass becomes weights at edge offsets k * h (k0 <= k <= k1),
-    so grid (cell-center) values convolved with them land back on centers.
+    so grid (cell-center) values convolved with them land back on centers;
+    ``spectrum`` is their transform for lattice-wide lines and ``fine`` the
+    fine law they were split from (atoms convolve against it directly).
     Point masses stay exact shifts.
     """
 
     k0: int
     weights: np.ndarray | None
+    spectrum: np.ndarray | None
+    fine: tuple[np.ndarray, np.ndarray] | None
     atom_locs: np.ndarray
     atom_masses: np.ndarray
     tail: float
@@ -248,15 +267,16 @@ def _split_onto(positions: np.ndarray, masses: np.ndarray) -> tuple[int, np.ndar
     return k0, w
 
 
-def _build_kernel(load: LoadDensity, h: float, budget: float) -> _Kernel:
+def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
     if load.is_atomic():
         pairs = load.atoms()
-        return _Kernel(0, None,
+        return _Kernel(0, None, None, None,
                        np.array([x for x, _ in pairs]),
                        np.array([m for _, m in pairs]), 0.0)
-    mid, masses = _fine_law(load, h, budget)
-    k0, w = _split_onto(mid / h, masses)
-    return _Kernel(k0, w, _EMPTY, _EMPTY, max(0.0, 1.0 - float(masses.sum())))
+    mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget)
+    k0, w = _split_onto(mid / lat.s_step, masses)
+    return _Kernel(k0, w, line_spectrum(w, lat.s_cells), (mid, masses), _EMPTY, _EMPTY,
+                   max(0.0, 1.0 - float(masses.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +317,15 @@ def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, weight: float) 
     return spill
 
 
-def _conv1(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if len(vals) + len(w) - 1 < 4096:
-        return np.convolve(vals, w)
-    out = fftconvolve(vals, w)
-    np.clip(out, 0.0, None, out=out)
-    return out
-
-
-def _analytic_cells(load: LoadDensity, shift: float, mass: float,
+def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: float,
                     lat: JointLattice) -> tuple[np.ndarray, float]:
-    """Cell masses of (atom at shift) + load, evaluated from the fine law.
+    """Cell masses of (atom at shift) + load, evaluated from its fine law.
 
     Splitting the fine cdf-difference masses keeps an atom's convolution
     free of the half-cell smear a gridded shift would add, and keeps the
     deposit's mean exact. Returns (cell masses, mass outside the lattice).
     """
-    mid, fm = _fine_law(load, lat.s_step, lat.stage_tail_budget)
+    mid, fm = fine
     u = (mid + shift - lat.s_lo) / lat.s_step - 0.5
     base = np.floor(u).astype(int)
     frac = u - base
@@ -332,22 +344,34 @@ def _row_split(d: float, lat: JointLattice) -> tuple[int, float]:
     return j, g - j
 
 
-def _lift_diag(canvas: np.ndarray, line_vals: np.ndarray, slope: float,
-               lat: JointLattice) -> float:
-    """Splat the diagonal line density onto the 2D canvas at D = slope * S.
+def _row_band(canvas: np.ndarray) -> tuple[int, int]:
+    """Half-open range [r0, r1) of the rows holding any mass; (0, 0) if none."""
+    rows = np.flatnonzero(canvas.any(axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+
+
+def _widen(rows: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
+    """Smallest row band holding ``rows`` and [lo, hi); (r, r) bands are empty."""
+    r0, r1 = rows
+    return (lo, hi) if r1 <= r0 else (min(r0, lo), max(r1, hi))
+
+
+def _lift_diag(line_vals: np.ndarray, slope: float,
+               lat: JointLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Splat the diagonal line density onto 2D cells at D = slope * S.
 
     Two-row linear split; rows below 0 clamp to row 0 (drop under half a
     cell), rows above the top are clipped and returned as lost mass.
+    Returns (rows, cols, densities, lost mass), lower split rows first.
     """
     mass = line_vals * lat.s_step
     cols = np.nonzero(mass > 0.0)[0]
-    if len(cols) == 0:
-        return 0.0
     g = slope * lat.s_centers()[cols] / lat.d_step - 0.5
     j0 = np.floor(g).astype(int)
     frac = g - j0
     dens = mass[cols] / (lat.s_step * lat.d_step)
     spill = 0.0
+    parts = []
     for w, rows in ((1.0 - frac, j0), (frac, j0 + 1)):
         contrib = w * dens
         rows = np.clip(rows, 0, None)
@@ -355,43 +379,96 @@ def _lift_diag(canvas: np.ndarray, line_vals: np.ndarray, slope: float,
         if np.any(over):
             spill += float(contrib[over].sum()) * lat.s_step * lat.d_step
         keep = ~over & (contrib > 0.0)
-        np.add.at(canvas, (rows[keep], cols[keep]), contrib[keep])
-    return spill
+        parts.append((rows[keep], cols[keep], contrib[keep]))
+    rows, cols, contrib = (np.concatenate(p) for p in zip(*parts))
+    return rows, cols, contrib, spill
 
 
-def _shear_canvas(canvas: np.ndarray, rho: float,
-                  lat: JointLattice) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-column shear D -> D + rho * S with clipping at zero.
+def _lifted_band(state: JointState) -> tuple[np.ndarray, int, int, float]:
+    """The 2D grid with the diagonal line lifted onto it, cut to its occupied rows.
 
-    Returns (new canvas, per-column mass clipped to the zero line, mass
-    lost over the top). Only negative-S columns can feed the zero line.
+    Returns (band, r0, r1, lost mass): ``band`` holds rows [r0, r1) of the
+    lifted canvas, whose other rows are all zero.
+    """
+    lat = state.lattice
+    p0, p1 = _row_band(state.pc) if state.pc is not None else (0, 0)
+    r0, r1 = p0, p1
+    rows = cols = dens = None
+    lost = 0.0
+    if state.diag_line.grid is not None:
+        rows, cols, dens, lost = _lift_diag(state.diag_line.grid.values, state.slope, lat)
+        if len(rows):
+            r0, r1 = _widen((r0, r1), int(rows.min()), int(rows.max()) + 1)
+    band = np.zeros((r1 - r0, lat.s_cells))
+    if p1 > p0:
+        band[p0 - r0:p1 - r0] = state.pc[p0:p1]
+    if rows is not None:
+        np.add.at(band, (rows - r0, cols), dens)
+    return band, r0, r1, lost
+
+
+_SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
+
+
+def _shear_canvas(canvas: np.ndarray, rows: tuple[int, int], rho: float,
+                  lat: JointLattice) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """Shear D -> D + rho * S with clipping at zero, on the occupied row band.
+
+    Only rows [r0, r1) of ``canvas`` may hold mass. Column i moves by
+    g_i = rho * s_i / d_step rows, split over floor(g_i) (weight 1 - frac)
+    and floor(g_i) + 1 (weight frac). floor(g_i) is constant on runs of
+    columns, so the band's occupied columns are transposed to S-major (in
+    blocks of about _SHEAR_BLOCK_CELLS cells, which keeps both transposes in
+    cache) and each run moves as one slice per split weight into the rows
+    [r0 + min shift, r1 + max shift]. Rows pushed below zero feed the zero
+    line of their column; rows pushed past the top are lost.
+
+    Returns (new canvas, or None when no mass stays on the grid; per-column
+    mass clipped to the zero line; mass lost over the top). Only
+    negative-S columns can feed the zero line.
     """
     m_d, n_s = canvas.shape
+    r0, r1 = rows
+    n_b = r1 - r0
     cell = lat.s_step * lat.d_step
-    colsum = canvas.sum(axis=0)
+    zero_gain = np.zeros(n_s)
+    top = 0.0
+    occupied = np.flatnonzero(canvas[r0:r1].any(axis=0))
+    if not len(occupied):
+        return None, zero_gain, top
+    c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
     g = rho * lat.s_centers() / lat.d_step
     base = np.floor(g).astype(int)
     frac = g - base
-    out = np.zeros_like(canvas)
-    zero_gain = np.zeros(n_s)
-    top = 0.0
-    for i in np.nonzero(colsum > 0.0)[0]:
-        col = canvas[:, i]
-        for w, sh in ((1.0 - frac[i], base[i]), (frac[i], base[i] + 1)):
-            if w <= 0.0:
-                continue
-            if sh >= m_d:
-                top += w * colsum[i]
-            elif sh <= -m_d:
-                zero_gain[i] += w * colsum[i]
-            elif sh >= 0:
-                out[sh:, i] += w * col[:m_d - sh]
-                if sh:
-                    top += w * float(col[m_d - sh:].sum())
-            else:
-                out[:m_d + sh, i] += w * col[-sh:]
-                zero_gain[i] += w * float(col[:-sh].sum())
-    return out, zero_gain * cell, top * cell
+    run_starts = np.flatnonzero(np.diff(base)) + 1
+    out = np.zeros((m_d, n_s))
+    landed = False
+    width = max(_SHEAR_BLOCK_CELLS // n_b, 16)
+    for c0 in range(c_lo, c_hi, width):
+        c1 = min(c0 + width, c_hi)
+        band = canvas[r0:r1, c0:c1].T.copy()  # band[i - c0] is column i
+        o0 = max(r0 + int(base[c0:c1].min()), 0)
+        o1 = min(r1 + int(base[c0:c1].max()) + 1, m_d)
+        moved = np.zeros((c1 - c0, max(o1 - o0, 0)))
+        inner = run_starts[(run_starts > c0) & (run_starts < c1)].tolist()
+        for a, b in zip([c0, *inner], [*inner, c1]):
+            for w, sh in ((1.0 - frac[a:b], int(base[a])), (frac[a:b], int(base[a]) + 1)):
+                if not w.any():
+                    continue
+                lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
+                hi = max(min(m_d - sh - r0, n_b), lo)  # band rows [hi, n_b) land over the top
+                src = band[a - c0:b - c0]
+                if lo:
+                    zero_gain[a:b] += w * src[:, :lo].sum(axis=1)
+                if hi < n_b:
+                    top += float(np.dot(w, src[:, hi:].sum(axis=1)))
+                if hi > lo:
+                    d0 = r0 + lo + sh - o0
+                    moved[a - c0:b - c0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
+        if moved.any():
+            out[o0:o1, c0:c1] = moved.T
+            landed = True
+    return (out if landed else None), zero_gain * cell, top * cell
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +476,36 @@ def _shear_canvas(canvas: np.ndarray, rho: float,
 # ---------------------------------------------------------------------------
 
 
+class _PhaseClock:
+    """Accumulates wall seconds per named phase between successive laps."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.phases: dict[str, float] = {}
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.phases[name] = self.phases.get(name, 0.0) + now - self.last
+        self.last = now
+
+
+_KernelCache = dict[tuple[LoadDensity, float, float], _Kernel]
+
+
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig) -> tuple[JointState, float, float]:
+                 config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
+    clock = _PhaseClock()
     lat = state.lattice
     h_s, h_d = lat.s_step, lat.d_step
     cell = h_s * h_d
     rho = segment.rho
-    kernel = _build_kernel(load, h_s, lat.stage_tail_budget)
+    key = (load, h_s, lat.stage_tail_budget)
+    kernel = kernels.get(key)
+    if kernel is None:
+        kernel = kernels[key] = _build_kernel(load, lat)
     centers = lat.s_centers()
     spill = 0.0
+    clock.lap("kernel")
 
     # pre-convolution free atoms: the old ones plus lifted diagonal atoms
     dl = state.diag_line
@@ -419,22 +517,21 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     gridded_in = state.pc_mass() + diag_grid_mass + state.zero_line.grid_mass()
     tail_loss = gridded_in * kernel.tail
 
-    # ---- phase A: convolve along S at fixed D ----
+    # ---- phase A: convolve the occupied row band along S at fixed D ----
     canvas = None
-    base = None
+    r0 = r1 = 0
     if state.pc is not None or diag_grid_mass > 0.0:
-        base = np.array(state.pc) if state.pc is not None \
-            else np.zeros((lat.d_cells, lat.s_cells))
-        if dl.grid is not None:
-            spill += _lift_diag(base, dl.grid.values, state.slope, lat)
-    if base is not None:
-        canvas = np.zeros_like(base)
-        if kernel.weights is not None:
-            full = fftconvolve(base, kernel.weights[np.newaxis, :], axes=1)
-            np.clip(full, 0.0, None, out=full)
-            spill += _fold_last(canvas, full, kernel.k0) * cell
+        band, r0, r1, lost = _lifted_band(state)
+        spill += lost
+        clock.lap("lift")
+        canvas = np.zeros((lat.d_cells, lat.s_cells))
+        dest = canvas[r0:r1]
+        if kernel.weights is not None and r1 > r0:
+            spill += _fold_last(dest, convolve_lines(band, kernel.weights, kernel.spectrum),
+                                kernel.k0) * cell
         for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-            spill += _shift_last(canvas, base, xa / h_s, wa) * cell
+            spill += _shift_last(dest, band, xa / h_s, wa) * cell
+        del band  # not needed by the shear; keeps it out of the stage's peak memory
 
     new_atoms: list[tuple[float, float, float]] = []
     if len(pre_s):
@@ -443,7 +540,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
             if canvas is None:
                 canvas = np.zeros((lat.d_cells, lat.s_cells))
             for sa, da, ma in zip(pre_s, pre_d, pre_m):
-                vals, clipped = _analytic_cells(load, sa, ma, lat)
+                vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
                 spill += clipped
                 j, f = _row_split(da, lat)
                 for w, row in ((1.0 - f, j), (f, j + 1)):
@@ -452,11 +549,14 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
                     if row >= lat.d_cells:
                         spill += w * float(vals.sum())
                         continue
-                    canvas[max(row, 0)] += (w / cell) * vals
+                    row = max(row, 0)
+                    canvas[row] += (w / cell) * vals
+                    r0, r1 = _widen((r0, r1), row, row + 1)
         else:
             for sa, da, ma in zip(pre_s, pre_d, pre_m):
                 for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
                     new_atoms.append((sa + xa, da, ma * wa))
+    clock.lap("convolve")
 
     # the zero-drop line convolves in 1D
     zl = state.zero_line
@@ -464,25 +564,27 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     z_atoms: list[tuple[float, float]] = []
     if zl.grid is not None and zl.grid.mass() > 0.0:
         if kernel.weights is not None:
-            spill += _fold_last(z_vals, _conv1(zl.grid.values, kernel.weights),
-                                kernel.k0) * h_s
+            conv = convolve_lines(zl.grid.values, kernel.weights, kernel.spectrum)
+            spill += _fold_last(z_vals, conv, kernel.k0) * h_s
         else:
             for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
                 spill += _shift_last(z_vals, zl.grid.values, xa / h_s, wa) * h_s
     for a, m in zip(zl.atom_locs, zl.atom_masses):
         if kernel.weights is not None:
-            vals, clipped = _analytic_cells(load, a, m, lat)
+            vals, clipped = _analytic_cells(kernel.fine, a, m, lat)
             spill += clipped
             z_vals += vals / h_s
         else:
             for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
                 z_atoms.append((a + xa, m * wa))
+    clock.lap("lines")
 
     # ---- phase B: shear D -> max(0, D + rho * S) ----
     if canvas is not None:
-        canvas, zero_gain, top = _shear_canvas(canvas, rho, lat)
+        canvas, zero_gain, top = _shear_canvas(canvas, (r0, r1), rho, lat)
         spill += top
         z_vals += zero_gain / h_s
+    clock.lap("shear")
 
     neg = centers < 0.0
     zero_vals = np.where(neg, z_vals, 0.0)
@@ -508,8 +610,6 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
             zero_locs.append(sa)
             zero_masses.append(ma)
 
-    if canvas is not None and not canvas.any():
-        canvas = None
     new_state = JointState(
         stage=state.stage - 1,
         slope=rho,
@@ -530,13 +630,23 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         raise MassLossError(
             f"accumulated mass loss {new_state.lost_mass:.3e} exceeds "
             f"100x tail_tol={config.tail_tol:.1e} at stage {new_state.stage}")
-    return new_state, tail_loss, spill
+    clock.lap("lines")
+    log = StageLog(
+        stage=new_state.stage,
+        seconds=clock.last - clock.start,
+        kernel_tail=tail_loss,
+        boundary_spill=spill,
+        cumulative_lost=new_state.lost_mass,
+        rows=(r0, r1),
+        phase_s=clock.phases,
+    )
+    return new_state, log
 
 
 def dp_step(state: JointState, load: LoadDensity, segment: LineSegment,
             config: DpConfig | None = None) -> JointState:
     """Advance one bus toward the substation; see the module docstring."""
-    new_state, _, _ = _apply_stage(state, load, segment, config or DpConfig())
+    new_state, _ = _apply_stage(state, load, segment, config or DpConfig(), {})
     return new_state
 
 
@@ -546,17 +656,10 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     t0 = time.perf_counter()
     state = init_terminal_state(spec, config)
     logs: list[StageLog] = []
+    kernels: _KernelCache = {}  # one kernel per distinct load, for this run only
     for j in range(spec.n - 1, -1, -1):
-        t1 = time.perf_counter()
-        state, tail_loss, spill = _apply_stage(
-            state, spec.loads[j], spec.segments[j], config)
-        logs.append(StageLog(
-            stage=j,
-            seconds=time.perf_counter() - t1,
-            kernel_tail=tail_loss,
-            boundary_spill=spill,
-            cumulative_lost=state.lost_mass,
-        ))
+        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, kernels)
+        logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:
         drop = drop.renormalized()

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .feeder_model import LoadDensity
 
@@ -36,6 +36,8 @@ __all__ = [
     "DropDistribution",
     "density_to_grid",
     "convolve",
+    "convolve_lines",
+    "line_spectrum",
     "resample",
     "marginal_drop",
     "write_density_csv",
@@ -219,24 +221,50 @@ def resample(grid: Grid1D, step: float) -> Grid1D:
     return Grid1D(grid.lo, grid.lo + cells * step, np.diff(new_cum) / step)
 
 
+def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
+    """Transform of ``weights`` sized for lines of ``n_vals`` cells.
+
+    Computed once per kernel and handed to ``convolve_lines``, which then
+    transforms only the lines.
+    """
+    return rfft(weights, next_fast_len(n_vals + len(weights) - 1, real=True))
+
+
+def convolve_lines(vals: np.ndarray, weights: np.ndarray,
+                   spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Full linear convolution of ``vals`` with ``weights`` along the last axis.
+
+    ``vals`` is one line (1D) or a band of lines (2D, one per row). A single
+    line with fewer than 4096 output cells is summed directly; everything
+    else goes through rfft/irfft, reusing ``spectrum`` (from
+    ``line_spectrum`` for lines of this length) when given, and has its
+    transform dust clipped to zero.
+    """
+    n_out = vals.shape[-1] + len(weights) - 1
+    if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
+        return np.convolve(vals, weights)
+    n_fft = next_fast_len(n_out, real=True)
+    if spectrum is None:
+        spectrum = rfft(weights, n_fft)
+    coef = rfft(vals, n_fft, axis=-1)
+    coef *= spectrum
+    out = irfft(coef, n_fft, axis=-1)[..., :n_out]
+    np.clip(out, 0.0, None, out=out)
+    return out
+
+
 def convolve(a: Grid1D, b: Grid1D) -> Grid1D:
     """Density of the sum of independent variables gridded on equal steps.
 
-    Unequal steps resample ``b`` onto ``a``'s. Direct summation below
-    4096 output cells, FFT above; either way the output mass equals the
+    Unequal steps resample ``b`` onto ``a``'s. The output mass equals the
     product of the input masses up to roundoff.
     """
     if abs(a.step - b.step) > 1e-9 * max(a.step, b.step):
         b = resample(b, a.step)
     step = a.step
-    n_out = a.cells + b.cells - 1
-    if n_out < _FFT_THRESHOLD:
-        vals = np.convolve(a.values, b.values) * step
-    else:
-        vals = fftconvolve(a.values, b.values) * step
-        np.clip(vals, 0.0, None, out=vals)  # transform dust
+    vals = convolve_lines(a.values, b.values) * step
     lo = a.lo + b.lo + 0.5 * step
-    return Grid1D(lo, lo + n_out * step, vals)
+    return Grid1D(lo, lo + len(vals) * step, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,13 @@ def test_analyze_outputs(tmp_path):
     assert set(payload["quantiles"]) == {"0.5", "0.9", "0.99"}
     assert set(payload["exceedance"]) == {"0.05"}
     assert len(payload["stages"]) == 4
+    for stage in payload["stages"]:
+        assert set(stage["phase_s"]) <= {"kernel", "lift", "convolve", "shear", "lines"}
+        r0, r1 = stage["rows"]
+        assert 0 <= r0 <= r1 <= 256
+    # the first stage starts from the (0, 0) atom: no 2D grid yet
+    assert payload["stages"][0]["rows"] == [0, 0]
+    assert payload["stages"][-1]["rows"][1] > 0
     assert payload["exceed_twice_mean"]["threshold"] == pytest.approx(
         2.0 * payload["mean"])
     header = (out / "joint.csv").read_text().split("\n", 1)[0]

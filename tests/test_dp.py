@@ -1,11 +1,23 @@
 """Stage kernel and full propagation of the joint flow-drop law."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from helpers import point_spec, random_point_spec, reference_load, reference_spec, segment
+from helpers import (
+    CONFIG4,
+    REPO,
+    point_spec,
+    random_point_spec,
+    reference_load,
+    reference_spec,
+    segment,
+)
+from vdropstat import dp_engine
 from vdropstat.distflow import max_drop
 from vdropstat.dp_engine import (
     DpConfig,
@@ -16,7 +28,8 @@ from vdropstat.dp_engine import (
     plan_lattice,
     run,
 )
-from vdropstat.feeder_model import FeederSpec, PointMass
+from vdropstat.feeder_model import FeederSpec, Gaussian, PointMass, parse_feeder
+from vdropstat.mixed_dist import JointLattice, convolve_lines, line_spectrum
 
 
 CFG = DpConfig(grid_s=256, grid_delta=256)
@@ -216,3 +229,177 @@ def test_joint_csv_of_terminal_state():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "part,s,delta,density,atom_mass"
     assert len(lines) == 2  # just the starting atom
+
+
+# ---------------------------------------------------------------------------
+# band-limited, run-wise stage kernel
+# ---------------------------------------------------------------------------
+
+
+def _shear_per_column(canvas, rho, lat):
+    """The column-by-column shear the run-wise one replaced; kept as its oracle."""
+    m_d, n_s = canvas.shape
+    cell = lat.s_step * lat.d_step
+    colsum = canvas.sum(axis=0)
+    g = rho * lat.s_centers() / lat.d_step
+    base = np.floor(g).astype(int)
+    frac = g - base
+    out = np.zeros_like(canvas)
+    zero_gain = np.zeros(n_s)
+    top = 0.0
+    for i in np.nonzero(colsum > 0.0)[0]:
+        col = canvas[:, i]
+        for w, sh in ((1.0 - frac[i], base[i]), (frac[i], base[i] + 1)):
+            if w <= 0.0:
+                continue
+            if sh >= m_d:
+                top += w * colsum[i]
+            elif sh <= -m_d:
+                zero_gain[i] += w * colsum[i]
+            elif sh >= 0:
+                out[sh:, i] += w * col[:m_d - sh]
+                if sh:
+                    top += w * float(col[m_d - sh:].sum())
+            else:
+                out[:m_d + sh, i] += w * col[-sh:]
+                zero_gain[i] += w * float(col[:-sh].sum())
+    return out, zero_gain * cell, top * cell
+
+
+# shifts rho * s / d_step over s in [-15, 15]: 0, fractional and within
+# the canvas, past both ends (|shift| >= d_cells), and exact integers
+SHEAR_CASES = [(0.0, 0.5), (0.13, 0.5), (0.9, 0.5), (2.7, 0.5), (1.0, 0.5), (0.05, 0.1)]
+
+
+@pytest.mark.parametrize("rho, d_step", SHEAR_CASES)
+def test_run_wise_shear_matches_per_column_loop(rho, d_step):
+    rng = np.random.default_rng(int(rho * 100) + 7)
+    lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=d_step, d_cells=24)
+    cell = lat.s_step * lat.d_step
+    bands = [(0, 24), (0, 5), (9, 17), (20, 24), (23, 24), (0, 0)]
+    for r0, r1 in bands:
+        canvas = np.zeros((24, 30))
+        canvas[r0:r1] = rng.random((r1 - r0, 30)) / (24 * 30 * cell)
+        canvas[:, rng.random(30) < 0.2] = 0.0  # some empty columns
+        want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
+        out, zero_gain, top = dp_engine._shear_canvas(canvas, (r0, r1), rho, lat)
+        out = np.zeros_like(canvas) if out is None else out
+        assert np.abs(out - want_out).max() <= 1e-15
+        assert np.abs(zero_gain - want_zero).max() <= 1e-15
+        assert abs(top - want_top) <= 1e-15
+        mass_in = canvas.sum() * cell
+        mass_out = out.sum() * cell + zero_gain.sum() + top
+        assert abs(mass_out - mass_in) <= 1e-12 * max(mass_in, 1e-300)
+        if r1 == r0:
+            assert out.sum() == 0.0 and zero_gain.sum() == 0.0 and top == 0.0
+
+
+def test_shear_reports_an_emptied_grid_as_none():
+    lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
+    canvas = np.zeros((24, 30))
+    canvas[3:5, 2:6] = 1.0  # S < 0 columns pushed far below zero
+    out, zero_gain, top = dp_engine._shear_canvas(canvas, (3, 5), 5.0, lat)
+    assert out is None and top == 0.0
+    assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
+
+
+def test_band_limited_convolution_equals_full_canvas():
+    rng = np.random.default_rng(3)
+    weights = rng.random(37)
+    for cols, r0, r1 in ((300, 40, 90), (5000, 0, 3)):
+        canvas = np.zeros((128, cols))
+        canvas[r0:r1] = rng.random((r1 - r0, cols))
+        full = convolve_lines(canvas, weights)
+        band = convolve_lines(canvas[r0:r1], weights)
+        assert not full[:r0].any() and not full[r1:].any()
+        assert np.array_equal(full[r0:r1], band)
+        direct = np.array([np.convolve(row, weights) for row in canvas[r0:r1]])
+        assert np.abs(band - direct).max() <= 1e-12 * direct.max()
+        # a line of the band matches the 1D call with the kernel's cached transform
+        one = convolve_lines(canvas[r0], weights, line_spectrum(weights, cols))
+        assert np.abs(one - direct[0]).max() <= 1e-12 * direct.max()
+
+
+def test_kernel_built_once_per_distinct_load_per_run(monkeypatch):
+    calls = []
+    build = dp_engine._build_kernel
+    monkeypatch.setattr(dp_engine, "_build_kernel",
+                        lambda load, lat: (calls.append(load), build(load, lat))[1])
+    other = Gaussian(mean=1.0, std=0.5)
+    spec = FeederSpec(
+        base_voltage=1.0, alpha=0.0,
+        segments=tuple(segment(1e-3) for _ in range(6)),
+        loads=(reference_load(), other, PointMass(location=0.5)) * 2,
+    )
+    run(spec, CFG)
+    assert len(calls) == 3
+    run(spec, CFG)  # no state carries from one run to the next
+    assert len(calls) == 6
+
+
+def test_fine_law_built_once_per_distinct_load(monkeypatch):
+    calls = []
+    fine = dp_engine._fine_law
+    monkeypatch.setattr(dp_engine, "_fine_law",
+                        lambda *a: (calls.append(a[0]), fine(*a))[1])
+    # one load on 64 buses: one plan-time law and one kernel law
+    run(reference_spec(n=64), CFG)
+    assert len(calls) == 2
+    # atoms convolve against the stage kernel's fine law, not a fresh one
+    calls.clear()
+    spec = FeederSpec(
+        base_voltage=1.0, alpha=0.0,
+        segments=(segment(1e-3), segment(1e-3), segment(1e-3)),
+        loads=(reference_load(), reference_load(), PointMass(location=3.0)),
+    )
+    run(spec, CFG)
+    assert len(calls) == 2
+
+
+def test_stage_logs_carry_phases_and_row_band():
+    rep = run(reference_spec(), CFG)
+    first, *rest = rep.stage_logs
+    assert first.rows == (0, 0)  # the starting atom has no 2D grid
+    for log in rep.stage_logs:
+        assert set(log.phase_s) <= {"kernel", "lift", "convolve", "shear", "lines"}
+        assert all(v >= 0.0 for v in log.phase_s.values())
+        assert sum(log.phase_s.values()) == pytest.approx(log.seconds, rel=1e-9)
+    for log in rest:
+        r0, r1 = log.rows
+        assert 0 <= r0 < r1 <= rep.lattice.d_cells
+    assert rep.stage_logs[-1].rows[1] < rep.lattice.d_cells
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = "import sys, vdropstat.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    assert out == "False"
+
+
+# Laws as the column-by-column engine computed them; the band-limited,
+# run-wise kernel must reproduce them to rounding.
+LAW_REGRESSION = {
+    "feeder4-512": dict(
+        mean=0.0207165085483211, std=0.01650124346919351, atom0=0.05402014601052252,
+        q=(0.017495251098909977, 0.042777386174409834, 0.07303138261111267)),
+    "chain64-256": dict(
+        mean=4.184487852467777, std=0.9775732574082685, atom0=9.070840733684995e-10,
+        q=(4.144876650091846, 5.458126880175924, 6.6367502017281925)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_REGRESSION))
+def test_law_regression(name):
+    if name == "feeder4-512":
+        rep = run(parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512))
+    else:
+        rep = run(reference_spec(n=64), CFG)
+    want = LAW_REGRESSION[name]
+    mean, std = rep.drop.mean_std()
+    got = dict(mean=mean, std=std, atom0=rep.drop.atom_at_zero(),
+               q=tuple(rep.drop.quantile(p) for p in (0.5, 0.9, 0.99)))
+    for key in ("mean", "std", "atom0"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+    assert got["q"] == pytest.approx(want["q"], rel=1e-12, abs=0.0)
