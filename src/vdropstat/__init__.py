@@ -3,119 +3,10 @@
 Random per-bus loads (consumption minus injection) propagate through the
 linearized branch-flow model; the package computes the exact law of the
 worst drop seen along the line, cross-checked by Monte Carlo.
+
+The package root exports only ``__version__``; import from the modules
+(``feeder_model``, ``distflow``, ``mixed_dist``, ``dp_engine``,
+``mc_oracle``, ``cli``).
 """
 
-from .distflow import (
-    DropResult,
-    FlowProfile,
-    NonConvergenceError,
-    max_drop,
-    solve_linear,
-    solve_nonlinear,
-)
-from .dp_engine import (
-    DpConfig,
-    DpReport,
-    MassLossError,
-    StageLog,
-    dp_step,
-    init_terminal_state,
-    joint_to_csv,
-    plan_lattice,
-    run,
-)
-from .feeder_model import (
-    FeederConfigError,
-    FeederSpec,
-    Gaussian,
-    Histogram,
-    LineSegment,
-    LoadDensity,
-    PointMass,
-    TwoSidedExponential,
-    Uniform,
-    density_from_dict,
-    feeder_from_dict,
-    feeder_to_dict,
-    load_moments,
-    parse_feeder,
-    write_feeder,
-)
-from .mc_oracle import (
-    CompareReport,
-    EmpiricalDrop,
-    McConfig,
-    compare,
-    counter_uniforms,
-    ks_distance,
-    ks_two_sample,
-    run_mc,
-    sample_load,
-)
-from .mixed_dist import (
-    DropDistribution,
-    Grid1D,
-    JointLattice,
-    JointState,
-    MixedDensity1D,
-    convolve,
-    density_to_grid,
-    marginal_drop,
-    resample,
-    write_density_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DropResult",
-    "FlowProfile",
-    "NonConvergenceError",
-    "max_drop",
-    "solve_linear",
-    "solve_nonlinear",
-    "DpConfig",
-    "DpReport",
-    "MassLossError",
-    "StageLog",
-    "dp_step",
-    "init_terminal_state",
-    "joint_to_csv",
-    "plan_lattice",
-    "run",
-    "FeederConfigError",
-    "FeederSpec",
-    "Gaussian",
-    "Histogram",
-    "LineSegment",
-    "LoadDensity",
-    "PointMass",
-    "TwoSidedExponential",
-    "Uniform",
-    "density_from_dict",
-    "feeder_from_dict",
-    "feeder_to_dict",
-    "load_moments",
-    "parse_feeder",
-    "write_feeder",
-    "CompareReport",
-    "EmpiricalDrop",
-    "McConfig",
-    "compare",
-    "counter_uniforms",
-    "ks_distance",
-    "ks_two_sample",
-    "run_mc",
-    "sample_load",
-    "DropDistribution",
-    "Grid1D",
-    "JointLattice",
-    "JointState",
-    "MixedDensity1D",
-    "convolve",
-    "density_to_grid",
-    "marginal_drop",
-    "resample",
-    "write_density_csv",
-    "__version__",
-]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, deterministic, analyze, mc, compare, sweep. All of
-them parse and validate the feeder config before touching the output
-directory, so a bad config never leaves files behind.
+them check the quantile levels and parse and validate the feeder config
+before touching the output directory, so a bad config or level never
+leaves files behind.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical failure
 (mass-loss blowup, non-convergence), 3 validation-threshold failure.
@@ -426,6 +427,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "quantile", None) is None and hasattr(args, "quantile"):
         args.quantile = [0.5, 0.9, 0.99]
+    for q in getattr(args, "quantile", None) or []:
+        if not 0.0 <= q <= 1.0:
+            return _fail(f"quantile level {q!r} outside [0, 1]")
     try:
         spec = parse_feeder(args.config)
     except FeederConfigError as exc:

@@ -1,24 +1,34 @@
 """Exact-recursion engine for the law of the maximal voltage drop.
 
 Walks the feeder from the leaf to the substation, carrying the joint law of
-(through-flow S, downstream maximal drop D). One stage does two things:
+(through-flow S, downstream maximal drop D) on two carriers:
 
-* convolve along S with the bus load (D unchanged),
-* shear: D becomes max(0, D + rho * S).
+* grid rows: the 2D density on its occupied band of D rows, with the
+  diagonal line D = slope * S lifted onto it, plus the zero line D = 0,
+* atoms (s, d, m): exact point masses. Zero-line atoms have d == 0; free
+  atoms and diagonal atoms (d = slope * s) have d > 0.
 
-Both act only on the occupied band of D rows: a convolution along S never
-mixes rows, so rows outside the band stay exactly zero, and the shear moves
-the band to rows [r0 + min shift, r1 + max shift]. The integer part of a
-column's shift, floor(rho * S / d_step), is monotone in S, so the shear
-moves whole runs of equal-shift columns at once. Each distinct load's
-kernel (and its transform) is built once per run.
+One stage is one step over both carriers:
 
-The state keeps exact atoms and the two singular lines (D = 0 and the fresh
-diagonal D = rho * S) outside the 2D grid, so point-mass feeders and the
-zero-drop probability never suffer discretization. All truncation (load
-tails, lattice boundary clips, shear overflow) is logged per stage; the
-run aborts when the accumulated loss blows past 100x the configured
-tolerance.
+* convolve along S with the bus load, D unchanged. Grid rows convolve
+  with a continuous load's kernel, or shift by each atom of a point load.
+  An atom times a point load is a new atom at s + x; an atom times a
+  continuous load lands on the zero line when d == 0 and otherwise on the
+  two straddled D rows.
+* shear: D becomes max(0, D + rho * S). Band mass pushed to D <= 0 joins
+  the zero line, and zero-line mass at S > 0 becomes the new diagonal. An
+  atom goes to the zero line when d == 0 and s <= 0, or d > 0 and
+  d + rho * s <= 0; to the diagonal when d == 0 and s > 0; it stays free
+  otherwise.
+
+A convolution along S never mixes rows, so only the occupied band is
+transformed, and the shear moves whole runs of columns with equal integer
+shift floor(rho * S / d_step) at once. Each distinct load's kernel is built
+once per run. Atoms stay exact and the zero line stays off the 2D grid, so
+point-mass feeders and the zero-drop probability suffer no discretization.
+All truncation (load tails, lattice boundary clips, shear overflow) is
+logged per stage; the run aborts when the accumulated loss blows past 100x
+the configured tolerance.
 """
 
 from __future__ import annotations
@@ -46,8 +56,6 @@ __all__ = [
     "StageLog",
     "MassLossError",
     "plan_lattice",
-    "init_terminal_state",
-    "dp_step",
     "run",
     "joint_to_csv",
 ]
@@ -89,7 +97,7 @@ class StageLog:
     boundary_spill: float   # mass clipped at lattice edges and the drop top
     cumulative_lost: float
     rows: tuple[int, int] = (0, 0)  # D-row band [r0, r1) convolved and sheared
-    # seconds per phase: kernel, lift, convolve, shear, lines
+    # seconds per phase: kernel, lift, convolve, shear, lines (assembly)
     phase_s: dict[str, float] = field(default_factory=dict)
 
 
@@ -205,11 +213,6 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
         d_cells=config.grid_delta,
         stage_tail_budget=budget,
     )
-
-
-def init_terminal_state(spec: FeederSpec, config: DpConfig | None = None) -> JointState:
-    """Plan the lattice and place the exact (S, D) = (0, 0) starting mass."""
-    return JointState.terminal(plan_lattice(spec, config), stage=spec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -489,141 +492,113 @@ class _PhaseClock:
         self.last = now
 
 
-_KernelCache = dict[tuple[LoadDensity, float, float], _Kernel]
+_KernelCache = dict[LoadDensity, _Kernel]  # the lattice is fixed within a run
+
+
+def _convolve_grid(dest: np.ndarray, src: np.ndarray, kernel: _Kernel, h_s: float) -> float:
+    """dest += src convolved along S with the load; returns the clipped value sum.
+
+    ``src`` is the band (2D) or the zero line (1D). A continuous load folds
+    in its FFT convolution; a point load shifts ``src`` by each atom.
+    """
+    if kernel.weights is not None:
+        return _fold_last(dest, convolve_lines(src, kernel.weights, kernel.spectrum),
+                          kernel.k0)
+    spill = 0.0
+    for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
+        spill += _shift_last(dest, src, xa / h_s, wa)
+    return spill
+
+
+def _line(lat: JointLattice, vals: np.ndarray, locs: np.ndarray,
+          masses: np.ndarray) -> MixedDensity1D:
+    return MixedDensity1D(grid=lat.s_grid(vals) if vals.any() else None,
+                          atom_locs=locs, atom_masses=masses)
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
                  config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
+    """Advance one bus toward the substation; see the module docstring."""
     clock = _PhaseClock()
     lat = state.lattice
-    h_s, h_d = lat.s_step, lat.d_step
-    cell = h_s * h_d
+    h_s = lat.s_step
+    cell = h_s * lat.d_step
     rho = segment.rho
-    key = (load, h_s, lat.stage_tail_budget)
-    kernel = kernels.get(key)
+    kernel = kernels.get(load)
     if kernel is None:
-        kernel = kernels[key] = _build_kernel(load, lat)
-    centers = lat.s_centers()
-    spill = 0.0
+        kernel = kernels[load] = _build_kernel(load, lat)
     clock.lap("kernel")
+    zl, dl = state.zero_line, state.diag_line
+    tail_loss = (state.pc_mass() + dl.grid_mass() + zl.grid_mass()) * kernel.tail
+    spill = 0.0
 
-    # pre-convolution free atoms: the old ones plus lifted diagonal atoms
-    dl = state.diag_line
-    pre_s = np.concatenate((state.atom_s, dl.atom_locs))
-    pre_d = np.concatenate((state.atom_d, state.slope * dl.atom_locs))
-    pre_m = np.concatenate((state.atom_mass, dl.atom_masses))
-
-    diag_grid_mass = dl.grid_mass()
-    gridded_in = state.pc_mass() + diag_grid_mass + state.zero_line.grid_mass()
-    tail_loss = gridded_in * kernel.tail
-
-    # ---- phase A: convolve the occupied row band along S at fixed D ----
+    # ---- convolve: grid rows (band with the lifted diagonal, zero line) ----
     canvas = None
     r0 = r1 = 0
-    if state.pc is not None or diag_grid_mass > 0.0:
+    if state.pc is not None or dl.grid_mass() > 0.0:
         band, r0, r1, lost = _lifted_band(state)
         spill += lost
         clock.lap("lift")
         canvas = np.zeros((lat.d_cells, lat.s_cells))
-        dest = canvas[r0:r1]
-        if kernel.weights is not None and r1 > r0:
-            spill += _fold_last(dest, convolve_lines(band, kernel.weights, kernel.spectrum),
-                                kernel.k0) * cell
-        for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-            spill += _shift_last(dest, band, xa / h_s, wa) * cell
+        if r1 > r0:
+            spill += _convolve_grid(canvas[r0:r1], band, kernel, h_s) * cell
         del band  # not needed by the shear; keeps it out of the stage's peak memory
+    z_vals = np.zeros(lat.s_cells)
+    if zl.grid_mass() > 0.0:
+        spill += _convolve_grid(z_vals, zl.grid.values, kernel, h_s) * h_s
 
-    new_atoms: list[tuple[float, float, float]] = []
-    if len(pre_s):
-        if kernel.weights is not None:
-            # atom (x) continuous load: analytic deposit on the straddled rows
-            if canvas is None:
-                canvas = np.zeros((lat.d_cells, lat.s_cells))
-            for sa, da, ma in zip(pre_s, pre_d, pre_m):
-                vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
-                spill += clipped
-                j, f = _row_split(da, lat)
-                for w, row in ((1.0 - f, j), (f, j + 1)):
-                    if w <= 0.0:
-                        continue
-                    if row >= lat.d_cells:
-                        spill += w * float(vals.sum())
-                        continue
-                    row = max(row, 0)
-                    canvas[row] += (w / cell) * vals
-                    r0, r1 = _widen((r0, r1), row, row + 1)
-        else:
-            for sa, da, ma in zip(pre_s, pre_d, pre_m):
-                for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-                    new_atoms.append((sa + xa, da, ma * wa))
+    # ---- convolve: atoms (s, d, m), zero line then free then diagonal ----
+    s = np.concatenate((zl.atom_locs, state.atom_s, dl.atom_locs))
+    d = np.concatenate((np.zeros(zl.n_atoms()), state.atom_d, state.slope * dl.atom_locs))
+    m = np.concatenate((zl.atom_masses, state.atom_mass, dl.atom_masses))
+    if kernel.weights is None:
+        s = (s[:, np.newaxis] + kernel.atom_locs).ravel()
+        d = np.repeat(d, len(kernel.atom_locs))
+        m = (m[:, np.newaxis] * kernel.atom_masses).ravel()
+    else:
+        for sa, da, ma in zip(s, d, m):
+            vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
+            spill += clipped
+            if da == 0.0:
+                z_vals += vals / h_s
+                continue
+            j, f = _row_split(da, lat)
+            for w, row in ((1.0 - f, j), (f, j + 1)):
+                if w <= 0.0:
+                    continue
+                if row >= lat.d_cells:
+                    spill += w * float(vals.sum())
+                    continue
+                row = max(row, 0)
+                if canvas is None:
+                    canvas = np.zeros((lat.d_cells, lat.s_cells))
+                canvas[row] += (w / cell) * vals
+                r0, r1 = _widen((r0, r1), row, row + 1)
+        s = d = m = _EMPTY
     clock.lap("convolve")
 
-    # the zero-drop line convolves in 1D
-    zl = state.zero_line
-    z_vals = np.zeros(lat.s_cells)
-    z_atoms: list[tuple[float, float]] = []
-    if zl.grid is not None and zl.grid.mass() > 0.0:
-        if kernel.weights is not None:
-            conv = convolve_lines(zl.grid.values, kernel.weights, kernel.spectrum)
-            spill += _fold_last(z_vals, conv, kernel.k0) * h_s
-        else:
-            for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-                spill += _shift_last(z_vals, zl.grid.values, xa / h_s, wa) * h_s
-    for a, m in zip(zl.atom_locs, zl.atom_masses):
-        if kernel.weights is not None:
-            vals, clipped = _analytic_cells(kernel.fine, a, m, lat)
-            spill += clipped
-            z_vals += vals / h_s
-        else:
-            for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-                z_atoms.append((a + xa, m * wa))
-    clock.lap("lines")
-
-    # ---- phase B: shear D -> max(0, D + rho * S) ----
+    # ---- shear: D -> max(0, D + rho * S) ----
     if canvas is not None:
         canvas, zero_gain, top = _shear_canvas(canvas, (r0, r1), rho, lat)
         spill += top
         z_vals += zero_gain / h_s
+    d_new = d + rho * s
+    to_zero = ((d == 0.0) & (s <= 0.0)) | ((d > 0.0) & (d_new <= 0.0))
+    to_diag = (d == 0.0) & (s > 0.0)
+    free = ~(to_zero | to_diag)
     clock.lap("shear")
 
-    neg = centers < 0.0
-    zero_vals = np.where(neg, z_vals, 0.0)
-    diag_vals = np.where(neg, 0.0, z_vals)
-
-    zero_locs, zero_masses = [], []
-    diag_locs, diag_masses = [], []
-    for a, m in z_atoms:
-        if a > 0.0:
-            diag_locs.append(a)
-            diag_masses.append(m)
-        else:
-            zero_locs.append(a)
-            zero_masses.append(m)
-    free_s, free_d, free_m = [], [], []
-    for sa, da, ma in new_atoms:
-        d2 = da + rho * sa
-        if d2 > 0.0:
-            free_s.append(sa)
-            free_d.append(d2)
-            free_m.append(ma)
-        else:
-            zero_locs.append(sa)
-            zero_masses.append(ma)
-
+    neg = lat.s_centers() < 0.0
     new_state = JointState(
         stage=state.stage - 1,
         slope=rho,
         lattice=lat,
         pc=canvas,
-        zero_line=MixedDensity1D(
-            grid=lat.s_grid(zero_vals) if zero_vals.any() else None,
-            atom_locs=np.asarray(zero_locs), atom_masses=np.asarray(zero_masses)),
-        diag_line=MixedDensity1D(
-            grid=lat.s_grid(diag_vals) if diag_vals.any() else None,
-            atom_locs=np.asarray(diag_locs), atom_masses=np.asarray(diag_masses)),
-        atom_s=np.asarray(free_s),
-        atom_d=np.asarray(free_d),
-        atom_mass=np.asarray(free_m),
+        zero_line=_line(lat, np.where(neg, z_vals, 0.0), s[to_zero], m[to_zero]),
+        diag_line=_line(lat, np.where(neg, 0.0, z_vals), s[to_diag], m[to_diag]),
+        atom_s=s[free],
+        atom_d=d_new[free],
+        atom_mass=m[free],
         lost_mass=state.lost_mass + tail_loss + spill,
     )
     if new_state.lost_mass > 100.0 * config.tail_tol:
@@ -643,18 +618,11 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     return new_state, log
 
 
-def dp_step(state: JointState, load: LoadDensity, segment: LineSegment,
-            config: DpConfig | None = None) -> JointState:
-    """Advance one bus toward the substation; see the module docstring."""
-    new_state, _ = _apply_stage(state, load, segment, config or DpConfig(), {})
-    return new_state
-
-
 def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     """Propagate the full feeder and integrate out the through-flow."""
     config = config or DpConfig()
     t0 = time.perf_counter()
-    state = init_terminal_state(spec, config)
+    state = JointState.terminal(plan_lattice(spec, config), stage=spec.n)
     logs: list[StageLog] = []
     kernels: _KernelCache = {}  # one kernel per distinct load, for this run only
     for j in range(spec.n - 1, -1, -1):

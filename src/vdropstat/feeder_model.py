@@ -27,7 +27,6 @@ __all__ = [
     "Gaussian",
     "Histogram",
     "FeederSpec",
-    "load_moments",
     "density_from_dict",
     "parse_feeder",
     "feeder_from_dict",
@@ -421,11 +420,6 @@ _FAMILY_FIELDS: dict[str, tuple[str, ...]] = {
     "gaussian": ("mean", "std"),
     "histogram": ("edges", "masses"),
 }
-
-
-def load_moments(density: LoadDensity) -> tuple[float, float]:
-    """Exact (mean, std) of a load density."""
-    return density.moments()
 
 
 def density_from_dict(obj, path: str = "load") -> LoadDensity:

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _U64 = np.uint64
+# Load values per MC batch (16 MB of float64): bounds the samples x buses
+# matrix whatever the shard count. Draws are counter-based, so the batch
+# size never changes the values.
+_BATCH_VALUES = 1 << 21
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -130,7 +134,7 @@ def run_mc(spec: FeederSpec, config: McConfig | None = None) -> EmpiricalDrop:
     total = config.samples
     drops = np.empty(total)
     head = np.empty(total)
-    chunk = -(-total // config.shards)
+    chunk = min(-(-total // config.shards), max(_BATCH_VALUES // n, 1))
     for a in range(0, total, chunk):
         b = min(a + chunk, total)
         loads = np.empty((b - a, n))

@@ -26,19 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .feeder_model import LoadDensity
-
 __all__ = [
     "Grid1D",
     "MixedDensity1D",
     "JointLattice",
     "JointState",
     "DropDistribution",
-    "density_to_grid",
-    "convolve",
     "convolve_lines",
     "line_spectrum",
-    "resample",
     "marginal_drop",
     "write_density_csv",
 ]
@@ -171,56 +166,6 @@ class MixedDensity1D:
         return len(self.atom_locs)
 
 
-def density_to_grid(density: LoadDensity, domain: tuple[float, float],
-                    cells: int, max_tail: float = 1e-4) -> MixedDensity1D:
-    """Grid a load density over ``domain`` with ``cells`` cells.
-
-    Point masses stay exact atoms. Continuous families are sampled at cell
-    centers and renormalized to the analytic in-domain mass, so truncation
-    never loses mass silently; the dropped tail is recorded on the result.
-    Raises ValueError when the domain misses more than ``max_tail`` mass.
-    """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not hi > lo:
-        raise ValueError("domain must have hi > lo")
-    if cells < 2:
-        raise ValueError("need at least 2 cells")
-    if density.is_atomic():
-        atoms = density.atoms()
-        inside = [(x, m) for x, m in atoms if lo <= x <= hi]
-        tail = 1.0 - sum(m for _, m in inside)
-        if tail > max_tail:
-            raise ValueError(f"domain {domain} misses {tail!r} of the mass")
-        return MixedDensity1D(
-            atom_locs=np.array([x for x, _ in inside]),
-            atom_masses=np.array([m for _, m in inside]),
-            tail_mass=tail,
-        )
-    in_mass = density.mass_between(lo, hi)
-    tail = max(0.0, 1.0 - in_mass)
-    if tail > max_tail:
-        raise ValueError(f"domain {domain} misses {tail!r} of the mass")
-    step = (hi - lo) / cells
-    centers = lo + (np.arange(cells) + 0.5) * step
-    values = np.asarray(density.pdf(centers), dtype=float)
-    raw = float(values.sum() * step)
-    if raw <= 0.0:
-        raise ValueError("density vanishes on the whole domain")
-    values = values * (in_mass / raw)
-    return MixedDensity1D(grid=Grid1D(lo, hi, values), tail_mass=tail)
-
-
-def resample(grid: Grid1D, step: float) -> Grid1D:
-    """Conservative rebinning to a new cell width (mass preserved exactly)."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    cells = max(2, math.ceil((grid.hi - grid.lo) / step - 1e-9))
-    new_edges = grid.lo + np.arange(cells + 1) * step
-    cum = np.concatenate(([0.0], np.cumsum(grid.values) * grid.step))
-    new_cum = np.interp(new_edges, grid.edges(), cum)
-    return Grid1D(grid.lo, grid.lo + cells * step, np.diff(new_cum) / step)
-
-
 def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
     """Transform of ``weights`` sized for lines of ``n_vals`` cells.
 
@@ -251,20 +196,6 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
     out = irfft(coef, n_fft, axis=-1)[..., :n_out]
     np.clip(out, 0.0, None, out=out)
     return out
-
-
-def convolve(a: Grid1D, b: Grid1D) -> Grid1D:
-    """Density of the sum of independent variables gridded on equal steps.
-
-    Unequal steps resample ``b`` onto ``a``'s. The output mass equals the
-    product of the input masses up to roundoff.
-    """
-    if abs(a.step - b.step) > 1e-9 * max(a.step, b.step):
-        b = resample(b, a.step)
-    step = a.step
-    vals = convolve_lines(a.values, b.values) * step
-    lo = a.lo + b.lo + 0.5 * step
-    return Grid1D(lo, lo + len(vals) * step, vals)
 
 
 # ---------------------------------------------------------------------------

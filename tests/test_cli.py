@@ -44,6 +44,17 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, level", [("analyze", "1.5"), ("mc", "-0.1"),
+                                            ("analyze", "nan")])
+def test_bad_quantile_exits_1_before_writing(tmp_path, capsys, command, level):
+    out = tmp_path / "out"
+    code = main([command, str(CONFIG4), "--quantile", "0.5", "--quantile", level,
+                 "--seed", "1", "--out-dir", str(out)])
+    assert code == 1
+    assert "outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_deterministic_outputs(tmp_path):
     out = tmp_path / "det"
     assert main(["deterministic", str(CONFIG4), "--out-dir", str(out)]) == 0

@@ -22,17 +22,24 @@ from vdropstat.distflow import max_drop
 from vdropstat.dp_engine import (
     DpConfig,
     MassLossError,
-    dp_step,
-    init_terminal_state,
     joint_to_csv,
     plan_lattice,
     run,
 )
 from vdropstat.feeder_model import FeederSpec, Gaussian, PointMass, parse_feeder
-from vdropstat.mixed_dist import JointLattice, convolve_lines, line_spectrum
+from vdropstat.mixed_dist import JointLattice, JointState, convolve_lines, line_spectrum
 
 
 CFG = DpConfig(grid_s=256, grid_delta=256)
+
+
+def _terminal(spec, config):
+    return JointState.terminal(plan_lattice(spec, config), stage=spec.n)
+
+
+def _step(state, spec, j, config):
+    """Apply bus j's stage alone, with a kernel cache of its own."""
+    return dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, {})[0]
 
 
 def test_config_validation():
@@ -57,8 +64,7 @@ def test_planned_lattice_anchors_zero():
 
 def test_first_step_splits_load_by_sign():
     spec = reference_spec()
-    st = dp_step(init_terminal_state(spec, CFG),
-                 spec.loads[3], spec.segments[3], CFG)
+    st = _step(_terminal(spec, CFG), spec, 3, CFG)
     assert st.stage == 3
     assert st.slope == 1e-3
     assert st.pc_mass() == 0.0
@@ -70,8 +76,7 @@ def test_first_step_splits_load_by_sign():
 def test_point_load_from_rest_consumption():
     spec = point_spec([2.0])
     cfg = DpConfig(grid_s=64, grid_delta=64)
-    st = dp_step(init_terminal_state(spec, cfg),
-                 spec.loads[0], spec.segments[0], cfg)
+    st = _step(_terminal(spec, cfg), spec, 0, cfg)
     # positive draw lands on the diagonal: D = rho * S exactly
     assert st.diag_line.atom_locs.tolist() == [2.0]
     assert st.diag_line.atom_masses.tolist() == [1.0]
@@ -83,8 +88,7 @@ def test_point_load_from_rest_consumption():
 def test_point_load_from_rest_injection():
     spec = point_spec([-2.0])
     cfg = DpConfig(grid_s=64, grid_delta=64)
-    st = dp_step(init_terminal_state(spec, cfg),
-                 spec.loads[0], spec.segments[0], cfg)
+    st = _step(_terminal(spec, cfg), spec, 0, cfg)
     assert st.zero_line.atom_locs.tolist() == [-2.0]
     assert st.zero_line.atom_masses.tolist() == [1.0]
     assert st.diag_line.total_mass() == 0.0
@@ -123,9 +127,9 @@ def test_degenerate_specs_stay_atomic():
 
 def test_state_valid_after_every_stage():
     spec = reference_spec()
-    st = init_terminal_state(spec, CFG)
+    st = _terminal(spec, CFG)
     for j in range(spec.n - 1, -1, -1):
-        st = dp_step(st, spec.loads[j], spec.segments[j], CFG)
+        st = _step(st, spec, j, CFG)
         st.validate()
         assert st.stage == j
     assert st.slope == spec.segments[0].rho
@@ -222,8 +226,6 @@ def test_joint_csv_layout():
 
 def test_joint_csv_of_terminal_state():
     lat = plan_lattice(reference_spec(), CFG)
-    from vdropstat.mixed_dist import JointState
-
     buf = io.StringIO()
     joint_to_csv(JointState.terminal(lat, stage=4), buf)
     lines = buf.getvalue().strip().split("\n")
@@ -378,28 +380,70 @@ def test_cli_import_leaves_scipy_signal_out():
     assert out == "False"
 
 
-# Laws as the column-by-column engine computed them; the band-limited,
-# run-wise kernel must reproduce them to rounding.
+def _chain(*loads):
+    return FeederSpec(base_voltage=1.0, alpha=0.0,
+                      segments=tuple(segment(1e-3) for _ in loads), loads=loads)
+
+
+# Laws and logged losses recorded from earlier versions of the engine, which
+# had one code path per carrier and kernel kind; the current engine must
+# reproduce them to rounding. Loads run substation first, so the last load
+# is applied first. The entries cover every carrier x kernel pairing:
+LAW_REGRESSION_SPECS = {
+    "feeder4-512": lambda: (parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512)),
+    "chain64-256": lambda: (reference_spec(n=64), CFG),
+    # atoms x continuous load
+    "ref-pm3": lambda: (_chain(reference_load(), PointMass(location=3.0)), CFG),
+    # grid and lines x point load
+    "pm3-ref": lambda: (_chain(PointMass(location=3.0), reference_load()), CFG),
+    # zero-line atoms x continuous load
+    "zero-atoms": lambda: (_chain(reference_load(), PointMass(location=-2.0),
+                                  reference_load(), PointMass(location=1.5)), CFG),
+    # free atoms x continuous load, deposited on rows
+    "free-atoms": lambda: (_chain(reference_load(), PointMass(location=2.0),
+                                  PointMass(location=2.0)), CFG),
+    # atoms x point loads only, ending on a free atom
+    "points-64": lambda: (point_spec([-1, 2, -3, 4, 1]), DpConfig(grid_s=64, grid_delta=64)),
+}
 LAW_REGRESSION = {
     "feeder4-512": dict(
         mean=0.0207165085483211, std=0.01650124346919351, atom0=0.05402014601052252,
-        q=(0.017495251098909977, 0.042777386174409834, 0.07303138261111267)),
+        q=(0.017495251098909977, 0.042777386174409834, 0.07303138261111267),
+        lost=1.1459628976530075e-06),
     "chain64-256": dict(
         mean=4.184487852467777, std=0.9775732574082685, atom0=9.070840733684995e-10,
-        q=(4.144876650091846, 5.458126880175924, 6.6367502017281925)),
+        q=(4.144876650091846, 5.458126880175924, 6.6367502017281925),
+        lost=1.0000271386844023e-06),
+    "ref-pm3": dict(
+        mean=0.00800061623642348, std=0.003164857077267633, atom0=0.0006278330813737702,
+        q=(0.007215572354803427, 0.012053266681880077, 0.01894768060737556),
+        lost=5.00000000069889e-07),
+    "pm3-ref": dict(
+        mean=0.007267531765015661, std=0.006022795874403423, atom0=0.012529944623041463,
+        q=(0.005472666884783761, 0.015074444061672573, 0.02891125829707095),
+        lost=5.132427646957455e-07),
+    "zero-atoms": dict(
+        mean=0.010316284821700168, std=0.009607463698688786, atom0=0.08818689871393309,
+        q=(0.007914788467584, 0.022839360102687615, 0.043578370619600335),
+        lost=5.643998177371249e-07),
+    "free-atoms": dict(
+        mean=0.012000001694175075, std=0.0031679657924145736, atom0=1.137089492015906e-05,
+        q=(0.011225910372870717, 0.016055308937611014, 0.022959391974686875),
+        lost=3.33333333379926e-07),
+    "points-64": dict(
+        mean=0.015, std=0.0, atom0=0.0, q=(0.015, 0.015, 0.015), lost=0.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LAW_REGRESSION))
 def test_law_regression(name):
-    if name == "feeder4-512":
-        rep = run(parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512))
-    else:
-        rep = run(reference_spec(n=64), CFG)
+    spec, config = LAW_REGRESSION_SPECS[name]()
+    rep = run(spec, config)
     want = LAW_REGRESSION[name]
     mean, std = rep.drop.mean_std()
     got = dict(mean=mean, std=std, atom0=rep.drop.atom_at_zero(),
-               q=tuple(rep.drop.quantile(p) for p in (0.5, 0.9, 0.99)))
-    for key in ("mean", "std", "atom0"):
+               q=tuple(rep.drop.quantile(p) for p in (0.5, 0.9, 0.99)),
+               lost=rep.lost_mass)
+    for key in ("mean", "std", "atom0", "lost"):
         assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
     assert got["q"] == pytest.approx(want["q"], rel=1e-12, abs=0.0)

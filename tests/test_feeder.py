@@ -18,7 +18,6 @@ from vdropstat.feeder_model import (
     density_from_dict,
     feeder_from_dict,
     feeder_to_dict,
-    load_moments,
     parse_feeder,
     write_feeder,
 )
@@ -43,7 +42,7 @@ def quad_moments(d, lo, hi, n=400_001):
 
 def test_reference_moments_closed_form():
     d = reference_load()
-    mean, std = load_moments(d)
+    mean, std = d.moments()
     assert mean == 2.0
     assert abs(std - math.sqrt(10.0)) <= 1e-6 * math.sqrt(10.0)
 
@@ -99,7 +98,7 @@ def test_density_integrates_to_one(d, lo, hi):
 @pytest.mark.parametrize("d,lo,hi", CONTINUOUS, ids=lambda v: getattr(v, "family", ""))
 def test_moments_match_quadrature(d, lo, hi):
     _, mean, std = quad_moments(d, lo, hi)
-    m, s = load_moments(d)
+    m, s = d.moments()
     scale = max(abs(m), s, 1.0)
     assert abs(m - mean) < 1e-6 * scale
     assert abs(s - std) < 1e-6 * scale

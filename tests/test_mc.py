@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import point_spec, reference_load, reference_spec
+from vdropstat import mc_oracle
 from vdropstat.mc_oracle import (
     EmpiricalDrop,
     McConfig,
@@ -102,6 +103,24 @@ def test_sharding_is_bitwise_invariant():
         assert np.array_equal(base.delta0, other.delta0)
         assert np.array_equal(base.samples, other.samples)
         assert base.zero_count == other.zero_count
+
+
+def test_batch_cap_keeps_draws_bitwise(monkeypatch):
+    spec = reference_spec()  # 4 buses
+    config = McConfig(samples=1_001, seed=5)
+    whole = run_mc(spec, config)
+    counts = []
+    draw = mc_oracle.counter_uniforms
+    monkeypatch.setattr(mc_oracle, "counter_uniforms",
+                        lambda *a: (counts.append(a[2]), draw(*a))[1])
+    monkeypatch.setattr(mc_oracle, "_BATCH_VALUES", 4 * 100)
+    for shards in (1, 4):
+        counts.clear()
+        capped = run_mc(spec, McConfig(samples=1_001, seed=5, shards=shards))
+        assert max(counts) == 100  # batches of 100 samples x 4 buses
+        assert np.array_equal(capped.delta0, whole.delta0)
+        assert np.array_equal(capped.samples, whole.samples)
+        assert capped.zero_count == whole.zero_count
 
 
 def test_drop_dominates_head_term():

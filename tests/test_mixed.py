@@ -7,18 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_load
-from vdropstat.feeder_model import Gaussian, PointMass
 from vdropstat.mixed_dist import (
     DropDistribution,
     Grid1D,
     JointLattice,
     JointState,
     MixedDensity1D,
-    convolve,
-    density_to_grid,
+    convolve_lines,
     marginal_drop,
-    resample,
     write_density_csv,
 )
 
@@ -53,89 +49,35 @@ def test_grid_clamps_arithmetic_dust():
 
 
 # ---------------------------------------------------------------------------
-# convolution and resampling
+# convolution
 # ---------------------------------------------------------------------------
 
 
 def test_convolve_uniforms_gives_triangle():
-    u = Grid1D(0.0, 1.0, np.ones(512))
-    tri = convolve(u, u)
-    assert tri.mass() == pytest.approx(1.0, abs=1e-12)
-    assert (tri.lo, tri.hi) == pytest.approx((0.0, 2.0), abs=2 * tri.step)
-    i = int(np.argmax(tri.values))
-    assert tri.values[i] == pytest.approx(1.0, abs=5e-3)
-    assert tri.centers()[i] == pytest.approx(1.0, abs=tri.step)
+    h = 1.0 / 512
+    tri = convolve_lines(np.ones(512), np.ones(512)) * h  # density of U + U
+    centers = (np.arange(len(tri)) + 1.0) * h
+    assert len(tri) == 1023
+    assert tri.sum() * h == pytest.approx(1.0, abs=1e-12)
+    i = int(np.argmax(tri))
+    assert tri[i] == pytest.approx(1.0, abs=5e-3)
+    assert centers[i] == pytest.approx(1.0, abs=h)
     # exact triangle ordinates at cell centers
-    want = np.minimum(tri.centers(), 2.0 - tri.centers())
-    assert np.abs(tri.values - np.clip(want, 0.0, None)).max() < 5e-3
-
-
-def test_convolve_unequal_steps_resamples():
-    a = Grid1D(0.0, 1.0, np.ones(128))
-    b = Grid1D(0.0, 1.0, np.ones(64))
-    out = convolve(a, b)
-    assert out.step == pytest.approx(a.step)
-    assert out.mass() == pytest.approx(1.0, abs=1e-9)
+    want = np.minimum(centers, 2.0 - centers)
+    assert np.abs(tri - np.clip(want, 0.0, None)).max() < 5e-3
 
 
 def test_convolve_fft_path_matches_direct():
     rng = np.random.default_rng(5)
+    h = 1.0 / 3000
     va = rng.uniform(0.0, 1.0, 3000)
     vb = rng.uniform(0.0, 1.0, 3000)
-    h = 1.0 / 3000
-    a = Grid1D(0.0, 1.0, va / (va.sum() * h))
-    b = Grid1D(0.0, 1.0, vb / (vb.sum() * h))
-    big = convolve(a, b)          # 5999 output cells: transform path
-    direct = np.convolve(a.values, b.values) * h
-    assert np.abs(big.values - direct).max() < 1e-9
-    assert big.mass() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_resample_conserves_mass_and_cdf():
-    rng = np.random.default_rng(2)
-    v = rng.uniform(0.0, 2.0, 64)
-    g = Grid1D(0.0, 1.0, v)
-    r = resample(g, 1.0 / 40)
-    assert r.mass() == pytest.approx(g.mass(), abs=1e-12)
-    # cumulative agrees exactly at shared edges (multiples of 1/8)
-    cum_g = np.concatenate(([0.0], np.cumsum(g.values) * g.step))
-    cum_r = np.concatenate(([0.0], np.cumsum(r.values) * r.step))
-    for k in range(9):
-        x = k / 8.0
-        ig = int(round(x / g.step))
-        ir = int(round(x / r.step))
-        assert cum_r[ir] == pytest.approx(cum_g[ig], abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# gridding load densities
-# ---------------------------------------------------------------------------
-
-
-def test_density_to_grid_point_mass_stays_atomic():
-    d = density_to_grid(PointMass(location=2.0), (-5.0, 5.0), 64)
-    assert d.grid is None
-    assert d.atom_locs.tolist() == [2.0]
-    assert d.atom_masses.tolist() == [1.0]
-
-
-def test_density_to_grid_reference_density():
-    d = density_to_grid(reference_load(), (-15.0, 40.0), 2048)
-    assert d.n_atoms() == 0
-    assert d.grid_mass() >= 0.9999
-    assert d.grid_mass() + d.tail_mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_density_to_grid_gaussian_mass():
-    d = density_to_grid(Gaussian(mean=0.0, std=1.0), (-8.0, 8.0), 1024)
-    assert abs(d.total_mass() - 1.0) < 1e-8
-
-
-def test_density_to_grid_rejects_lossy_domain():
-    with pytest.raises(ValueError, match="misses"):
-        density_to_grid(reference_load(), (-0.5, 0.5), 64)
-    with pytest.raises(ValueError, match="misses"):
-        density_to_grid(PointMass(location=9.0), (-1.0, 1.0), 16)
+    va /= va.sum() * h
+    vb /= vb.sum() * h
+    big = convolve_lines(va, vb) * h  # 5999 output cells: transform path
+    direct = np.convolve(va, vb) * h
+    assert np.abs(big - direct).max() < 1e-9
+    assert big.sum() * h == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
