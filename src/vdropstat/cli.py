@@ -194,8 +194,14 @@ def cmd_analyze(spec: FeederSpec, args) -> int:
 
 def cmd_mc(spec: FeederSpec, args) -> int:
     seed = _resolve_seed(args)
-    emp = run_mc(spec, McConfig(samples=args.samples, seed=seed,
-                                shards=args.shards, nonlinear=args.nonlinear))
+    t0 = time.perf_counter()
+    try:
+        emp = run_mc(spec, McConfig(samples=args.samples, seed=seed,
+                                    shards=args.shards, nonlinear=args.nonlinear))
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    seconds = time.perf_counter() - t0
     out = _out_dir(args)
     path = out / "mc_samples.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -217,6 +223,8 @@ def cmd_mc(spec: FeederSpec, args) -> int:
         "mean": mean,
         "std": std,
         "quantiles": {f"{q:g}": emp.quantile(q) for q in args.quantile},
+        "seconds": seconds,
+        "samples_per_s": emp.n / seconds,
     })
     print(f"mean drop {mean:.6g}, std {std:.6g}, zero fraction {emp.zero_fraction():.6g}")
     return EXIT_OK

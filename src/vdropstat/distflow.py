@@ -97,6 +97,9 @@ def solve_linear(spec: FeederSpec, loads) -> FlowProfile:
     )
 
 
+# A collapsing sweep can overflow to inf or nan on its way to the V^2 check,
+# which reports it as NonConvergenceError; numpy need not warn as well.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
                     max_iter: int = 100) -> FlowProfile:
     """Backward/forward sweep with quadratic loss terms.
@@ -137,7 +140,7 @@ def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
                   + (r[j]**2 + x[j]**2) * (new_p[j]**2 + new_q[j]**2) / vsq)
             if not (vv > 0.0) or not math.isfinite(vv):
                 raise NonConvergenceError(
-                    f"voltage collapse at node {j + 1} (V^2 = {vv!r})")
+                    f"voltage collapse at node {j + 1} (V^2 = {vv:.6g})")
             new_voltage[j + 1] = math.sqrt(vv)
 
         change = float(np.max(np.abs(new_voltage - voltage)))
@@ -154,17 +157,29 @@ def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
     raise NonConvergenceError(f"no convergence in {max_iter} iterations")
 
 
-def _batch_delta0(rho: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized drop recursion over rows of a (samples, N) load matrix.
+def _batch_delta0(rho: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized drop recursion over a batch of samples, folded bus by bus.
 
-    Returns (delta0, head_flow). Kept as the single implementation of the
-    recursion so sampled replays match max_drop exactly.
+    ``columns`` yields one load vector per bus (one value per sample) from
+    the feeder end: bus N-1 first, bus 0 last. Each is added to the running
+    flow in that order, the order of a reversed cumsum, and folded at once
+    into the running drop. Returns (delta0, head_flow). Kept as the single
+    implementation of the recursion so sampled replays match max_drop
+    exactly.
     """
-    flow = np.cumsum(loads[:, ::-1], axis=1)[:, ::-1]
-    delta = np.zeros(loads.shape[0])
-    for k in range(loads.shape[1] - 1, -1, -1):
-        delta = np.maximum(0.0, delta + rho[k] * flow[:, k])
-    return delta, flow[:, 0]
+    flow = delta = step = None
+    for k, col in zip(range(len(rho) - 1, -1, -1), columns, strict=True):
+        if flow is None:
+            # a copy, not zeros + col, so a head flow of -0.0 keeps its sign
+            flow = np.array(col, dtype=float)
+            delta = np.zeros_like(flow)
+            step = np.empty_like(flow)
+        else:
+            flow += col
+        np.multiply(rho[k], flow, out=step)
+        np.add(delta, step, out=step)
+        np.maximum(0.0, step, out=delta)
+    return delta, flow
 
 
 def max_drop(spec: FeederSpec, loads) -> DropResult:

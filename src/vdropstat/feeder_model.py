@@ -159,15 +159,12 @@ class TwoSidedExponential(LoadDensity):
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
-        flat = np.atleast_1d(u)
-        out = np.empty_like(flat)
-        below = flat <= self.neg_mass
-        # invert c/l- * exp(l- s) = u on the injection side
-        out[below] = np.log(flat[below] * self.rate_neg / self.weight) / self.rate_neg
-        # invert 1 - c*l+ * exp(-s/l+) = u on the consumption side
-        rest = ~below
-        out[rest] = -self.rate_pos * np.log((1.0 - flat[rest]) / (self.weight * self.rate_pos))
-        return out.reshape(u.shape)
+        below = u <= self.neg_mass
+        # invert c/l- * exp(l- s) = u on the injection side and
+        # 1 - c*l+ * exp(-s/l+) = u on the consumption side, one log for both
+        lg = np.log(np.where(below, u * self.rate_neg / self.weight,
+                             (1.0 - u) / (self.weight * self.rate_pos)))
+        return np.where(below, lg / self.rate_neg, -self.rate_pos * lg)
 
     def moments(self):
         c, lp, ln = self.weight, self.rate_pos, self.rate_neg

@@ -1,10 +1,18 @@
 """Monte Carlo cross-check for the drop law.
 
 Sampling is counter-based: the uniform behind (sample i, bus j) is a hash
-of (seed, i, j) alone, so any sharding of the sample range reproduces the
-identical stream bit for bit. Per sample the drop comes from the same
-backward recursion the deterministic solver uses; the randomness, not the
-recursion, is what this module adds.
+of (seed, i, j) alone, so any sharding or batching of the sample range
+reproduces the identical stream bit for bit. Per sample the drop comes
+from the same backward recursion the deterministic solver uses; the
+randomness, not the recursion, is what this module adds.
+
+The linear sampler streams: each batch of at most 2^14 samples walks the
+buses from the feeder end to the head, draws one bus's loads for the
+whole batch into a vector that stays in cache, and folds it at once into
+the running flow and drop. No samples x buses matrix is built, so the
+working set does not grow with the bus count. The nonlinear sampler needs
+each sample's whole load vector and fills a samples x buses block of at
+most 2^21 values per batch.
 """
 
 from __future__ import annotations
@@ -27,22 +35,28 @@ __all__ = [
     "sample_load",
     "run_mc",
     "ks_distance",
-    "ks_two_sample",
     "compare",
 ]
 
 _U64 = np.uint64
-# Load values per MC batch (16 MB of float64): bounds the samples x buses
-# matrix whatever the shard count. Draws are counter-based, so the batch
-# size never changes the values.
+# Samples per linear MC batch: one bus's draws (128 KB of float64) stay in
+# cache while they are folded into the running flow and drop.
+_BATCH_SAMPLES = 1 << 14
+# Load values per nonlinear MC batch (16 MB of float64): bounds its
+# samples x buses block whatever the shard count. Draws are counter-based,
+# so no batch size ever changes the values.
 _BATCH_VALUES = 1 << 21
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
+def _mix64(x: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on ``x``."""
+    tmp = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(x, _U64(shift), out=tmp)
+        x ^= tmp
+        x *= _U64(mult)
+    np.right_shift(x, _U64(31), out=tmp)
+    x ^= tmp
 
 
 def counter_uniforms(seed: int, start: int, count: int,
@@ -54,11 +68,19 @@ def counter_uniforms(seed: int, start: int, count: int,
     """
     if count < 0 or start < 0 or not 0 <= stream < n_streams:
         raise ValueError("bad counter range")
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    counter = idx * _U64(n_streams) + _U64(stream)
-    state = _U64(seed & 0xFFFFFFFFFFFFFFFF) + (counter + _U64(1)) * _U64(0x9E3779B97F4A7C15)
-    bits = _mix64(state)
-    return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # state = seed + (i * n_streams + stream + 1) * golden mod 2^64, as one
+    # multiply and one add on the sample index i
+    golden = 0x9E3779B97F4A7C15
+    bits = np.arange(start, start + count, dtype=np.uint64)
+    bits *= _U64(n_streams * golden % 2**64)
+    bits += _U64(((stream + 1) * golden + seed) % 2**64)
+    _mix64(bits)
+    bits >>= _U64(11)
+    # 53 bits fit int64 exactly, and int64 converts faster than uint64
+    out = bits.view(np.int64).astype(np.float64)
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 def sample_load(density: LoadDensity, uniforms: np.ndarray) -> np.ndarray:
@@ -132,26 +154,35 @@ def run_mc(spec: FeederSpec, config: McConfig | None = None) -> EmpiricalDrop:
     n = spec.n
     rho = spec.rho
     total = config.samples
-    drops = np.empty(total)
-    head = np.empty(total)
-    chunk = min(-(-total // config.shards), max(_BATCH_VALUES // n, 1))
+    samples = np.empty((total, 2))  # rows of (head flow, drop)
+
+    def draw(a, b, k):
+        """Bus k's loads for samples a..b-1."""
+        return sample_load(spec.loads[k],
+                           counter_uniforms(config.seed, a, b - a, k, n))
+
+    cap = max(_BATCH_VALUES // n, 1) if config.nonlinear else _BATCH_SAMPLES
+    chunk = min(-(-total // config.shards), cap)
     for a in range(0, total, chunk):
         b = min(a + chunk, total)
-        loads = np.empty((b - a, n))
-        for j, density in enumerate(spec.loads):
-            loads[:, j] = sample_load(
-                density, counter_uniforms(config.seed, a, b - a, j, n))
         if config.nonlinear:
+            loads = np.empty((b - a, n))
+            for k in range(n):
+                loads[:, k] = draw(a, b, k)
             for i in range(b - a):
                 profile = solve_nonlinear(spec, loads[i])
-                drops[a + i] = spec.base_voltage - float(profile.voltage.min())
-                head[a + i] = float(profile.flow_s[0])
+                samples[a + i] = (float(profile.flow_s[0]),
+                                  spec.base_voltage - float(profile.voltage.min()))
         else:
-            drops[a:b], head[a:b] = _batch_delta0(rho, loads)
+            delta, flow = _batch_delta0(
+                rho, (draw(a, b, k) for k in range(n - 1, -1, -1)))
+            samples[a:b, 0] = flow
+            samples[a:b, 1] = delta
+    drops = samples[:, 1]
     return EmpiricalDrop(
         delta0=np.sort(drops),
         zero_count=int((drops == 0.0).sum()),
-        samples=np.column_stack((head, drops)),
+        samples=samples,
         seed=config.seed,
     )
 
@@ -178,17 +209,6 @@ def ks_distance(dist: DropDistribution, samples: np.ndarray) -> float:
     e_hi = np.searchsorted(samples, xs, side="right") / n
     e_lo = np.searchsorted(samples, xs, side="left") / n
     return float(max(np.abs(e_hi - f_hi).max(), np.abs(e_lo - f_lo).max()))
-
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if not (len(a) and len(b)):
-        raise ValueError("need samples on both sides")
-    xs = np.concatenate((a, b))
-    fa = np.searchsorted(a, xs, side="right") / len(a)
-    fb = np.searchsorted(b, xs, side="right") / len(b)
-    return float(np.abs(fa - fb).max())
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,25 @@ def test_mc_outputs(tmp_path):
     assert payload["nonlinear"] is False
     assert 0.0 <= payload["zero_fraction"] < 0.2
     assert payload["mean"] == pytest.approx(vals.mean())
+    assert payload["seconds"] > 0.0
+    assert payload["samples_per_s"] > 0.0
+    assert payload["samples_per_s"] == pytest.approx(5000 / payload["seconds"])
+
+
+def test_mc_nonlinear_collapse_exits_2_without_output(tmp_path, capsys):
+    feeder = read_json(CONFIG4)
+    for seg in feeder["segments"]:
+        seg["r"] = 0.05  # the sweep collapses at these loads
+    cfg = write_config(tmp_path / "weak.json", feeder)
+    out = tmp_path / "out"
+    code = main(["mc", cfg, "--samples", "200", "--seed", "1", "--nonlinear",
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "voltage collapse" in err
+    assert "np.float64" not in err
+    assert not (out / "mc_samples.csv").exists()
 
 
 def test_mc_with_s0(tmp_path):

@@ -63,11 +63,33 @@ def test_batch_recursion_matches_scalar():
     rng = np.random.default_rng(3)
     spec = point_spec(rng.uniform(-2, 4, size=5))
     loads = rng.uniform(-4, 6, size=(64, 5))
-    delta0, head = _batch_delta0(spec.rho, loads)
+    delta0, head = _batch_delta0(spec.rho, loads.T[::-1])  # columns from bus N-1
     for i in range(64):
         one = max_drop(spec, loads[i])
         assert delta0[i] == one.delta0
         assert head[i] == pytest.approx(loads[i].sum(), rel=1e-12)
+
+
+def test_batch_recursion_matches_matrix_form():
+    # the recursion over a whole (samples, N) matrix, flows by reversed cumsum
+    def matrix_form(rho, loads):
+        flow = np.cumsum(loads[:, ::-1], axis=1)[:, ::-1]
+        delta = np.zeros(loads.shape[0])
+        for k in range(loads.shape[1] - 1, -1, -1):
+            delta = np.maximum(0.0, delta + rho[k] * flow[:, k])
+        return delta, flow[:, 0]
+
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 33):
+        rho = rng.uniform(1e-4, 5e-3, size=n)
+        loads = rng.uniform(-4, 6, size=(257, n))
+        loads[:3] = -0.0  # the head flow keeps the sign of zero
+        got = _batch_delta0(rho, (loads[:, k] for k in range(n - 1, -1, -1)))
+        want = matrix_form(rho, loads)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    with pytest.raises(ValueError):
+        _batch_delta0(np.ones(3), loads.T[:2])
 
 
 def test_nonlinear_converges_near_linear():

@@ -63,6 +63,33 @@ def test_reference_ppf_branches():
     assert np.abs(np.asarray(d.cdf(d.ppf(u))) - u).max() < 1e-12
 
 
+def masked_ppf(d, u):
+    """The two-branch inverse written with a boolean-mask scatter."""
+    u = np.asarray(u, dtype=float)
+    flat = np.atleast_1d(u)
+    out = np.empty_like(flat)
+    below = flat <= d.neg_mass
+    out[below] = np.log(flat[below] * d.rate_neg / d.weight) / d.rate_neg
+    rest = ~below
+    out[rest] = -d.rate_pos * np.log((1.0 - flat[rest]) / (d.weight * d.rate_pos))
+    return out.reshape(u.shape)
+
+
+@pytest.mark.parametrize("d", [reference_load(), reference_load().scaled(1e-3),
+                               TwoSidedExponential(weight=0.5, rate_pos=1.5, rate_neg=2.0)])
+def test_two_sided_ppf_bitwise_equals_masked_branches(d):
+    m = d.neg_mass
+    edge = np.array([np.nextafter(m, 0.0), m, np.nextafter(m, 1.0)])
+    rng = np.random.default_rng(2)
+    for u in (0.1, 0.9, m, edge, rng.random(1000), rng.random((7, 9)),
+              np.array([[m], [0.5]])):
+        got, want = d.ppf(u), masked_ppf(d, u)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == np.shape(u)
+        assert got.tobytes() == want.tobytes()
+    assert d.ppf(0.3).ndim == 0
+
+
 def test_two_sided_normalization_enforced():
     with pytest.raises(FeederConfigError, match="weight"):
         TwoSidedExponential(weight=0.3, rate_pos=3.0, rate_neg=1.0)

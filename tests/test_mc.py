@@ -1,22 +1,49 @@
 """Counter-based sampling, the empirical law, and the comparison gate."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import point_spec, reference_load, reference_spec
+from helpers import CONFIG4, point_spec, reference_load, reference_spec, segment
 from vdropstat import mc_oracle
+from vdropstat.cli import _sweep_spec
 from vdropstat.mc_oracle import (
     EmpiricalDrop,
     McConfig,
     compare,
     counter_uniforms,
     ks_distance,
-    ks_two_sample,
     run_mc,
     sample_load,
 )
+from vdropstat.feeder_model import (
+    FeederSpec,
+    Gaussian,
+    Histogram,
+    PointMass,
+    Uniform,
+    parse_feeder,
+)
 from vdropstat.mixed_dist import DropDistribution, Grid1D, MixedDensity1D
 from vdropstat.dp_engine import DpConfig, run
+
+
+def chain_spec(n):
+    """The feeder4 bus repeated n times, as `sweep --parameter bus-count`."""
+    return _sweep_spec(parse_feeder(CONFIG4), "bus-count", n)
+
+
+def mixed_spec():
+    """One bus of every load family, on unequal segments."""
+    loads = (Gaussian(mean=3.0, std=1.0),
+             Histogram(edges=(-1.0, 0.0, 2.0, 5.0), masses=(0.2, 0.5, 0.3)),
+             Uniform(lo=-2.0, hi=4.0),
+             PointMass(location=1.5),
+             reference_load())
+    segs = tuple(segment(r) for r in (1e-3, 2e-3, 5e-4, 1.5e-3, 1e-3))
+    return FeederSpec(base_voltage=1.0, alpha=0.0, segments=segs, loads=loads)
 
 
 # --------------------------------------------------------------- generator
@@ -46,6 +73,24 @@ def test_counter_uniforms_range_and_mean():
     assert abs(u.mean() - 0.5) < 1.5e-3  # 3 sigma at this n is ~9e-4
 
 
+def test_counter_uniforms_matches_reference_hash():
+    # the hash written out of place, one step per line, as splitmix64 reads
+    u64 = np.uint64
+
+    def reference(seed, start, count, stream, n_streams):
+        idx = np.arange(start, start + count, dtype=np.uint64)
+        counter = idx * u64(n_streams) + u64(stream)
+        x = u64(seed & 0xFFFFFFFFFFFFFFFF) + (counter + u64(1)) * u64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> u64(27))) * u64(0x94D049BB133111EB)
+        x = x ^ (x >> u64(31))
+        return ((x >> u64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+    for args in [(0, 0, 1000, 0, 1), (9, 300, 700, 2, 5), (2**64 + 3, 10, 50, 255, 256),
+                 (2**63 - 1, 2**40, 100, 7, 1000), (12345, 0, 0, 0, 1)]:
+        assert np.array_equal(counter_uniforms(*args), reference(*args))
+
+
 def test_counter_uniforms_rejects_bad_ranges():
     with pytest.raises(ValueError):
         counter_uniforms(1, -1, 10, 0, 1)
@@ -62,8 +107,6 @@ def test_sample_load_statistics():
 
 
 def test_sample_point_mass_is_constant():
-    from vdropstat.feeder_model import PointMass
-
     u = counter_uniforms(5, 0, 64, stream=0, n_streams=1)
     assert np.all(sample_load(PointMass(location=2.0), u) == 2.0)
 
@@ -113,14 +156,72 @@ def test_batch_cap_keeps_draws_bitwise(monkeypatch):
     draw = mc_oracle.counter_uniforms
     monkeypatch.setattr(mc_oracle, "counter_uniforms",
                         lambda *a: (counts.append(a[2]), draw(*a))[1])
-    monkeypatch.setattr(mc_oracle, "_BATCH_VALUES", 4 * 100)
+    monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 100)
     for shards in (1, 4):
         counts.clear()
         capped = run_mc(spec, McConfig(samples=1_001, seed=5, shards=shards))
-        assert max(counts) == 100  # batches of 100 samples x 4 buses
+        assert max(counts) == 100  # batches of 100 samples, one bus at a time
         assert np.array_equal(capped.delta0, whole.delta0)
         assert np.array_equal(capped.samples, whole.samples)
         assert capped.zero_count == whole.zero_count
+
+
+def test_nonlinear_batch_cap_keeps_draws_bitwise(monkeypatch):
+    spec = reference_spec()  # 4 buses
+    whole = run_mc(spec, McConfig(samples=101, seed=5, nonlinear=True))
+    counts = []
+    draw = mc_oracle.counter_uniforms
+    monkeypatch.setattr(mc_oracle, "counter_uniforms",
+                        lambda *a: (counts.append(a[2]), draw(*a))[1])
+    monkeypatch.setattr(mc_oracle, "_BATCH_VALUES", 4 * 10)
+    capped = run_mc(spec, McConfig(samples=101, seed=5, nonlinear=True))
+    assert max(counts) == 10  # batches of 10 samples x 4 buses
+    assert np.array_equal(capped.samples, whole.samples)
+    assert np.array_equal(capped.delta0, whole.delta0)
+
+
+# sha1 of samples.tobytes() and delta0.tobytes(), and zero_count, of run_mc
+# at seed 7, recorded from the matrix-per-batch sampler before the
+# bus-by-bus stream replaced it
+STREAM_DIGESTS = {
+    "feeder4": (lambda: chain_spec(4), 100_000, False,
+                "fdc4b835b79c7c3b35a50b49169837cd8641fd81",
+                "111066e3da7bf051197367c5038d60a6ec31e0ca", 5308),
+    "chain256": (lambda: chain_spec(256), 20_000, False,
+                 "9d3e362d8e07c9539bf13eb11ebc6015f3a04dc5",
+                 "cc6152a3603af4d499231f2815c0f261408c82cb", 0),
+    "mixed": (mixed_spec, 20_000, False,
+              "a0ec71a4122f2ef2d9155f83b64a111577d30693",
+              "0d375598020d4a499a856c5d50a9cde205294a72", 67),
+    "feeder4-nonlinear": (lambda: chain_spec(4), 500, True,
+                          "f36dbda35aff57f3526d68fb87d77ee0efc07635",
+                          "261d86bf4664cd54b369f0d39a25575514b22468", 24),
+}
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+def test_mc_stream_regression(case, shards):
+    build, samples, nonlinear, samples_sha, delta0_sha, zeros = STREAM_DIGESTS[case]
+    emp = run_mc(build(), McConfig(samples=samples, seed=7, shards=shards,
+                                   nonlinear=nonlinear))
+    assert hashlib.sha1(emp.samples.tobytes()).hexdigest() == samples_sha
+    assert hashlib.sha1(emp.delta0.tobytes()).hexdigest() == delta0_sha
+    assert emp.zero_count == zeros
+
+
+def test_linear_mc_memory_is_independent_of_bus_count():
+    # a samples x buses load matrix would be 2e5 x 256 x 8 B = 410 MB, and
+    # even one 2^21-value batch of it 16 MB
+    spec = chain_spec(256)
+    tracemalloc.start()
+    try:
+        emp = run_mc(spec, McConfig(samples=200_000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = emp.samples.nbytes + emp.delta0.nbytes
+    assert peak <= outputs + 4_000_000
 
 
 def test_drop_dominates_head_term():
@@ -175,14 +276,6 @@ def test_ks_atom_cases_exact():
     assert ks_distance(law, np.full(4, 0.5)) == 0.0
     assert ks_distance(law, np.full(4, 0.7)) == 1.0
     assert ks_distance(law, np.array([0.5, 0.5, 1.0, 1.0])) == 0.5
-
-
-def test_ks_two_sample_exact():
-    a = np.array([1.0, 2.0, 3.0])
-    assert ks_two_sample(a, a.copy()) == 0.0
-    assert ks_two_sample(a, a + 10.0) == 1.0
-    with pytest.raises(ValueError):
-        ks_two_sample(a, np.empty(0))
 
 
 def exact_single_bus_law() -> DropDistribution:
