@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, deterministic, analyze, mc, compare, sweep. All of
-them check the quantile levels and parse and validate the feeder config
-before touching the output directory, so a bad config or level never
-leaves files behind.
+them check the quantile levels and thresholds and parse and validate the
+feeder config before touching the output directory, so a bad config,
+level or threshold never leaves files behind.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical failure
 (mass-loss blowup, non-convergence), 3 validation-threshold failure.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 import time
@@ -301,6 +302,9 @@ def cmd_sweep(spec: FeederSpec, args) -> int:
         return _fail(f"cannot parse sweep values {args.values!r}")
     if not values:
         return _fail("sweep needs at least one value")
+    for v in values:
+        if not math.isfinite(v):
+            return _fail(f"sweep value {v!r} must be finite")
     try:
         specs = [_sweep_spec(spec, args.parameter, v) for v in values]
     except FeederConfigError as exc:
@@ -438,6 +442,9 @@ def main(argv=None) -> int:
     for q in getattr(args, "quantile", None) or []:
         if not 0.0 <= q <= 1.0:
             return _fail(f"quantile level {q!r} outside [0, 1]")
+    for t in getattr(args, "threshold", None) or []:
+        if not math.isfinite(t):
+            return _fail(f"threshold {t!r} must be finite")
     try:
         spec = parse_feeder(args.config)
     except FeederConfigError as exc:

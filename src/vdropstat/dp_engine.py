@@ -1,12 +1,13 @@
 """Exact-recursion engine for the law of the maximal voltage drop.
 
 Walks the feeder from the leaf to the substation, carrying the joint law of
-(through-flow S, downstream maximal drop D) on two carriers:
+(through-flow S, downstream maximal drop D) on the two carriers of
+``mixed_dist.JointState``:
 
 * grid rows: the 2D density on its occupied band of D rows, with the
-  diagonal line D = slope * S lifted onto it, plus the zero line D = 0,
-* atoms (s, d, m): exact point masses. Zero-line atoms have d == 0; free
-  atoms and diagonal atoms (d = slope * s) have d > 0.
+  hinge line's S > 0 side (the diagonal D = slope * S) lifted onto it,
+  plus the line's S < 0 side (the zero line D = 0),
+* atoms (s, d, m): exact point masses with d >= 0.
 
 One stage is one step over both carriers:
 
@@ -16,10 +17,8 @@ One stage is one step over both carriers:
   continuous load lands on the zero line when d == 0 and otherwise on the
   two straddled D rows.
 * shear: D becomes max(0, D + rho * S). Band mass pushed to D <= 0 joins
-  the zero line, and zero-line mass at S > 0 becomes the new diagonal. An
-  atom goes to the zero line when d == 0 and s <= 0, or d > 0 and
-  d + rho * s <= 0; to the diagonal when d == 0 and s > 0; it stays free
-  otherwise.
+  the zero line, and the zero line becomes the new hinge line: its S > 0
+  cells are the new diagonal. An atom's d becomes max(0, d + rho * s).
 
 A convolution along S never mixes rows, so only the occupied band is
 transformed, and the shear moves whole runs of columns with equal integer
@@ -44,7 +43,6 @@ from .mixed_dist import (
     DropDistribution,
     JointLattice,
     JointState,
-    MixedDensity1D,
     convolve_lines,
     line_spectrum,
     marginal_drop,
@@ -129,12 +127,12 @@ class DpReport:
 def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLattice:
     """Size one shared (S, D) lattice for a whole run.
 
-    A coarse convolution sweep over the suffix-sum laws (capped at 2048
-    cells, cell width doubling on overflow) yields per-stage quantile
-    windows at the stage budget. The S domain is their union, padded and
-    snapped so S = 0 is a cell edge; the D top bounds the drop by
-    sum_j rho_j * max(0, hi_j), which the recursion cannot exceed outside
-    the logged tail events.
+    A coarse convolution sweep over the suffix-sum laws (cell width
+    doubling whenever the law outgrows 16384 cells) yields per-stage
+    quantile windows at the stage budget. The S domain is their union,
+    padded and snapped so S = 0 is a cell edge; the D top bounds the drop
+    by sum_j rho_j * max(0, hi_j), which the recursion cannot exceed
+    outside the logged tail events.
     """
     config = config or DpConfig()
     n = spec.n
@@ -359,7 +357,7 @@ def _widen(rows: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
     return (lo, hi) if r1 <= r0 else (min(r0, lo), max(r1, hi))
 
 
-def _lift_diag(line_vals: np.ndarray, slope: float,
+def _lift_diag(diag: np.ndarray, slope: float,
                lat: JointLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Splat the diagonal line density onto 2D cells at D = slope * S.
 
@@ -367,7 +365,7 @@ def _lift_diag(line_vals: np.ndarray, slope: float,
     cell), rows above the top are clipped and returned as lost mass.
     Returns (rows, cols, densities, lost mass), lower split rows first.
     """
-    mass = line_vals * lat.s_step
+    mass = diag * lat.s_step
     cols = np.nonzero(mass > 0.0)[0]
     g = slope * lat.s_centers()[cols] / lat.d_step - 0.5
     j0 = np.floor(g).astype(int)
@@ -387,8 +385,10 @@ def _lift_diag(line_vals: np.ndarray, slope: float,
     return rows, cols, contrib, spill
 
 
-def _lifted_band(state: JointState) -> tuple[np.ndarray, int, int, float]:
-    """The 2D grid with the diagonal line lifted onto it, cut to its occupied rows.
+def _lifted_band(state: JointState,
+                 diag: np.ndarray) -> tuple[np.ndarray, int, int, float]:
+    """The 2D grid with the line's diagonal side ``diag`` lifted onto it, cut
+    to its occupied rows.
 
     Returns (band, r0, r1, lost mass): ``band`` holds rows [r0, r1) of the
     lifted canvas, whose other rows are all zero.
@@ -396,17 +396,13 @@ def _lifted_band(state: JointState) -> tuple[np.ndarray, int, int, float]:
     lat = state.lattice
     p0, p1 = _row_band(state.pc) if state.pc is not None else (0, 0)
     r0, r1 = p0, p1
-    rows = cols = dens = None
-    lost = 0.0
-    if state.diag_line.grid is not None:
-        rows, cols, dens, lost = _lift_diag(state.diag_line.grid.values, state.slope, lat)
-        if len(rows):
-            r0, r1 = _widen((r0, r1), int(rows.min()), int(rows.max()) + 1)
+    rows, cols, dens, lost = _lift_diag(diag, state.slope, lat)
+    if len(rows):
+        r0, r1 = _widen((r0, r1), int(rows.min()), int(rows.max()) + 1)
     band = np.zeros((r1 - r0, lat.s_cells))
     if p1 > p0:
         band[p0 - r0:p1 - r0] = state.pc[p0:p1]
-    if rows is not None:
-        np.add.at(band, (rows - r0, cols), dens)
+    np.add.at(band, (rows - r0, cols), dens)
     return band, r0, r1, lost
 
 
@@ -510,12 +506,6 @@ def _convolve_grid(dest: np.ndarray, src: np.ndarray, kernel: _Kernel, h_s: floa
     return spill
 
 
-def _line(lat: JointLattice, vals: np.ndarray, locs: np.ndarray,
-          masses: np.ndarray) -> MixedDensity1D:
-    return MixedDensity1D(grid=lat.s_grid(vals) if vals.any() else None,
-                          atom_locs=locs, atom_masses=masses)
-
-
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
                  config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
     """Advance one bus toward the substation; see the module docstring."""
@@ -528,15 +518,15 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     if kernel is None:
         kernel = kernels[load] = _build_kernel(load, lat)
     clock.lap("kernel")
-    zl, dl = state.zero_line, state.diag_line
-    tail_loss = (state.pc_mass() + dl.grid_mass() + zl.grid_mass()) * kernel.tail
+    zero, diag = state.hinge_sides()
+    tail_loss = (state.pc_mass() + diag.mass() + zero.mass()) * kernel.tail
     spill = 0.0
 
     # ---- convolve: grid rows (band with the lifted diagonal, zero line) ----
     canvas = None
     r0 = r1 = 0
-    if state.pc is not None or dl.grid_mass() > 0.0:
-        band, r0, r1, lost = _lifted_band(state)
+    if state.pc is not None or diag.values.any():
+        band, r0, r1, lost = _lifted_band(state, diag.values)
         spill += lost
         clock.lap("lift")
         canvas = np.zeros((lat.d_cells, lat.s_cells))
@@ -544,13 +534,11 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
             spill += _convolve_grid(canvas[r0:r1], band, kernel, h_s) * cell
         del band  # not needed by the shear; keeps it out of the stage's peak memory
     z_vals = np.zeros(lat.s_cells)
-    if zl.grid_mass() > 0.0:
-        spill += _convolve_grid(z_vals, zl.grid.values, kernel, h_s) * h_s
+    if zero.values.any():
+        spill += _convolve_grid(z_vals, zero.values, kernel, h_s) * h_s
 
-    # ---- convolve: atoms (s, d, m), zero line then free then diagonal ----
-    s = np.concatenate((zl.atom_locs, state.atom_s, dl.atom_locs))
-    d = np.concatenate((np.zeros(zl.n_atoms()), state.atom_d, state.slope * dl.atom_locs))
-    m = np.concatenate((zl.atom_masses, state.atom_mass, dl.atom_masses))
+    # ---- convolve: atoms (s, d, m) ----
+    s, d, m = state.atom_s, state.atom_d, state.atom_mass
     if kernel.weights is None:
         s = (s[:, np.newaxis] + kernel.atom_locs).ravel()
         d = np.repeat(d, len(kernel.atom_locs))
@@ -582,23 +570,18 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         canvas, zero_gain, top = _shear_canvas(canvas, (r0, r1), rho, lat)
         spill += top
         z_vals += zero_gain / h_s
-    d_new = d + rho * s
-    to_zero = ((d == 0.0) & (s <= 0.0)) | ((d > 0.0) & (d_new <= 0.0))
-    to_diag = (d == 0.0) & (s > 0.0)
-    free = ~(to_zero | to_diag)
+    d = np.maximum(0.0, d + rho * s)
     clock.lap("shear")
 
-    neg = lat.s_centers() < 0.0
     new_state = JointState(
         stage=state.stage - 1,
         slope=rho,
         lattice=lat,
         pc=canvas,
-        zero_line=_line(lat, np.where(neg, z_vals, 0.0), s[to_zero], m[to_zero]),
-        diag_line=_line(lat, np.where(neg, 0.0, z_vals), s[to_diag], m[to_diag]),
-        atom_s=s[free],
-        atom_d=d_new[free],
-        atom_mass=m[free],
+        line=z_vals if z_vals.any() else None,
+        atom_s=s,
+        atom_d=d,
+        atom_mass=m,
         lost_mass=state.lost_mass + tail_loss + spill,
     )
     if new_state.lost_mass > 100.0 * config.tail_tol:
@@ -648,9 +631,11 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
 def joint_to_csv(state: JointState, target) -> None:
     """Emit the joint state as part,s,delta,density,atom_mass rows.
 
-    Part "c" rows carry the 2D density, "zero"/"diag" rows the 1D line
-    densities (delta derived from the line geometry), "atom" rows exact
-    point masses. An empty state writes the header only.
+    Part "c" rows carry the 2D density, "zero"/"diag" rows the two sides
+    of the hinge line (delta derived from the line geometry). Atom rows
+    carry exact point masses, labelled "zero" at d == 0, "diag" at
+    d == slope * s and "atom" elsewhere. An empty state writes the header
+    only.
     """
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     fh = open(target, "w", newline="", encoding="utf-8") if own else target
@@ -665,19 +650,15 @@ def joint_to_csv(state: JointState, target) -> None:
                 state.pc.ravel(),
             ))
             np.savetxt(fh, block, fmt="c,%.17g,%.17g,%.17g,0")
-        zl, dl = state.zero_line, state.diag_line
-        if zl.grid is not None:
-            np.savetxt(fh, np.column_stack((cs, zl.grid.values)),
-                       fmt="zero,%.17g,0,%.17g,0")
-        if dl.grid is not None:
-            np.savetxt(fh, np.column_stack((cs, state.slope * cs, dl.grid.values)),
+        zero, diag = state.hinge_sides()
+        if zero.values.any():
+            np.savetxt(fh, np.column_stack((cs, zero.values)), fmt="zero,%.17g,0,%.17g,0")
+        if diag.values.any():
+            np.savetxt(fh, np.column_stack((cs, state.slope * cs, diag.values)),
                        fmt="diag,%.17g,%.17g,%.17g,0")
-        for a, m in zip(zl.atom_locs, zl.atom_masses):
-            fh.write(f"zero,{a!r},0.0,0,{m!r}\n")
-        for a, m in zip(dl.atom_locs, dl.atom_masses):
-            fh.write(f"diag,{a!r},{state.slope * a!r},0,{m!r}\n")
         for sa, da, ma in zip(state.atom_s, state.atom_d, state.atom_mass):
-            fh.write(f"atom,{sa!r},{da!r},0,{ma!r}\n")
+            part = "zero" if da == 0.0 else "diag" if da == state.slope * sa else "atom"
+            fh.write(f"{part},{float(sa)!r},{float(da)!r},0,{float(ma)!r}\n")
     finally:
         if own:
             fh.close()

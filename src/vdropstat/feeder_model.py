@@ -30,8 +30,6 @@ __all__ = [
     "density_from_dict",
     "parse_feeder",
     "feeder_from_dict",
-    "feeder_to_dict",
-    "write_feeder",
 ]
 
 # Normalization slack for "integrates to one" checks.
@@ -105,12 +103,6 @@ class LoadDensity:
 
     def is_atomic(self) -> bool:
         return False
-
-    def mass_between(self, lo: float, hi: float) -> float:
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -188,14 +180,6 @@ class TwoSidedExponential(LoadDensity):
             rate_neg=self.rate_neg / v,
         )
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "weight": self.weight,
-            "rate_pos": self.rate_pos,
-            "rate_neg": self.rate_neg,
-        }
-
 
 @dataclass(frozen=True)
 class PointMass(LoadDensity):
@@ -236,9 +220,6 @@ class PointMass(LoadDensity):
 
     def is_atomic(self):
         return True
-
-    def to_dict(self):
-        return {"family": self.family, "location": self.location}
 
 
 @dataclass(frozen=True)
@@ -282,9 +263,6 @@ class Uniform(LoadDensity):
             return PointMass(location=0.0)
         return Uniform(lo=self.lo * v, hi=self.hi * v)
 
-    def to_dict(self):
-        return {"family": self.family, "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Gaussian(LoadDensity):
@@ -323,9 +301,6 @@ class Gaussian(LoadDensity):
         if v == 0.0:
             return PointMass(location=0.0)
         return Gaussian(mean=self.mean * v, std=self.std * abs(v))
-
-    def to_dict(self):
-        return {"family": self.family, "mean": self.mean, "std": self.std}
 
 
 @dataclass(frozen=True)
@@ -401,9 +376,6 @@ class Histogram(LoadDensity):
             return PointMass(location=0.0)
         return Histogram(edges=tuple(e * v for e in self.edges), masses=self.masses)
 
-    def to_dict(self):
-        return {"family": self.family, "edges": list(self.edges), "masses": list(self.masses)}
-
 
 _FAMILIES: dict[str, type] = {
     cls.family: cls
@@ -462,9 +434,6 @@ class LineSegment:
         _require(self.r > 0 and math.isfinite(self.r), "r", "must be > 0")
         _require(self.x >= 0 and math.isfinite(self.x), "x", "must be >= 0")
         _require(self.rho > 0 and math.isfinite(self.rho), "rho", "must be > 0")
-
-    def to_dict(self):
-        return {"r": self.r, "x": self.x}
 
 
 @dataclass(frozen=True)
@@ -561,18 +530,3 @@ def parse_feeder(path) -> FeederSpec:
         raise FeederConfigError("", f"malformed JSON in {path}: {err}") from None
     return feeder_from_dict(obj)
 
-
-def feeder_to_dict(spec: FeederSpec) -> dict:
-    """Serializable mapping; parse_feeder of the result round-trips."""
-    return {
-        "base_voltage": spec.base_voltage,
-        "alpha": spec.alpha,
-        "segments": [seg.to_dict() for seg in spec.segments],
-        "loads": [d.to_dict() for d in spec.loads],
-    }
-
-
-def write_feeder(spec: FeederSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(feeder_to_dict(spec), fh, indent=2)
-        fh.write("\n")

@@ -1,20 +1,22 @@
 """Mixed discrete/continuous densities on uniform grids, and the joint
-flow-drop state they assemble into.
+flow-drop state of the dynamic program.
 
 The joint law of (through-flow S, downstream maximal drop D) at any stage
-splits into four carriers:
+sits on the two carriers that ``dp_engine`` steps:
 
-* ``pc``        2D density on D > 0 (the genuinely continuous part),
-* ``zero_line`` 1D density plus exact atoms on the D = 0 line (zero drop
-                requires nonpositive through-flow, so its support is S <= 0),
-* ``diag_line`` 1D density plus exact atoms on the diagonal D = slope * S
-                for S > 0 (mass that had zero drop until the latest segment),
-* free atoms    exact point masses off those lines (only point-mass loads
-                produce them; they keep degenerate feeders exact).
+* grid: the 2D density ``pc`` on D > 0, plus the hinge ``line``, a 1D
+  density over the S cells whose mass sits at D = max(0, slope * S). Its
+  S < 0 cells form the zero line D = 0; its S > 0 cells form the diagonal
+  D = slope * S (mass that had zero drop until the latest segment),
+* atoms (s, d, m): exact point masses with d >= 0. The start state is
+  one; point-mass loads shift them without error, so degenerate feeders
+  stay exact, and a continuous load spreads them onto the grid.
 
 Grids share one integer-anchored lattice: S cell edges sit at
-``(s_base + j) * s_step`` so that S = 0 is exactly a cell edge, which makes
-the zero/diagonal split at S = 0 exact. D cell edges sit at ``j * d_step``.
+``(s_base + j) * s_step`` so that S = 0 is exactly a cell edge, which puts
+every line cell on exactly one side of the hinge. D cell edges sit at
+``j * d_step``. The drop law integrated out of a state is a
+``MixedDensity1D`` (D grid plus atoms) wrapped in a ``DropDistribution``.
 """
 
 from __future__ import annotations
@@ -149,10 +151,6 @@ class MixedDensity1D:
         if total > 1.0 + 1e-6:
             raise ValueError(f"total mass {total!r} exceeds 1 beyond tolerance")
 
-    @classmethod
-    def empty(cls) -> "MixedDensity1D":
-        return cls()
-
     def grid_mass(self) -> float:
         return self.grid.mass() if self.grid is not None else 0.0
 
@@ -258,18 +256,20 @@ _EMPTY = np.empty(0)
 class JointState:
     """Joint law of (through-flow, downstream maximal drop) at one stage.
 
-    ``pc`` is the 2D density with shape (d_cells, s_cells), or None while no
-    continuous 2D mass exists. ``slope`` is the diagonal's D/S ratio, i.e.
-    the drop coefficient of the most recently applied segment. ``lost_mass``
-    accumulates all logged truncation over the run so far.
+    ``pc`` is the 2D density with shape (d_cells, s_cells) and ``line`` the
+    hinge line density over the S cells, its mass at D = max(0, slope * S);
+    each is None while it holds no mass. ``slope`` is the drop coefficient
+    of the most recently applied segment. ``atom_s``, ``atom_d`` and
+    ``atom_mass`` list the exact atoms; d = 0 needs s <= 0, since a
+    positive flow through the latest segment makes a positive drop.
+    ``lost_mass`` accumulates all logged truncation over the run so far.
     """
 
     stage: int
     slope: float
     lattice: JointLattice
     pc: np.ndarray | None = None
-    zero_line: MixedDensity1D = field(default_factory=MixedDensity1D)
-    diag_line: MixedDensity1D = field(default_factory=MixedDensity1D)
+    line: np.ndarray | None = None
     atom_s: np.ndarray = field(default_factory=lambda: _EMPTY)
     atom_d: np.ndarray = field(default_factory=lambda: _EMPTY)
     atom_mass: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -279,43 +279,41 @@ class JointState:
         if self.pc is not None:
             if self.pc.shape != (self.lattice.d_cells, self.lattice.s_cells):
                 raise ValueError("pc shape does not match the lattice")
+        if self.line is not None and self.line.shape != (self.lattice.s_cells,):
+            raise ValueError("line shape does not match the lattice")
         for arr in (self.atom_s, self.atom_d, self.atom_mass):
             if len(arr) != len(self.atom_s):
-                raise ValueError("free-atom arrays must have equal length")
+                raise ValueError("atom arrays must have equal length")
 
     @classmethod
     def terminal(cls, lattice: JointLattice, stage: int) -> "JointState":
         """Exact double point mass at (S, D) = (0, 0): nothing downstream."""
-        line = MixedDensity1D(atom_locs=np.array([0.0]), atom_masses=np.array([1.0]))
-        return cls(stage=stage, slope=0.0, lattice=lattice, zero_line=line)
+        return cls(stage=stage, slope=0.0, lattice=lattice, atom_s=np.array([0.0]),
+                   atom_d=np.array([0.0]), atom_mass=np.array([1.0]))
 
     def pc_mass(self) -> float:
         if self.pc is None:
             return 0.0
         return float(self.pc.sum()) * self.lattice.s_step * self.lattice.d_step
 
-    def free_atom_mass(self) -> float:
-        return float(self.atom_mass.sum())
+    def hinge_sides(self) -> tuple[Grid1D, Grid1D]:
+        """The line cut at S = 0: (zero side on D = 0, diagonal on D = slope * S).
+
+        Both span all S cells, with zeros on the other side of the hinge.
+        """
+        lat = self.lattice
+        line = self.line if self.line is not None else np.zeros(lat.s_cells)
+        neg = lat.s_centers() < 0.0
+        return lat.s_grid(np.where(neg, line, 0.0)), lat.s_grid(np.where(neg, 0.0, line))
 
     def total_mass(self) -> float:
-        return (self.pc_mass() + self.zero_line.total_mass()
-                + self.diag_line.total_mass() + self.free_atom_mass())
+        zero, diag = self.hinge_sides()
+        return self.pc_mass() + zero.mass() + diag.mass() + float(self.atom_mass.sum())
 
     def validate(self, mass_tol: float = 1e-4) -> None:
-        """Check support invariants and the mass ledger; raises on violation."""
-        lat = self.lattice
-        centers = lat.s_centers()
-        zl, dl = self.zero_line, self.diag_line
-        if zl.grid is not None and np.any(zl.grid.values[centers > 0.0] != 0.0):
-            raise ValueError("zero-drop line carries mass at positive through-flow")
-        if len(zl.atom_locs) and float(zl.atom_locs.max()) > 1e-12:
-            raise ValueError("zero-drop atoms must sit at S <= 0")
-        if dl.grid is not None and np.any(dl.grid.values[centers < 0.0] != 0.0):
-            raise ValueError("diagonal line carries mass at negative through-flow")
-        if len(dl.atom_locs) and float(dl.atom_locs.min()) <= 0.0:
-            raise ValueError("diagonal atoms must sit at S > 0")
-        if len(self.atom_d) and float(self.atom_d.min()) <= 0.0:
-            raise ValueError("free atoms must sit at D > 0")
+        """Check the atoms' support and the mass ledger; raises on violation."""
+        if np.any(self.atom_d < 0.0) or np.any((self.atom_d == 0.0) & (self.atom_s > 0.0)):
+            raise ValueError("atoms must sit at D > 0, or at D = 0 with S <= 0")
         gap = abs(self.total_mass() + self.lost_mass - 1.0)
         if gap > mass_tol:
             raise ValueError(f"mass ledger off by {gap!r}")
@@ -324,20 +322,20 @@ class JointState:
 def marginal_drop(state: JointState) -> DropDistribution:
     """Integrate the through-flow out of a stage state.
 
-    The zero line collapses into the atom at D = 0; the diagonal maps cell
-    by cell through D = slope * S (conservative rebinning onto the D grid,
-    exact for the piecewise-constant line density); diagonal and free atoms
-    stay exact atoms.
+    The zero side of the line collapses into the atom at D = 0, the
+    diagonal side maps cell by cell through D = slope * S (conservative
+    rebinning onto the D grid, exact for the piecewise-constant line
+    density), and each atom stays an exact atom at its d.
     """
     lat = state.lattice
     vals = np.zeros(lat.d_cells)
     if state.pc is not None:
         vals += state.pc.sum(axis=1) * lat.s_step
 
-    dl = state.diag_line
-    if dl.grid is not None and state.slope > 0.0:
-        src_edges = state.slope * dl.grid.edges()
-        cum = np.concatenate(([0.0], np.cumsum(dl.grid.values) * dl.grid.step))
+    zero, diag = state.hinge_sides()
+    if diag.values.any():
+        src_edges = state.slope * diag.edges()
+        cum = np.concatenate(([0.0], np.cumsum(diag.values) * diag.step))
         d_edges = np.arange(lat.d_cells + 1) * lat.d_step
         # clamp into [first, last] source edge; outside mass would have been
         # clipped during the shear already
@@ -347,18 +345,10 @@ def marginal_drop(state: JointState) -> DropDistribution:
         if top > 0.0:
             vals[-1] += top / lat.d_step  # guard: keep any top remainder
 
-    locs = [np.array([0.0])]
-    masses = [np.array([state.zero_line.total_mass()])]
-    if len(dl.atom_locs):
-        locs.append(state.slope * dl.atom_locs)
-        masses.append(dl.atom_masses)
-    if len(state.atom_d):
-        locs.append(state.atom_d)
-        masses.append(state.atom_mass)
     density = MixedDensity1D(
         grid=lat.d_grid(vals),
-        atom_locs=np.concatenate(locs),
-        atom_masses=np.concatenate(masses),
+        atom_locs=np.concatenate(([0.0], state.atom_d)),
+        atom_masses=np.concatenate(([zero.mass()], state.atom_mass)),
         tail_mass=state.lost_mass,
     )
     return DropDistribution(density)
@@ -398,27 +388,24 @@ class DropDistribution:
             return np.array([0.0, 0.0]), np.array([0.0, 0.0])
         return g.edges(), np.concatenate(([0.0], np.cumsum(g.values) * g.step))
 
-    def cdf(self, x):
-        """P(D <= x), right-continuous, vectorized."""
+    def _cdf(self, x, side: str):
+        """Grid CDF plus the atoms at or below x ("right") or below x ("left")."""
         x = np.asarray(x, dtype=float)
         edges, cum = self._grid_cum()
         out = np.interp(x, edges, cum)
         d = self.density
         if len(d.atom_locs):
-            idx = np.searchsorted(d.atom_locs, x, side="right")
+            idx = np.searchsorted(d.atom_locs, x, side=side)
             out = out + np.concatenate(([0.0], np.cumsum(d.atom_masses)))[idx]
         return out if out.ndim else float(out)
 
+    def cdf(self, x):
+        """P(D <= x), right-continuous, vectorized."""
+        return self._cdf(x, "right")
+
     def cdf_left(self, x):
         """P(D < x): the left limit of the CDF."""
-        x = np.asarray(x, dtype=float)
-        edges, cum = self._grid_cum()
-        out = np.interp(x, edges, cum)
-        d = self.density
-        if len(d.atom_locs):
-            idx = np.searchsorted(d.atom_locs, x, side="left")
-            out = out + np.concatenate(([0.0], np.cumsum(d.atom_masses)))[idx]
-        return out if out.ndim else float(out)
+        return self._cdf(x, "left")
 
     def prob_exceed(self, x) -> float:
         """P(D > x) under the raw (possibly sub-unit) mass."""

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import CONFIG4, reference_spec, single_point_config, write_config
 from vdropstat.cli import _sweep_spec, main
-from vdropstat.feeder_model import FeederConfigError, PointMass, feeder_to_dict
+from vdropstat.feeder_model import FeederConfigError, PointMass
 
 
 CFG_FLAGS = ["--grid-s", "256", "--grid-delta", "256"]
@@ -256,6 +256,20 @@ def test_sweep_bad_values_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--parameter", "bus-count", "--values", "4,inf"],
+    ["sweep", "--parameter", "load-mean-scale", "--values", "nan"],
+    ["sweep", "--parameter", "bus-count", "--values", "4", "--threshold=-inf"],
+    ["analyze", "--threshold", "nan"],
+], ids=["sweep-inf", "sweep-nan", "sweep-threshold", "analyze-threshold"])
+def test_non_finite_numbers_exit_1_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main([argv[0], str(CONFIG4), *argv[1:], *CFG_FLAGS, "--out-dir", str(out)])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_injection_scale_needs_two_sided(tmp_path, capsys):
     cfg = single_point_config(tmp_path, location=2.0, r=1e-3)
     out = tmp_path / "sw_pm"
@@ -314,9 +328,23 @@ def test_analyze_seed_echoed_when_omitted(tmp_path):
     assert 0 <= payload["seed"] < 2**32
 
 
-def test_roundtrip_config_through_sweep(tmp_path):
-    # a transformed spec still serializes to a loadable config
-    spec = _sweep_spec(reference_spec(), "injection-probability-scale", 2.0)
-    path = tmp_path / "tilted.json"
-    write_config(path, feeder_to_dict(spec))
-    assert main(["validate", str(path)]) == 0
+@pytest.mark.parametrize("locations, part", [
+    ([-2.0], "zero"),                    # ends on the zero line
+    ([2.0], "diag"),                     # ends on the diagonal
+    ([-1.0, 2.0, -3.0, 4.0, 1.0], "atom"),  # ends off both lines
+])
+def test_joint_csv_atom_rows_are_numbers(tmp_path, locations, part):
+    config = write_config(tmp_path / "points.json", {
+        "base_voltage": 1.0,
+        "alpha": 0.0,
+        "segments": [{"r": 1e-3, "x": 0.0} for _ in locations],
+        "loads": [{"family": "point-mass", "location": v} for v in locations],
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", config, "--grid-s", "64", "--grid-delta", "64",
+                 "--seed", "1", "--out-dir", str(out)]) == 0
+    rows = (out / "joint.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == [part]
+    s, d, density, mass = (float(v) for v in rows[0].split(",")[1:])
+    assert s == sum(locations) and density == 0.0 and mass == 1.0
+    assert d == read_json(out / "summary.json")["mean"]

@@ -1,5 +1,6 @@
 """Stage kernel and full propagation of the joint flow-drop law."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -26,7 +27,14 @@ from vdropstat.dp_engine import (
     plan_lattice,
     run,
 )
-from vdropstat.feeder_model import FeederSpec, Gaussian, PointMass, parse_feeder
+from vdropstat.feeder_model import (
+    FeederSpec,
+    Gaussian,
+    Histogram,
+    PointMass,
+    Uniform,
+    parse_feeder,
+)
 from vdropstat.mixed_dist import JointLattice, JointState, convolve_lines, line_spectrum
 
 
@@ -68,8 +76,9 @@ def test_first_step_splits_load_by_sign():
     assert st.stage == 3
     assert st.slope == 1e-3
     assert st.pc_mass() == 0.0
-    assert abs(st.zero_line.total_mass() - 0.25) < 2e-3
-    assert abs(st.diag_line.total_mass() - 0.75) < 2e-3
+    zero, diag = st.hinge_sides()
+    assert abs(zero.mass() - 0.25) < 2e-3
+    assert abs(diag.mass() - 0.75) < 2e-3
     st.validate()
 
 
@@ -78,10 +87,11 @@ def test_point_load_from_rest_consumption():
     cfg = DpConfig(grid_s=64, grid_delta=64)
     st = _step(_terminal(spec, cfg), spec, 0, cfg)
     # positive draw lands on the diagonal: D = rho * S exactly
-    assert st.diag_line.atom_locs.tolist() == [2.0]
-    assert st.diag_line.atom_masses.tolist() == [1.0]
+    assert (st.atom_s.tolist(), st.atom_d.tolist()) == ([2.0], [0.002])
+    assert st.atom_mass.tolist() == [1.0]
     assert st.slope == 1e-3
-    assert st.zero_line.total_mass() == 0.0
+    assert st.atom_d[0] == st.slope * st.atom_s[0]
+    assert st.line is None
     st.validate()
 
 
@@ -89,9 +99,9 @@ def test_point_load_from_rest_injection():
     spec = point_spec([-2.0])
     cfg = DpConfig(grid_s=64, grid_delta=64)
     st = _step(_terminal(spec, cfg), spec, 0, cfg)
-    assert st.zero_line.atom_locs.tolist() == [-2.0]
-    assert st.zero_line.atom_masses.tolist() == [1.0]
-    assert st.diag_line.total_mass() == 0.0
+    assert (st.atom_s.tolist(), st.atom_d.tolist()) == ([-2.0], [0.0])
+    assert st.atom_mass.tolist() == [1.0]
+    assert st.line is None
     st.validate()
 
 
@@ -203,11 +213,12 @@ def test_joint_csv_layout():
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "part,s,delta,density,atom_mass"
     st, lat = rep.state, rep.lattice
+    zero, diag = st.hinge_sides()
     expect = (
         (lat.d_cells * lat.s_cells if st.pc is not None else 0)
-        + (lat.s_cells if st.zero_line.grid is not None else 0)
-        + (lat.s_cells if st.diag_line.grid is not None else 0)
-        + st.zero_line.n_atoms() + st.diag_line.n_atoms() + len(st.atom_s)
+        + (lat.s_cells if zero.values.any() else 0)
+        + (lat.s_cells if diag.values.any() else 0)
+        + len(st.atom_s)
     )
     assert len(lines) - 1 == expect
     # mass recovered from the rows matches the state
@@ -447,3 +458,65 @@ def test_law_regression(name):
     for key in ("mean", "std", "atom0", "lost"):
         assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
     assert got["q"] == pytest.approx(want["q"], rel=1e-12, abs=0.0)
+
+
+# Final joint states recorded from the engine that stored the zero line, the
+# diagonal and the free atoms as separate carriers. A state must match them
+# bit for bit: pc, the two sides of the hinge line (each over all S cells),
+# the (s, d, m) atom rows and lost_mass. The point-only chains end on a
+# zero-line atom, a diagonal atom, a free atom, an atom whose drop the last
+# (negative) flow lowered, and one that flow sent back to the zero line.
+STATE_REGRESSION_SPECS = {
+    **LAW_REGRESSION_SPECS,
+    "families": lambda: (_chain(Gaussian(mean=1.0, std=0.5), Uniform(lo=-1.0, hi=2.0),
+                                Histogram(edges=(-2.0, 0.0, 1.0, 3.0), masses=(0.2, 0.3, 0.5)),
+                                PointMass(location=-0.5), reference_load()), CFG),
+    "point-zero": lambda: (point_spec([-2.0]), DpConfig(grid_s=64, grid_delta=64)),
+    "point-diag": lambda: (point_spec([2.0]), DpConfig(grid_s=64, grid_delta=64)),
+    "point-lowered": lambda: (point_spec([-2.0, 1.5]), DpConfig(grid_s=64, grid_delta=64)),
+    "point-rezeroed": lambda: (point_spec([-3.0, -2.0, 1.5]),
+                               DpConfig(grid_s=64, grid_delta=64)),
+}
+# name: sha1[:16] of (pc or "none", zero side, diagonal side, atoms), lost_mass.hex()
+STATE_REGRESSION = {
+    "feeder4-512": ("a8bbf66f90c4fd0b", "cef657b929cb8225", "9cef8d1766f9049e",
+                    "da39a3ee5e6b4b0d", "0x1.339df87ed9ba4p-20"),
+    "chain64-256": ("09c0eacee161e801", "1e436adf4e2f4c7f", "2f9b9dbd7f392f4c",
+                    "da39a3ee5e6b4b0d", "0x1.0c71577923b38p-20"),
+    "ref-pm3": ("988df151c05abbe0", "a664de58671ea433", "807f5004e5400b4c",
+                "da39a3ee5e6b4b0d", "0x1.0c6f7a0c00000p-21"),
+    "pm3-ref": ("0082de3fbfc120ae", "e1761a8d198a23a4", "05c243618ffa27b7",
+                "da39a3ee5e6b4b0d", "0x1.138b8c67ab319p-21"),
+    "zero-atoms": ("7cd17bb8fab14462", "18f5fe8cda5975d2", "5ca29df19e9283cc",
+                   "da39a3ee5e6b4b0d", "0x1.2f028531b2a1fp-21"),
+    "free-atoms": ("49078e0217ab82c4", "453461e72b602b30", "807f5004e5400b4c",
+                   "da39a3ee5e6b4b0d", "0x1.65e9f81000000p-22"),
+    "families": ("592d62a59b7f6542", "ac11530fb91f6778", "bfb59635aa050b6f",
+                 "da39a3ee5e6b4b0d", "0x1.b5407c3073a8cp-22"),
+    "point-zero": ("none", "67e8f7491703620a", "67e8f7491703620a",
+                   "59e3b2c5def90dff", "0x0.0p+0"),
+    "point-diag": ("none", "67e8f7491703620a", "67e8f7491703620a",
+                   "64c87267a1f92493", "0x0.0p+0"),
+    "point-lowered": ("none", "67e8f7491703620a", "67e8f7491703620a",
+                      "2b3dbf7e3c7d9741", "0x0.0p+0"),
+    "point-rezeroed": ("none", "67e8f7491703620a", "67e8f7491703620a",
+                       "937c85172986a9dd", "0x0.0p+0"),
+    "points-64": ("none", "d3549f3fac17bcf7", "d3549f3fac17bcf7",
+                  "3a135a1bdc6ad8eb", "0x0.0p+0"),
+}
+
+
+def _sha(arr):
+    # + 0.0 folds -0.0 into 0.0, whose bytes differ
+    return hashlib.sha1((np.asarray(arr, dtype=float) + 0.0).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
+def test_state_regression(name):
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    st = run(spec, config).state
+    zero, diag = st.hinge_sides()
+    atoms = np.column_stack((st.atom_s, st.atom_d, st.atom_mass))
+    got = ("none" if st.pc is None else _sha(st.pc), _sha(zero.values), _sha(diag.values),
+           _sha(atoms), st.lost_mass.hex())
+    assert got == STATE_REGRESSION[name]

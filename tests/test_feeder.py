@@ -17,9 +17,7 @@ from vdropstat.feeder_model import (
     Uniform,
     density_from_dict,
     feeder_from_dict,
-    feeder_to_dict,
     parse_feeder,
-    write_feeder,
 )
 
 
@@ -141,7 +139,7 @@ def test_cdf_ppf_roundtrip(d, lo, hi):
 @pytest.mark.parametrize("d,lo,hi", CONTINUOUS, ids=lambda v: getattr(v, "family", ""))
 def test_support_carries_stated_mass(d, lo, hi):
     a, b = d.support(1e-6)
-    assert d.mass_between(a, b) >= 1.0 - 1e-6 - 1e-12
+    assert float(d.cdf(b) - d.cdf(a)) >= 1.0 - 1e-6 - 1e-12
 
 
 @pytest.mark.parametrize("d,lo,hi", CONTINUOUS, ids=lambda v: getattr(v, "family", ""))
@@ -175,7 +173,7 @@ def test_gaussian_support_tail():
     d = Gaussian(mean=0.0, std=1.0)
     lo, hi = d.support(1e-8)
     assert lo == -hi
-    assert d.mass_between(lo, hi) >= 1.0 - 1e-8
+    assert float(d.cdf(hi) - d.cdf(lo)) >= 1.0 - 1e-8
 
 
 def test_histogram_validation():
@@ -209,14 +207,6 @@ def test_single_bus_point_mass_config(tmp_path):
     spec = parse_feeder(path)
     assert spec.n == 1
     assert spec.loads[0].is_atomic()
-
-
-def test_round_trip(tmp_path):
-    spec = parse_feeder(CONFIG4)
-    out = tmp_path / "copy.json"
-    write_feeder(spec, out)
-    again = parse_feeder(out)
-    assert feeder_to_dict(again) == feeder_to_dict(spec)
 
 
 def test_density_from_dict_errors_carry_field_paths():

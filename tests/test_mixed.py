@@ -201,7 +201,8 @@ def test_terminal_state_is_double_atom():
     st = JointState.terminal(lat, stage=5)
     assert st.stage == 5
     assert st.total_mass() == 1.0
-    assert st.zero_line.atom_locs.tolist() == [0.0]
+    assert st.pc is None and st.line is None
+    assert (st.atom_s.tolist(), st.atom_d.tolist(), st.atom_mass.tolist()) == ([0.0], [0.0], [1.0])
     st.validate()
 
 
@@ -216,12 +217,11 @@ def test_marginal_drop_hand_state():
         slope=0.5,
         lattice=lat,
         pc=pc,
-        zero_line=MixedDensity1D(atom_locs=np.array([-0.5]),
-                                 atom_masses=np.array([0.05])),
-        diag_line=MixedDensity1D(grid=lat.s_grid(diag_vals)),
-        atom_s=np.array([1.0]),
-        atom_d=np.array([1.9]),
-        atom_mass=np.array([0.05]),
+        line=diag_vals,
+        # one atom on the zero line, one free atom off both lines
+        atom_s=np.array([-0.5, 1.0]),
+        atom_d=np.array([0.0, 1.9]),
+        atom_mass=np.array([0.05, 0.05]),
     )
     st.validate()
     drop = marginal_drop(st)
@@ -236,18 +236,11 @@ def test_marginal_drop_hand_state():
 
 def test_validate_rejects_wrong_support():
     lat = _lattice()
-    bad_zero = np.zeros(6)
-    bad_zero[4] = 1.0 / 0.5  # positive-S mass on the zero line
-    st = JointState(
-        stage=0,
-        slope=0.5,
-        lattice=lat,
-        pc=None,
-        zero_line=MixedDensity1D(grid=lat.s_grid(bad_zero)),
-        diag_line=MixedDensity1D.empty(),
-        atom_s=np.empty(0),
-        atom_d=np.empty(0),
-        atom_mass=np.empty(0),
-    )
-    with pytest.raises(ValueError):
-        st.validate()
+    # zero drop needs nonpositive flow, and no drop is negative
+    for s, d in ((0.5, 0.0), (-0.5, -0.25)):
+        st = JointState(stage=0, slope=0.5, lattice=lat, atom_s=np.array([s]),
+                        atom_d=np.array([d]), atom_mass=np.array([1.0]))
+        with pytest.raises(ValueError, match="atoms must sit"):
+            st.validate()
+    JointState(stage=0, slope=0.5, lattice=lat, atom_s=np.array([-0.5]),
+               atom_d=np.array([0.0]), atom_mass=np.array([1.0])).validate()
