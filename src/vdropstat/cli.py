@@ -133,7 +133,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
     drop = report.drop
     mean, std = drop.mean_std()
     twice = 2.0 * mean
-    exceed = {f"{t:g}": drop.prob_exceed(t) for t in (args.threshold or [])}
+    exceed = {repr(float(t)): drop.prob_exceed(t) for t in (args.threshold or [])}
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -153,7 +153,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
         "atom_at_zero": drop.atom_at_zero(),
         "mean": mean,
         "std": std,
-        "quantiles": {f"{q:g}": drop.quantile(q) for q in args.quantile},
+        "quantiles": {repr(float(q)): drop.quantile(q) for q in args.quantile},
         "exceedance": exceed,
         "exceed_twice_mean": {"threshold": twice, "probability": drop.prob_exceed(twice)},
         "stages": [
@@ -164,6 +164,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
                 "boundary_spill": log.boundary_spill,
                 "cumulative_lost": log.cumulative_lost,
                 "rows": list(log.rows),
+                "masses": log.masses,
                 "phase_s": log.phase_s,
             }
             for log in report.stage_logs
@@ -223,7 +224,7 @@ def cmd_mc(spec: FeederSpec, args) -> int:
         "zero_fraction": emp.zero_fraction(),
         "mean": mean,
         "std": std,
-        "quantiles": {f"{q:g}": emp.quantile(q) for q in args.quantile},
+        "quantiles": {repr(float(q)): emp.quantile(q) for q in args.quantile},
         "seconds": seconds,
         "samples_per_s": emp.n / seconds,
     })
@@ -326,7 +327,7 @@ def cmd_sweep(spec: FeederSpec, args) -> int:
             elapsed = time.perf_counter() - t0
             mean, _ = report.drop.mean_std()
             threshold = args.threshold[0] if args.threshold else 2.0 * mean
-            fh.write(f"{value:g},{mean!r},{threshold!r},"
+            fh.write(f"{value!r},{mean!r},{threshold!r},"
                      f"{report.drop.prob_exceed(threshold)!r},{elapsed!r}\n")
             fh.flush()
             print(f"value {value:g}: mean drop {mean:.6g}, {elapsed:.2f}s")

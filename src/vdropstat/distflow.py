@@ -163,9 +163,9 @@ def _batch_delta0(rho: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
     ``columns`` yields one load vector per bus (one value per sample) from
     the feeder end: bus N-1 first, bus 0 last. Each is added to the running
     flow in that order, the order of a reversed cumsum, and folded at once
-    into the running drop. Returns (delta0, head_flow). Kept as the single
-    implementation of the recursion so sampled replays match max_drop
-    exactly.
+    into the running drop. Returns (delta0, head_flow). ``max_drop`` keeps
+    the per-node form of the same recursion, whose intermediate drops
+    ``deterministic`` reports.
     """
     flow = delta = step = None
     for k, col in zip(range(len(rho) - 1, -1, -1), columns, strict=True):

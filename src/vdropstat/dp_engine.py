@@ -12,7 +12,7 @@ Walks the feeder from the leaf to the substation, carrying the joint law of
 One stage is one step over both carriers:
 
 * convolve along S with the bus load, D unchanged. Grid rows convolve
-  with a continuous load's kernel, or shift by each atom of a point load.
+  with a continuous load's kernel, or shift by a point load's location.
   An atom times a point load is a new atom at s + x; an atom times a
   continuous load lands on the zero line when d == 0 and otherwise on the
   two straddled D rows.
@@ -20,10 +20,13 @@ One stage is one step over both carriers:
   the zero line, and the zero line becomes the new hinge line: its S > 0
   cells are the new diagonal. An atom's d becomes max(0, d + rho * s).
 
-A convolution along S never mixes rows, so only the occupied band is
-transformed, and the shear moves whole runs of columns with equal integer
-shift floor(rho * S / d_step) at once. Each distinct load's kernel is built
-once per run. Atoms stay exact and the zero line stays off the 2D grid, so
+A stage sizes one band up front (the state's rows, the lifted diagonal's
+and the atoms' deposit rows) and lifts, convolves and deposits into it
+alone: a convolution along S never mixes rows. The shear moves whole runs
+of columns with equal integer shift floor(rho * S / d_step) at once into
+the next band, trimmed to its occupied rows, so no stage holds the full
+d_cells x s_cells lattice. Each distinct load's kernel is built once per
+run. Atoms stay exact and the zero line stays off the 2D grid, so
 point-mass feeders and the zero-drop probability suffer no discretization.
 All truncation (load tails, lattice boundary clips, shear overflow) is
 logged per stage; the run aborts when the accumulated loss blows past 100x
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feeder_model import FeederSpec, LineSegment, LoadDensity
+from .feeder_model import FeederSpec, LineSegment, LoadDensity, PointMass
 from .mixed_dist import (
     DropDistribution,
     JointLattice,
@@ -94,7 +97,9 @@ class StageLog:
     kernel_tail: float      # mass dropped with the load-support truncation
     boundary_spill: float   # mass clipped at lattice edges and the drop top
     cumulative_lost: float
-    rows: tuple[int, int] = (0, 0)  # D-row band [r0, r1) convolved and sheared
+    rows: tuple[int, int] = (0, 0)  # the stage's D-row band [r0, r1)
+    # masses of the state the stage stepped: grid, zero side, diagonal side, atoms
+    masses: dict[str, float] = field(default_factory=dict)
     # seconds per phase: kernel, lift, convolve, shear, lines (assembly)
     phase_s: dict[str, float] = field(default_factory=dict)
 
@@ -151,9 +156,8 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
     for j in range(n - 1, -1, -1):
         load = spec.loads[j]
         if (load, h) not in splits:
-            if load.is_atomic():
-                locs = np.array([x for x, _ in load.atoms()])
-                ams = np.array([m for _, m in load.atoms()])
+            if isinstance(load, PointMass):
+                locs, ams = np.array([load.location]), np.array([1.0])
             else:
                 locs, ams = _fine_law(load, h, 0.1 * budget)
             splits[load, h] = _split_onto(locs / h, ams)
@@ -226,15 +230,14 @@ class _Kernel:
     so grid (cell-center) values convolved with them land back on centers;
     ``spectrum`` is their transform for lattice-wide lines and ``fine`` the
     fine law they were split from (atoms convolve against it directly).
-    Point masses stay exact shifts.
+    A point load has no weights and stays one exact ``shift``.
     """
 
     k0: int
     weights: np.ndarray | None
     spectrum: np.ndarray | None
     fine: tuple[np.ndarray, np.ndarray] | None
-    atom_locs: np.ndarray
-    atom_masses: np.ndarray
+    shift: float
     tail: float
 
 
@@ -269,14 +272,11 @@ def _split_onto(positions: np.ndarray, masses: np.ndarray) -> tuple[int, np.ndar
 
 
 def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
-    if load.is_atomic():
-        pairs = load.atoms()
-        return _Kernel(0, None, None, None,
-                       np.array([x for x, _ in pairs]),
-                       np.array([m for _, m in pairs]), 0.0)
+    if isinstance(load, PointMass):
+        return _Kernel(0, None, None, None, float(load.location), 0.0)
     mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget)
     k0, w = _split_onto(mid / lat.s_step, masses)
-    return _Kernel(k0, w, line_spectrum(w, lat.s_cells), (mid, masses), _EMPTY, _EMPTY,
+    return _Kernel(k0, w, line_spectrum(w, lat.s_cells), (mid, masses), 0.0,
                    max(0.0, 1.0 - float(masses.sum())))
 
 
@@ -297,9 +297,9 @@ def _fold_last(dest: np.ndarray, src: np.ndarray, k0: int) -> float:
     return float(src[..., :lo].sum() + src[..., hi:].sum())
 
 
-def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, weight: float) -> float:
-    """dest += weight * (src shifted by a real number of cells), split over
-    the two straddled integer shifts. Returns the clipped value sum."""
+def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float) -> float:
+    """dest += src shifted by a real number of cells, split over the two
+    straddled integer shifts. Returns the clipped value sum."""
     base = math.floor(cells)
     frac = cells - base
     n = src.shape[-1]
@@ -309,12 +309,12 @@ def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, weight: float) 
             continue
         ln = n - abs(sh)
         if ln <= 0:
-            spill += w * weight * float(src.sum())
+            spill += w * float(src.sum())
             continue
         d0 = max(0, sh)
         s0 = max(0, -sh)
-        dest[..., d0:d0 + ln] += (w * weight) * src[..., s0:s0 + ln]
-        spill += w * weight * (float(src.sum()) - float(src[..., s0:s0 + ln].sum()))
+        dest[..., d0:d0 + ln] += w * src[..., s0:s0 + ln]
+        spill += w * (float(src.sum()) - float(src[..., s0:s0 + ln].sum()))
     return spill
 
 
@@ -338,23 +338,18 @@ def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: flo
     return vals, mass - float(vals.sum())
 
 
-def _row_split(d: float, lat: JointLattice) -> tuple[int, float]:
-    """Integer row and fractional carry for a drop value (row < 0 clamps to 0)."""
+def _row_weights(d: float, lat: JointLattice) -> list[tuple[int, float]]:
+    """(row, weight) of the two-row split of drop d, zero weights left out.
+    Rows below 0 clamp to 0; rows at or past d_cells lie over the top."""
     g = d / lat.d_step - 0.5
     j = math.floor(g)
-    return j, g - j
+    f = g - j
+    return [(max(row, 0), w) for w, row in ((1.0 - f, j), (f, j + 1)) if w > 0.0]
 
 
-def _row_band(canvas: np.ndarray) -> tuple[int, int]:
-    """Half-open range [r0, r1) of the rows holding any mass; (0, 0) if none."""
-    rows = np.flatnonzero(canvas.any(axis=1))
-    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
-
-
-def _widen(rows: tuple[int, int], lo: int, hi: int) -> tuple[int, int]:
-    """Smallest row band holding ``rows`` and [lo, hi); (r, r) bands are empty."""
-    r0, r1 = rows
-    return (lo, hi) if r1 <= r0 else (min(r0, lo), max(r1, hi))
+def _span(spans: list[tuple[int, int]]) -> tuple[int, int]:
+    """Smallest row range [r0, r1) holding every span; (0, 0) if there are none."""
+    return (min(a for a, _ in spans), max(b for _, b in spans)) if spans else (0, 0)
 
 
 def _lift_diag(diag: np.ndarray, slope: float,
@@ -385,67 +380,49 @@ def _lift_diag(diag: np.ndarray, slope: float,
     return rows, cols, contrib, spill
 
 
-def _lifted_band(state: JointState,
-                 diag: np.ndarray) -> tuple[np.ndarray, int, int, float]:
-    """The 2D grid with the line's diagonal side ``diag`` lifted onto it, cut
-    to its occupied rows.
-
-    Returns (band, r0, r1, lost mass): ``band`` holds rows [r0, r1) of the
-    lifted canvas, whose other rows are all zero.
-    """
-    lat = state.lattice
-    p0, p1 = _row_band(state.pc) if state.pc is not None else (0, 0)
-    r0, r1 = p0, p1
-    rows, cols, dens, lost = _lift_diag(diag, state.slope, lat)
-    if len(rows):
-        r0, r1 = _widen((r0, r1), int(rows.min()), int(rows.max()) + 1)
-    band = np.zeros((r1 - r0, lat.s_cells))
-    if p1 > p0:
-        band[p0 - r0:p1 - r0] = state.pc[p0:p1]
-    np.add.at(band, (rows - r0, cols), dens)
-    return band, r0, r1, lost
-
-
 _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
 
 
-def _shear_canvas(canvas: np.ndarray, rows: tuple[int, int], rho: float,
-                  lat: JointLattice) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """Shear D -> D + rho * S with clipping at zero, on the occupied row band.
+def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
+                  ) -> tuple[np.ndarray | None, int, np.ndarray, float]:
+    """Shear D -> D + rho * S with clipping at zero, on a band of D rows.
 
-    Only rows [r0, r1) of ``canvas`` may hold mass. Column i moves by
-    g_i = rho * s_i / d_step rows, split over floor(g_i) (weight 1 - frac)
-    and floor(g_i) + 1 (weight frac). floor(g_i) is constant on runs of
-    columns, so the band's occupied columns are transposed to S-major (in
-    blocks of about _SHEAR_BLOCK_CELLS cells, which keeps both transposes in
-    cache) and each run moves as one slice per split weight into the rows
-    [r0 + min shift, r1 + max shift]. Rows pushed below zero feed the zero
-    line of their column; rows pushed past the top are lost.
+    ``band`` holds grid rows [r0, r0 + len(band)) at full S width. Column i
+    moves by g_i = rho * s_i / d_step rows, split over floor(g_i) (weight
+    1 - frac) and floor(g_i) + 1 (weight frac). floor(g_i) is constant on
+    runs of columns, so the band's occupied columns are transposed to
+    S-major (in blocks of about _SHEAR_BLOCK_CELLS cells, which keeps both
+    transposes in cache) and each run moves as one slice per split weight
+    into the rows [r0 + min shift, r1 + max shift] of the new band. Rows
+    pushed below zero feed the zero line of their column; rows pushed past
+    the top are lost.
 
-    Returns (new canvas, or None when no mass stays on the grid; per-column
-    mass clipped to the zero line; mass lost over the top). Only
-    negative-S columns can feed the zero line.
+    Returns (new band trimmed to its occupied rows, or None when no mass
+    stays on the grid; its first row; per-column mass clipped to the zero
+    line; mass lost over the top). Only negative-S columns can feed the
+    zero line.
     """
-    m_d, n_s = canvas.shape
-    r0, r1 = rows
-    n_b = r1 - r0
+    m_d = lat.d_cells
+    n_b, n_s = band.shape
+    r1 = r0 + n_b
     cell = lat.s_step * lat.d_step
     zero_gain = np.zeros(n_s)
     top = 0.0
-    occupied = np.flatnonzero(canvas[r0:r1].any(axis=0))
+    occupied = np.flatnonzero(band.any(axis=0))
     if not len(occupied):
-        return None, zero_gain, top
+        return None, 0, zero_gain, top
     c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
     g = rho * lat.s_centers() / lat.d_step
     base = np.floor(g).astype(int)
     frac = g - base
     run_starts = np.flatnonzero(np.diff(base)) + 1
-    out = np.zeros((m_d, n_s))
-    landed = False
+    out_r0 = max(r0 + int(base[c_lo:c_hi].min()), 0)
+    out_r1 = min(r1 + int(base[c_lo:c_hi].max()) + 1, m_d)
+    out = np.zeros((max(out_r1 - out_r0, 0), n_s))
     width = max(_SHEAR_BLOCK_CELLS // n_b, 16)
     for c0 in range(c_lo, c_hi, width):
         c1 = min(c0 + width, c_hi)
-        band = canvas[r0:r1, c0:c1].T.copy()  # band[i - c0] is column i
+        block = band[:, c0:c1].T.copy()  # block[i - c0] is column i
         o0 = max(r0 + int(base[c0:c1].min()), 0)
         o1 = min(r1 + int(base[c0:c1].max()) + 1, m_d)
         moved = np.zeros((c1 - c0, max(o1 - o0, 0)))
@@ -456,7 +433,7 @@ def _shear_canvas(canvas: np.ndarray, rows: tuple[int, int], rho: float,
                     continue
                 lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
                 hi = max(min(m_d - sh - r0, n_b), lo)  # band rows [hi, n_b) land over the top
-                src = band[a - c0:b - c0]
+                src = block[a - c0:b - c0]
                 if lo:
                     zero_gain[a:b] += w * src[:, :lo].sum(axis=1)
                 if hi < n_b:
@@ -464,10 +441,11 @@ def _shear_canvas(canvas: np.ndarray, rows: tuple[int, int], rho: float,
                 if hi > lo:
                     d0 = r0 + lo + sh - o0
                     moved[a - c0:b - c0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
-        if moved.any():
-            out[o0:o1, c0:c1] = moved.T
-            landed = True
-    return (out if landed else None), zero_gain * cell, top * cell
+        out[o0 - out_r0:o1 - out_r0, c0:c1] = moved.T
+    rows = np.flatnonzero(out.any(axis=1))
+    if not len(rows):
+        return None, 0, zero_gain * cell, top * cell
+    return out[rows[0]:rows[-1] + 1], out_r0 + int(rows[0]), zero_gain * cell, top * cell
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +469,20 @@ class _PhaseClock:
 _KernelCache = dict[LoadDensity, _Kernel]  # the lattice is fixed within a run
 
 
-def _convolve_grid(dest: np.ndarray, src: np.ndarray, kernel: _Kernel, h_s: float) -> float:
-    """dest += src convolved along S with the load; returns the clipped value sum.
+def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float) -> float:
+    """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
 
-    ``src`` is the band (2D) or the zero line (1D). A continuous load folds
-    in its FFT convolution; a point load shifts ``src`` by each atom.
+    ``vals`` is a block of band rows (2D) or the zero line (1D). A
+    continuous load folds in its FFT convolution; a point load shifts
+    ``vals`` by its location.
     """
     if kernel.weights is not None:
-        return _fold_last(dest, convolve_lines(src, kernel.weights, kernel.spectrum),
-                          kernel.k0)
-    spill = 0.0
-    for xa, wa in zip(kernel.atom_locs, kernel.atom_masses):
-        spill += _shift_last(dest, src, xa / h_s, wa)
-    return spill
+        src = convolve_lines(vals, kernel.weights, kernel.spectrum)
+        vals[...] = 0.0
+        return _fold_last(vals, src, kernel.k0)
+    src = vals.copy()
+    vals[...] = 0.0
+    return _shift_last(vals, src, kernel.shift / h_s)
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
@@ -519,30 +498,39 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         kernel = kernels[load] = _build_kernel(load, lat)
     clock.lap("kernel")
     zero, diag = state.hinge_sides()
-    tail_loss = (state.pc_mass() + diag.mass() + zero.mass()) * kernel.tail
+    masses = {"grid": state.pc_mass(), "zero": zero.mass(), "diag": diag.mass(),
+              "atoms": float(state.atom_mass.sum())}
+    tail_loss = (masses["grid"] + masses["diag"] + masses["zero"]) * kernel.tail
     spill = 0.0
 
-    # ---- convolve: grid rows (band with the lifted diagonal, zero line) ----
-    canvas = None
-    r0 = r1 = 0
-    if state.pc is not None or diag.values.any():
-        band, r0, r1, lost = _lifted_band(state, diag.values)
-        spill += lost
-        clock.lap("lift")
-        canvas = np.zeros((lat.d_cells, lat.s_cells))
-        if r1 > r0:
-            spill += _convolve_grid(canvas[r0:r1], band, kernel, h_s) * cell
-        del band  # not needed by the shear; keeps it out of the stage's peak memory
-    z_vals = np.zeros(lat.s_cells)
-    if zero.values.any():
-        spill += _convolve_grid(z_vals, zero.values, kernel, h_s) * h_s
+    # ---- one band: the state's rows, the lifted diagonal's, the atom deposits' ----
+    rows, cols, dens, lost = _lift_diag(diag.values, state.slope, lat)
+    spill += lost
+    spans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
+    if state.pc is not None:
+        spans.append((state.pc_r0, state.pc_r0 + len(state.pc)))
+    g0, g1 = _span(spans)  # grid rows: the state's band and the lifted diagonal
+    s, d, m = state.atom_s, state.atom_d, state.atom_mass
+    if kernel.weights is not None:
+        spans += [(row, row + 1) for da in d if da > 0.0
+                  for row, _ in _row_weights(da, lat) if row < lat.d_cells]
+    r0, r1 = _span(spans)
+    band = np.zeros((r1 - r0, lat.s_cells))
+    if state.pc is not None:
+        band[state.pc_r0 - r0:state.pc_r0 - r0 + len(state.pc)] = state.pc
+    np.add.at(band, (rows - r0, cols), dens)
+    clock.lap("lift")
+
+    # ---- convolve: grid rows (band, zero line) ----
+    if g1 > g0:
+        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s) * cell
+    z_vals = zero.values.copy()
+    if z_vals.any():
+        spill += _convolve_grid(z_vals, kernel, h_s) * h_s
 
     # ---- convolve: atoms (s, d, m) ----
-    s, d, m = state.atom_s, state.atom_d, state.atom_mass
     if kernel.weights is None:
-        s = (s[:, np.newaxis] + kernel.atom_locs).ravel()
-        d = np.repeat(d, len(kernel.atom_locs))
-        m = (m[:, np.newaxis] * kernel.atom_masses).ravel()
+        s = s + kernel.shift
     else:
         for sa, da, ma in zip(s, d, m):
             vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
@@ -550,24 +538,18 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
             if da == 0.0:
                 z_vals += vals / h_s
                 continue
-            j, f = _row_split(da, lat)
-            for w, row in ((1.0 - f, j), (f, j + 1)):
-                if w <= 0.0:
-                    continue
+            for row, w in _row_weights(da, lat):
                 if row >= lat.d_cells:
                     spill += w * float(vals.sum())
-                    continue
-                row = max(row, 0)
-                if canvas is None:
-                    canvas = np.zeros((lat.d_cells, lat.s_cells))
-                canvas[row] += (w / cell) * vals
-                r0, r1 = _widen((r0, r1), row, row + 1)
+                else:
+                    band[row - r0] += (w / cell) * vals
         s = d = m = _EMPTY
     clock.lap("convolve")
 
     # ---- shear: D -> max(0, D + rho * S) ----
-    if canvas is not None:
-        canvas, zero_gain, top = _shear_canvas(canvas, (r0, r1), rho, lat)
+    pc, pc_r0 = None, 0
+    if r1 > r0:
+        pc, pc_r0, zero_gain, top = _shear_canvas(band, r0, rho, lat)
         spill += top
         z_vals += zero_gain / h_s
     d = np.maximum(0.0, d + rho * s)
@@ -577,7 +559,8 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         stage=state.stage - 1,
         slope=rho,
         lattice=lat,
-        pc=canvas,
+        pc=pc,
+        pc_r0=pc_r0,
         line=z_vals if z_vals.any() else None,
         atom_s=s,
         atom_d=d,
@@ -596,6 +579,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         boundary_spill=spill,
         cumulative_lost=new_state.lost_mass,
         rows=(r0, r1),
+        masses=masses,
         phase_s=clock.phases,
     )
     return new_state, log
@@ -644,10 +628,12 @@ def joint_to_csv(state: JointState, target) -> None:
         lat = state.lattice
         cs = lat.s_centers()
         if state.pc is not None:
+            pc = np.zeros((lat.d_cells, lat.s_cells))  # the band padded to the lattice
+            pc[state.pc_r0:state.pc_r0 + len(state.pc)] = state.pc
             block = np.column_stack((
                 np.tile(cs, lat.d_cells),
                 np.repeat(lat.d_centers(), lat.s_cells),
-                state.pc.ravel(),
+                pc.ravel(),
             ))
             np.savetxt(fh, block, fmt="c,%.17g,%.17g,%.17g,0")
         zero, diag = state.hinge_sides()

@@ -70,8 +70,8 @@ class LoadDensity:
     """Base class for one bus's combined-demand density (kW).
 
     Subclasses implement vectorized pdf/cdf/ppf, exact moments, a
-    tail-truncated support window and dilation. ``atoms()`` lists exact
-    point-mass components; purely continuous families return none.
+    tail-truncated support window and dilation. ``PointMass`` is the one
+    atomic family; every other family is purely continuous.
     """
 
     family = ""
@@ -97,12 +97,6 @@ class LoadDensity:
     def scaled(self, v: float) -> "LoadDensity":
         """Density of v*s (pure dilation). v = 0 collapses to a point at 0."""
         raise NotImplementedError
-
-    def atoms(self) -> list[tuple[float, float]]:
-        return []
-
-    def is_atomic(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ class PointMass(LoadDensity):
 
     def pdf(self, x):
         # Degenerate family; the density is not a function. Grid consumers
-        # must branch on atoms() instead.
+        # must treat a PointMass as an exact shift instead.
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
 
@@ -214,12 +208,6 @@ class PointMass(LoadDensity):
 
     def scaled(self, v):
         return PointMass(location=self.location * v)
-
-    def atoms(self):
-        return [(self.location, 1.0)]
-
-    def is_atomic(self):
-        return True
 
 
 @dataclass(frozen=True)

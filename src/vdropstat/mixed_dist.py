@@ -4,8 +4,9 @@ flow-drop state of the dynamic program.
 The joint law of (through-flow S, downstream maximal drop D) at any stage
 sits on the two carriers that ``dp_engine`` steps:
 
-* grid: the 2D density ``pc`` on D > 0, plus the hinge ``line``, a 1D
-  density over the S cells whose mass sits at D = max(0, slope * S). Its
+* grid: the 2D density ``pc`` on D > 0, held as its occupied band of D
+  rows (first row ``pc_r0``) at full S width, plus the hinge ``line``, a
+  1D density over the S cells whose mass sits at D = max(0, slope * S). Its
   S < 0 cells form the zero line D = 0; its S > 0 cells form the diagonal
   D = slope * S (mass that had zero drop until the latest segment),
 * atoms (s, d, m): exact point masses with d >= 0. The start state is
@@ -45,6 +46,9 @@ __all__ = [
 _NEG_REJECT = 1e-12
 # Direct summation below this output size, transform-based above.
 _FFT_THRESHOLD = 4096
+# Transform cells per block of lines (at most two 8 MB working arrays); a
+# line's result does not depend on the block it is transformed in.
+_FFT_BLOCK_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +183,9 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
 
     ``vals`` is one line (1D) or a band of lines (2D, one per row). A single
     line with fewer than 4096 output cells is summed directly; everything
-    else goes through rfft/irfft, reusing ``spectrum`` (from
-    ``line_spectrum`` for lines of this length) when given, and has its
-    transform dust clipped to zero.
+    else goes through rfft/irfft in blocks of lines, reusing ``spectrum``
+    (from ``line_spectrum`` for lines of this length) when given, and has
+    its transform dust clipped to zero.
     """
     n_out = vals.shape[-1] + len(weights) - 1
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
@@ -189,9 +193,19 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
     n_fft = next_fast_len(n_out, real=True)
     if spectrum is None:
         spectrum = rfft(weights, n_fft)
-    coef = rfft(vals, n_fft, axis=-1)
-    coef *= spectrum
-    out = irfft(coef, n_fft, axis=-1)[..., :n_out]
+
+    def transform(lines):
+        coef = rfft(lines, n_fft, axis=-1)
+        coef *= spectrum
+        return irfft(coef, n_fft, axis=-1)[..., :n_out]
+
+    step = max(_FFT_BLOCK_CELLS // n_fft, 1)
+    if vals.ndim == 1 or len(vals) <= step:
+        out = transform(vals)
+    else:
+        out = np.empty((len(vals), n_out))
+        for a in range(0, len(vals), step):
+            out[a:a + step] = transform(vals[a:a + step])
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -256,9 +270,11 @@ _EMPTY = np.empty(0)
 class JointState:
     """Joint law of (through-flow, downstream maximal drop) at one stage.
 
-    ``pc`` is the 2D density with shape (d_cells, s_cells) and ``line`` the
-    hinge line density over the S cells, its mass at D = max(0, slope * S);
-    each is None while it holds no mass. ``slope`` is the drop coefficient
+    ``pc`` is the 2D density on its occupied band of D rows: row i of
+    ``pc`` is lattice row ``pc_r0 + i``, every row spans all s_cells, and
+    the rows outside the band hold no mass. ``line`` is the hinge line
+    density over the S cells, its mass at D = max(0, slope * S). Each is
+    None while it holds no mass. ``slope`` is the drop coefficient
     of the most recently applied segment. ``atom_s``, ``atom_d`` and
     ``atom_mass`` list the exact atoms; d = 0 needs s <= 0, since a
     positive flow through the latest segment makes a positive drop.
@@ -269,6 +285,7 @@ class JointState:
     slope: float
     lattice: JointLattice
     pc: np.ndarray | None = None
+    pc_r0: int = 0
     line: np.ndarray | None = None
     atom_s: np.ndarray = field(default_factory=lambda: _EMPTY)
     atom_d: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -277,8 +294,9 @@ class JointState:
 
     def __post_init__(self):
         if self.pc is not None:
-            if self.pc.shape != (self.lattice.d_cells, self.lattice.s_cells):
-                raise ValueError("pc shape does not match the lattice")
+            if (self.pc.ndim != 2 or self.pc.shape[1] != self.lattice.s_cells
+                    or not 0 <= self.pc_r0 < self.pc_r0 + len(self.pc) <= self.lattice.d_cells):
+                raise ValueError("pc band does not fit the lattice")
         if self.line is not None and self.line.shape != (self.lattice.s_cells,):
             raise ValueError("line shape does not match the lattice")
         for arr in (self.atom_s, self.atom_d, self.atom_mass):
@@ -330,7 +348,7 @@ def marginal_drop(state: JointState) -> DropDistribution:
     lat = state.lattice
     vals = np.zeros(lat.d_cells)
     if state.pc is not None:
-        vals += state.pc.sum(axis=1) * lat.s_step
+        vals[state.pc_r0:state.pc_r0 + len(state.pc)] += state.pc.sum(axis=1) * lat.s_step
 
     zero, diag = state.hinge_sides()
     if diag.values.any():

@@ -94,6 +94,7 @@ def test_analyze_outputs(tmp_path):
         assert set(stage["phase_s"]) <= {"kernel", "lift", "convolve", "shear", "lines"}
         r0, r1 = stage["rows"]
         assert 0 <= r0 <= r1 <= 256
+        assert set(stage["masses"]) == {"grid", "zero", "diag", "atoms"}
     # the first stage starts from the (0, 0) atom: no 2D grid yet
     assert payload["stages"][0]["rows"] == [0, 0]
     assert payload["stages"][-1]["rows"][1] > 0
@@ -101,6 +102,26 @@ def test_analyze_outputs(tmp_path):
         2.0 * payload["mean"])
     header = (out / "joint.csv").read_text().split("\n", 1)[0]
     assert header == "part,s,delta,density,atom_mass"
+
+
+def test_close_levels_keep_their_own_keys(tmp_path):
+    # levels that agree to 6 digits used to share one key, dropping a value
+    levels = ["0.9999991", "0.9999994"]
+    flags = [arg for q in levels for arg in ("--quantile", q)]
+    out = tmp_path / "close"
+    assert main(["analyze", str(CONFIG4), *CFG_FLAGS, *flags, "--threshold", "0.0500001",
+                 "--threshold", "0.0500002", "--skip-joint", "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    payload = read_json(out / "summary.json")
+    assert list(payload["quantiles"]) == levels
+    assert list(payload["exceedance"]) == ["0.0500001", "0.0500002"]
+    assert main(["mc", str(CONFIG4), "--samples", "1000", *flags, "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    assert list(read_json(out / "mc_summary.json")["quantiles"]) == levels
+    assert main(["sweep", str(CONFIG4), "--parameter", "load-mean-scale",
+                 "--values", "1.0000001,1.0000002", *CFG_FLAGS, "--out-dir", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1.0000001, 1.0000002]
 
 
 def test_analyze_skip_joint(tmp_path):

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,20 @@ def test_joint_csv_of_terminal_state():
 # ---------------------------------------------------------------------------
 
 
+def _padded(band, r0, lat):
+    """The grid band as a full d_cells x s_cells canvas (zeros when None)."""
+    full = np.zeros((lat.d_cells, lat.s_cells))
+    if band is not None:
+        full[r0:r0 + len(band)] = band
+    return full
+
+
+def _assert_trimmed_band(band, r0, lat):
+    assert band.shape[1] == lat.s_cells
+    assert 0 <= r0 < r0 + len(band) <= lat.d_cells
+    assert band[0].any() and band[-1].any()
+
+
 def _shear_per_column(canvas, rho, lat):
     """The column-by-column shear the run-wise one replaced; kept as its oracle."""
     m_d, n_s = canvas.shape
@@ -295,8 +310,10 @@ def test_run_wise_shear_matches_per_column_loop(rho, d_step):
         canvas[r0:r1] = rng.random((r1 - r0, 30)) / (24 * 30 * cell)
         canvas[:, rng.random(30) < 0.2] = 0.0  # some empty columns
         want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
-        out, zero_gain, top = dp_engine._shear_canvas(canvas, (r0, r1), rho, lat)
-        out = np.zeros_like(canvas) if out is None else out
+        band, o0, zero_gain, top = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
+        if band is not None:
+            _assert_trimmed_band(band, o0, lat)
+        out = _padded(band, o0, lat)
         assert np.abs(out - want_out).max() <= 1e-15
         assert np.abs(zero_gain - want_zero).max() <= 1e-15
         assert abs(top - want_top) <= 1e-15
@@ -309,9 +326,9 @@ def test_run_wise_shear_matches_per_column_loop(rho, d_step):
 
 def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
-    canvas = np.zeros((24, 30))
-    canvas[3:5, 2:6] = 1.0  # S < 0 columns pushed far below zero
-    out, zero_gain, top = dp_engine._shear_canvas(canvas, (3, 5), 5.0, lat)
+    band = np.zeros((2, 30))
+    band[:, 2:6] = 1.0  # rows 3 and 4, S < 0 columns pushed far below zero
+    out, _, zero_gain, top = dp_engine._shear_canvas(band, 3, 5.0, lat)
     assert out is None and top == 0.0
     assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
 
@@ -477,7 +494,8 @@ STATE_REGRESSION_SPECS = {
     "point-rezeroed": lambda: (point_spec([-3.0, -2.0, 1.5]),
                                DpConfig(grid_s=64, grid_delta=64)),
 }
-# name: sha1[:16] of (pc or "none", zero side, diagonal side, atoms), lost_mass.hex()
+# name: sha1[:16] of (pc padded to the lattice or "none", zero side, diagonal
+# side, atoms), lost_mass.hex()
 STATE_REGRESSION = {
     "feeder4-512": ("a8bbf66f90c4fd0b", "cef657b929cb8225", "9cef8d1766f9049e",
                     "da39a3ee5e6b4b0d", "0x1.339df87ed9ba4p-20"),
@@ -517,6 +535,57 @@ def test_state_regression(name):
     st = run(spec, config).state
     zero, diag = st.hinge_sides()
     atoms = np.column_stack((st.atom_s, st.atom_d, st.atom_mass))
-    got = ("none" if st.pc is None else _sha(st.pc), _sha(zero.values), _sha(diag.values),
-           _sha(atoms), st.lost_mass.hex())
+    grid = "none" if st.pc is None else _sha(_padded(st.pc, st.pc_r0, st.lattice))
+    got = (grid, _sha(zero.values), _sha(diag.values), _sha(atoms), st.lost_mass.hex())
     assert got == STATE_REGRESSION[name]
+
+
+def _stages(spec, config):
+    """Yield (state stepped, its stage log, next state) over a whole run."""
+    state = _terminal(spec, config)
+    kernels = {}
+    for j in range(spec.n - 1, -1, -1):
+        new, log = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config,
+                                          kernels)
+        yield state, log, new
+        state = new
+
+
+@pytest.mark.parametrize("name", sorted(STATE_REGRESSION_SPECS))
+def test_band_is_trimmed_after_every_stage(name):
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    for stepped, log, st in _stages(spec, config):
+        if stepped.pc is not None:  # the stage's band holds the band it stepped
+            r0, r1 = log.rows
+            assert r0 <= stepped.pc_r0 and stepped.pc_r0 + len(stepped.pc) <= r1
+        if st.pc is not None:
+            _assert_trimmed_band(st.pc, st.pc_r0, st.lattice)
+
+
+@pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "zero-atoms"])
+def test_stage_masses_close_the_ledger(name):
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    for state, log, _ in _stages(spec, config):
+        assert set(log.masses) == {"grid", "zero", "diag", "atoms"}
+        assert log.masses["grid"] == state.pc_mass()
+        assert sum(log.masses.values()) + state.lost_mass == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stage_holds_no_full_canvas():
+    # the second stage lifts the first one's diagonal onto a 6-row band;
+    # stepping it must stay under one 1024^2 canvas (8.4 MB)
+    spec = reference_spec(n=64)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    kernels = {}
+    state, _ = dp_engine._apply_stage(_terminal(spec, config), spec.loads[63],
+                                      spec.segments[63], config, kernels)
+    lat = state.lattice
+    tracemalloc.start()
+    try:
+        _, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config,
+                                        kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.rows == (0, 6)
+    assert peak < 8 * lat.d_cells * lat.s_cells

@@ -164,9 +164,9 @@ def test_scaled_zero_collapses(d, lo, hi):
 def test_point_mass_is_atomic():
     d = PointMass(location=5.0)
     assert d.moments() == (5.0, 0.0)
-    assert d.is_atomic()
-    assert d.atoms() == [(5.0, 1.0)]
+    # all its mass in one jump at the location
     assert float(d.cdf(4.999)) == 0.0 and float(d.cdf(5.0)) == 1.0
+    assert float(d.pdf(5.0)) == 0.0
 
 
 def test_gaussian_support_tail():
@@ -206,7 +206,7 @@ def test_single_bus_point_mass_config(tmp_path):
     })
     spec = parse_feeder(path)
     assert spec.n == 1
-    assert spec.loads[0].is_atomic()
+    assert spec.loads[0] == PointMass(location=0.0)
 
 
 def test_density_from_dict_errors_carry_field_paths():

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
+from vdropstat import mixed_dist
 from vdropstat.mixed_dist import (
     DropDistribution,
     Grid1D,
@@ -78,6 +80,21 @@ def test_convolve_fft_path_matches_direct():
     direct = np.convolve(va, vb) * h
     assert np.abs(big - direct).max() < 1e-9
     assert big.sum() * h == pytest.approx(1.0, abs=1e-9)
+
+
+def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
+    rng = np.random.default_rng(6)
+    band = rng.random((37, 300))
+    band[:, :100] = 0.0
+    weights = rng.random(45)
+    whole = convolve_lines(band, weights)  # one block at the default size
+    n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
+    for rows in (1, 3, 8):
+        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * n_fft)
+        assert np.array_equal(convolve_lines(band, weights), whole)
+    # a lone line on the transform path keeps its 1D shape
+    line = rng.random(5000)
+    assert convolve_lines(line, weights).shape == (5044,)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +227,14 @@ def test_marginal_drop_hand_state():
     lat = _lattice()
     # diagonal slope 0.5: S cells (0, 2] map onto D edges exactly
     diag_vals = np.array([0.0, 0.0, 0.2, 0.2, 0.2, 0.2]) / 0.5
-    pc = np.zeros((8, 6))
-    pc[4, 5] = 0.1 / (0.5 * 0.25)  # mass 0.1 at D cell 4
+    pc = np.zeros((1, 6))  # a one-row band: D cell 4
+    pc[0, 5] = 0.1 / (0.5 * 0.25)  # mass 0.1 at D cell 4
     st = JointState(
         stage=0,
         slope=0.5,
         lattice=lat,
         pc=pc,
+        pc_r0=4,
         line=diag_vals,
         # one atom on the zero line, one free atom off both lines
         atom_s=np.array([-0.5, 1.0]),
@@ -232,6 +250,15 @@ def test_marginal_drop_hand_state():
     assert float(drop.cdf(0.5)) == pytest.approx(0.05 + 0.4, abs=1e-12)
     # free atom lands exactly at its drop value
     assert drop.prob_exceed(1.85) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_grid_band_must_fit_the_lattice():
+    lat = _lattice()  # 8 D rows, 6 S cells
+    for shape, r0 in (((2, 6), -1), ((2, 6), 7), ((2, 5), 0), ((0, 6), 3), ((6,), 0)):
+        with pytest.raises(ValueError, match="pc band"):
+            JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0)
+    for shape, r0 in (((8, 6), 0), ((1, 6), 7)):
+        JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0)
 
 
 def test_validate_rejects_wrong_support():
