@@ -441,7 +441,8 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
                 if hi > lo:
                     d0 = r0 + lo + sh - o0
                     moved[a - c0:b - c0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
-        out[o0 - out_r0:o1 - out_r0, c0:c1] = moved.T
+        if o1 > o0:  # a block can land wholly below zero or over the top
+            out[o0 - out_r0:o1 - out_r0, c0:c1] = moved.T
     rows = np.flatnonzero(out.any(axis=1))
     if not len(rows):
         return None, 0, zero_gain * cell, top * cell

@@ -299,6 +299,23 @@ def _shear_per_column(canvas, rho, lat):
 SHEAR_CASES = [(0.0, 0.5), (0.13, 0.5), (0.9, 0.5), (2.7, 0.5), (1.0, 0.5), (0.05, 0.1)]
 
 
+def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
+    cell = lat.s_step * lat.d_step
+    want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
+    band, o0, zero_gain, top = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
+    if band is not None:
+        _assert_trimmed_band(band, o0, lat)
+    out = _padded(band, o0, lat)
+    assert np.abs(out - want_out).max() <= 1e-15
+    assert np.abs(zero_gain - want_zero).max() <= 1e-15
+    assert abs(top - want_top) <= 1e-15
+    mass_in = canvas.sum() * cell
+    mass_out = out.sum() * cell + zero_gain.sum() + top
+    assert abs(mass_out - mass_in) <= 1e-12 * max(mass_in, 1e-300)
+    if r1 == r0:
+        assert out.sum() == 0.0 and zero_gain.sum() == 0.0 and top == 0.0
+
+
 @pytest.mark.parametrize("rho, d_step", SHEAR_CASES)
 def test_run_wise_shear_matches_per_column_loop(rho, d_step):
     rng = np.random.default_rng(int(rho * 100) + 7)
@@ -309,19 +326,21 @@ def test_run_wise_shear_matches_per_column_loop(rho, d_step):
         canvas = np.zeros((24, 30))
         canvas[r0:r1] = rng.random((r1 - r0, 30)) / (24 * 30 * cell)
         canvas[:, rng.random(30) < 0.2] = 0.0  # some empty columns
-        want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
-        band, o0, zero_gain, top = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
-        if band is not None:
-            _assert_trimmed_band(band, o0, lat)
-        out = _padded(band, o0, lat)
-        assert np.abs(out - want_out).max() <= 1e-15
-        assert np.abs(zero_gain - want_zero).max() <= 1e-15
-        assert abs(top - want_top) <= 1e-15
-        mass_in = canvas.sum() * cell
-        mass_out = out.sum() * cell + zero_gain.sum() + top
-        assert abs(mass_out - mass_in) <= 1e-12 * max(mass_in, 1e-300)
-        if r1 == r0:
-            assert out.sum() == 0.0 and zero_gain.sum() == 0.0 and top == 0.0
+        _assert_shear_matches_oracle(canvas, r0, r1, rho, lat)
+
+
+@pytest.mark.parametrize("s_base, rho", [(-45, 0.5), (15, 0.5), (-30, 2.0), (-30, 0.13)])
+def test_shear_column_blocks_match_per_column_loop(monkeypatch, s_base, rho):
+    # 16-column blocks over 60 columns; at s_base=-45 the first block lands
+    # wholly below zero and at s_base=15 the last ones wholly over the top
+    monkeypatch.setattr(dp_engine, "_SHEAR_BLOCK_CELLS", 16)
+    rng = np.random.default_rng(11)
+    lat = JointLattice(s_base=s_base, s_step=1.0, s_cells=60, d_step=0.5, d_cells=24)
+    cell = lat.s_step * lat.d_step
+    for r0, r1 in [(0, 24), (3, 11), (23, 24)]:
+        canvas = np.zeros((24, 60))
+        canvas[r0:r1] = rng.random((r1 - r0, 60)) / (24 * 60 * cell)
+        _assert_shear_matches_oracle(canvas, r0, r1, rho, lat)
 
 
 def test_shear_reports_an_emptied_grid_as_none():
