@@ -29,7 +29,7 @@ from .feeder_model import (
     TwoSidedExponential,
     parse_feeder,
 )
-from .mc_oracle import McConfig, compare, run_mc
+from .mc_oracle import McConfig, batch_plan, compare, run_mc
 from .mixed_dist import write_density_csv
 
 EXIT_OK = 0
@@ -131,6 +131,7 @@ def cmd_deterministic(spec: FeederSpec, args) -> int:
 
 def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dict:
     drop = report.drop
+    lat = report.lattice
     mean, std = drop.mean_std()
     twice = 2.0 * mean
     exceed = {repr(float(t)): drop.prob_exceed(t) for t in (args.threshold or [])}
@@ -144,6 +145,14 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
             "grid_delta": args.grid_delta,
             "tail_tol": args.tail_tol,
             "renormalize": args.renormalize,
+        },
+        "lattice": {
+            "s_base": lat.s_base,
+            "s_step": lat.s_step,
+            "s_cells": lat.s_cells,
+            "d_step": lat.d_step,
+            "d_cells": lat.d_cells,
+            "stage_tail_budget": lat.stage_tail_budget,
         },
         "mass": {
             "total": drop.total_mass(),
@@ -164,6 +173,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
                 "boundary_spill": log.boundary_spill,
                 "cumulative_lost": log.cumulative_lost,
                 "rows": list(log.rows),
+                "cols": list(log.cols),
                 "masses": log.masses,
                 "phase_s": log.phase_s,
             }
@@ -196,10 +206,12 @@ def cmd_analyze(spec: FeederSpec, args) -> int:
 
 def cmd_mc(spec: FeederSpec, args) -> int:
     seed = _resolve_seed(args)
+    config = McConfig(samples=args.samples, seed=seed, shards=args.shards,
+                      nonlinear=args.nonlinear)
+    batch_samples, threads = batch_plan(spec.n, config)
     t0 = time.perf_counter()
     try:
-        emp = run_mc(spec, McConfig(samples=args.samples, seed=seed,
-                                    shards=args.shards, nonlinear=args.nonlinear))
+        emp = run_mc(spec, config)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -227,6 +239,8 @@ def cmd_mc(spec: FeederSpec, args) -> int:
         "quantiles": {repr(float(q)): emp.quantile(q) for q in args.quantile},
         "seconds": seconds,
         "samples_per_s": emp.n / seconds,
+        "threads": threads,
+        "batch_samples": batch_samples,
     })
     print(f"mean drop {mean:.6g}, std {std:.6g}, zero fraction {emp.zero_fraction():.6g}")
     return EXIT_OK

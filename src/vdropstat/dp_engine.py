@@ -98,6 +98,7 @@ class StageLog:
     boundary_spill: float   # mass clipped at lattice edges and the drop top
     cumulative_lost: float
     rows: tuple[int, int] = (0, 0)  # the stage's D-row band [r0, r1)
+    cols: tuple[int, int] = (0, 0)  # the band's occupied S columns [c0, c1)
     # masses of the state the stage stepped: grid, zero side, diagonal side, atoms
     masses: dict[str, float] = field(default_factory=dict)
     # seconds per phase: kernel, lift, convolve, shear, lines (assembly)
@@ -384,7 +385,7 @@ _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
 
 
 def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
-                  ) -> tuple[np.ndarray | None, int, np.ndarray, float]:
+                  ) -> tuple[np.ndarray | None, int, np.ndarray, float, tuple[int, int]]:
     """Shear D -> D + rho * S with clipping at zero, on a band of D rows.
 
     ``band`` holds grid rows [r0, r0 + len(band)) at full S width. Column i
@@ -399,8 +400,9 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
 
     Returns (new band trimmed to its occupied rows, or None when no mass
     stays on the grid; its first row; per-column mass clipped to the zero
-    line; mass lost over the top). Only negative-S columns can feed the
-    zero line.
+    line; mass lost over the top; the occupied columns [c_lo, c_hi) of
+    ``band``, (0, 0) when it is empty). Only negative-S columns can feed
+    the zero line.
     """
     m_d = lat.d_cells
     n_b, n_s = band.shape
@@ -410,7 +412,7 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
     top = 0.0
     occupied = np.flatnonzero(band.any(axis=0))
     if not len(occupied):
-        return None, 0, zero_gain, top
+        return None, 0, zero_gain, top, (0, 0)
     c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
     g = rho * lat.s_centers() / lat.d_step
     base = np.floor(g).astype(int)
@@ -445,8 +447,9 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
             out[o0 - out_r0:o1 - out_r0, c0:c1] = moved.T
     rows = np.flatnonzero(out.any(axis=1))
     if not len(rows):
-        return None, 0, zero_gain * cell, top * cell
-    return out[rows[0]:rows[-1] + 1], out_r0 + int(rows[0]), zero_gain * cell, top * cell
+        return None, 0, zero_gain * cell, top * cell, (c_lo, c_hi)
+    return (out[rows[0]:rows[-1] + 1], out_r0 + int(rows[0]), zero_gain * cell,
+            top * cell, (c_lo, c_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +551,9 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     clock.lap("convolve")
 
     # ---- shear: D -> max(0, D + rho * S) ----
-    pc, pc_r0 = None, 0
+    pc, pc_r0, cols = None, 0, (0, 0)
     if r1 > r0:
-        pc, pc_r0, zero_gain, top = _shear_canvas(band, r0, rho, lat)
+        pc, pc_r0, zero_gain, top, cols = _shear_canvas(band, r0, rho, lat)
         spill += top
         z_vals += zero_gain / h_s
     d = np.maximum(0.0, d + rho * s)
@@ -580,6 +583,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         boundary_spill=spill,
         cumulative_lost=new_state.lost_mass,
         rows=(r0, r1),
+        cols=cols,
         masses=masses,
         phase_s=clock.phases,
     )

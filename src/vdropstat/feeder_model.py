@@ -65,6 +65,28 @@ def _as_float(value, path: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _into(out, values):
+    """``values`` written into ``out`` when one is given, else ``values``."""
+    if out is None:
+        return values
+    out[...] = values
+    return out
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """a = np.where(mask, a, b) bit for bit, in place on float64 ``a``.
+
+    ``mask`` holds int64 -1 (all bits set: keep a) or 0 (take b). Picking
+    bits through the integer views is exact for every value, -0.0,
+    infinities, NaN payloads and subnormals included; it costs three
+    integer passes, about a third of an np.where, and allocates nothing.
+    """
+    ai, bi = a.view(np.int64), b.view(np.int64)
+    ai ^= bi
+    ai &= mask
+    ai ^= bi
+
+
 @dataclass(frozen=True)
 class LoadDensity:
     """Base class for one bus's combined-demand density (kW).
@@ -82,8 +104,14 @@ class LoadDensity:
     def cdf(self, x):
         raise NotImplementedError
 
-    def ppf(self, u):
-        """Inverse CDF, defined for u in (0, 1)."""
+    def ppf(self, u, out=None, work=None):
+        """Inverse CDF, defined for u in (0, 1).
+
+        Given ``out`` (float64) and ``work`` (int64), both of u's shape, the
+        values are written into ``out``, and a family may use ``u`` (then
+        float64) and ``work`` as scratch, so a caller can draw into reused
+        buffers with no allocation.
+        """
         raise NotImplementedError
 
     def moments(self) -> tuple[float, float]:
@@ -143,14 +171,26 @@ class TwoSidedExponential(LoadDensity):
         pos = 1.0 - self.weight * self.rate_pos * np.exp(-np.maximum(x, 0.0) / self.rate_pos)
         return np.where(x <= 0.0, neg, pos)
 
-    def ppf(self, u):
-        u = np.asarray(u, dtype=float)
-        below = u <= self.neg_mass
+    def ppf(self, u, out=None, work=None):
+        if out is None:
+            u = np.array(u, dtype=float)  # a private copy: it is scratch below
+            out = np.empty_like(u)
+            work = np.empty(u.shape, dtype=np.int64)
+        # all bits set where u <= P(s <= 0), the injection side
+        np.less_equal(u, self.neg_mass, out=work, casting="unsafe")
+        np.negative(work, out=work)
         # invert c/l- * exp(l- s) = u on the injection side and
         # 1 - c*l+ * exp(-s/l+) = u on the consumption side, one log for both
-        lg = np.log(np.where(below, u * self.rate_neg / self.weight,
-                             (1.0 - u) / (self.weight * self.rate_pos)))
-        return np.where(below, lg / self.rate_neg, -self.rate_pos * lg)
+        np.multiply(u, self.rate_neg, out=out)
+        out /= self.weight
+        np.subtract(1.0, u, out=u)
+        u /= self.weight * self.rate_pos
+        _select(work, out, u)
+        np.log(out, out=out)
+        np.multiply(-self.rate_pos, out, out=u)
+        out /= self.rate_neg
+        _select(work, out, u)
+        return out
 
     def moments(self):
         c, lp, ln = self.weight, self.rate_pos, self.rate_neg
@@ -196,9 +236,9 @@ class PointMass(LoadDensity):
         x = np.asarray(x, dtype=float)
         return np.where(x >= self.location, 1.0, 0.0)
 
-    def ppf(self, u):
+    def ppf(self, u, out=None, work=None):
         u = np.asarray(u, dtype=float)
-        return np.full_like(u, self.location)
+        return _into(out, np.full_like(u, self.location))
 
     def moments(self):
         return self.location, 0.0
@@ -236,9 +276,9 @@ class Uniform(LoadDensity):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.lo) / self.width, 0.0, 1.0)
 
-    def ppf(self, u):
+    def ppf(self, u, out=None, work=None):
         u = np.asarray(u, dtype=float)
-        return self.lo + u * self.width
+        return _into(out, self.lo + u * self.width)
 
     def moments(self):
         return 0.5 * (self.lo + self.hi), self.width / math.sqrt(12.0)
@@ -274,9 +314,9 @@ class Gaussian(LoadDensity):
         x = np.asarray(x, dtype=float)
         return ndtr((x - self.mean) / self.std)
 
-    def ppf(self, u):
+    def ppf(self, u, out=None, work=None):
         u = np.asarray(u, dtype=float)
-        return self.mean + self.std * ndtri(u)
+        return _into(out, self.mean + self.std * ndtri(u))
 
     def moments(self):
         return self.mean, self.std
@@ -340,13 +380,13 @@ class Histogram(LoadDensity):
         x = np.asarray(x, dtype=float)
         return np.interp(x, e, cum)
 
-    def ppf(self, u):
+    def ppf(self, u, out=None, work=None):
         e, m = self._arrays()
         cum = np.concatenate(([0.0], np.cumsum(m)))
         cum[-1] = 1.0  # guard cumulative roundoff at the top
         u = np.asarray(u, dtype=float)
         # uniform within the bin that the target mass falls into
-        return np.interp(u, cum, e)
+        return _into(out, np.interp(u, cum, e))
 
     def moments(self):
         e, m = self._arrays()

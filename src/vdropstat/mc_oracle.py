@@ -6,18 +6,29 @@ reproduces the identical stream bit for bit. Per sample the drop comes
 from the same backward recursion the deterministic solver uses; the
 randomness, not the recursion, is what this module adds.
 
-The linear sampler streams: each batch of at most 2^14 samples walks the
+The linear sampler streams: each batch of at most 2^15 samples walks the
 buses from the feeder end to the head, draws one bus's loads for the
-whole batch into a vector that stays in cache, and folds it at once into
-the running flow and drop. No samples x buses matrix is built, so the
-working set does not grow with the bus count. The nonlinear sampler needs
-each sample's whole load vector and fills a samples x buses block of at
-most 2^21 values per batch.
+whole batch, and folds them at once into the running flow and drop, which
+are the batch's rows of the output. No samples x buses matrix is built,
+so the working set does not grow with the bus count. A draw runs in place
+on three vectors of the batch's length: the hash adds a per-bus constant
+to a ramp computed once per run and mixes it in place, and the inverse
+CDF selects its branches bit for bit in the same vectors. The batches run
+on a thread pool of one thread per CPU (at most one per batch and four in
+all; none on one CPU). The calling thread allocates one vector set per thread, and a
+batch borrows a free set, so memory stays flat whatever the sample count.
+Because the draws are counter-based, the thread count and the batch order
+never change a value. The nonlinear sampler needs each sample's whole
+load vector and fills a samples x buses block of at most 2^21 values per
+batch, on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,29 +45,65 @@ __all__ = [
     "counter_uniforms",
     "sample_load",
     "run_mc",
+    "batch_plan",
     "ks_distance",
     "compare",
 ]
 
 _U64 = np.uint64
-# Samples per linear MC batch: one bus's draws (128 KB of float64) stay in
-# cache while they are folded into the running flow and drop.
-_BATCH_SAMPLES = 1 << 14
+# splitmix64's increment: stream state = seed + (counter + 1) * golden
+_GOLDEN = 0x9E3779B97F4A7C15
+# Samples per linear MC batch. Each thread owns three vectors of this
+# length (768 KB) and the run shares one ramp (256 KB). On a 2-CPU host,
+# two threads beat one only from 2^15 up, as shorter ufunc calls hand the
+# GIL back and forth more often than they compute; 2^16 was not clearly
+# faster and doubles the vectors.
+_BATCH_SAMPLES = 1 << 15
+# Linear MC threads at most: bounds the vector sets (3 MB with the ramp)
+# whatever the host's CPU count. Only 2-CPU hosts have been measured.
+_MAX_THREADS = 4
 # Load values per nonlinear MC batch (16 MB of float64): bounds its
 # samples x buses block whatever the shard count. Draws are counter-based,
 # so no batch size ever changes the values.
 _BATCH_VALUES = 1 << 21
 
 
-def _mix64(x: np.ndarray) -> None:
-    """splitmix64 finalizer, in place on ``x``."""
-    tmp = np.empty_like(x)
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on ``x``; ``tmp`` is uint64 scratch."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(x, _U64(shift), out=tmp)
         x ^= tmp
         x *= _U64(mult)
     np.right_shift(x, _U64(31), out=tmp)
     x ^= tmp
+
+
+def _ramp(count: int, n_streams: int) -> np.ndarray:
+    """i * n_streams * golden mod 2^64 for i < count: a stream's state steps."""
+    ramp = np.arange(count, dtype=np.uint64)
+    ramp *= _U64(n_streams * _GOLDEN % 2**64)
+    return ramp
+
+
+def _state0(seed: int, start: int, stream: int, n_streams: int) -> int:
+    """State of sample ``start`` of one stream; later ones add the ramp."""
+    return (seed + (start * n_streams + stream + 1) * _GOLDEN) % 2**64
+
+
+def _uniforms_into(ramp: np.ndarray, state0: int, bits: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Uniforms of the states ``ramp + state0`` (mod 2^64) into ``out``.
+
+    ``bits`` (uint64) holds the hash; ``out`` (float64) is its scratch
+    until it takes the result. All three share one length.
+    """
+    np.add(ramp, _U64(state0), out=bits)
+    _mix64(bits, out.view(np.uint64))
+    bits >>= _U64(11)
+    # 53 bits fit int64 exactly, and int64 converts faster than uint64
+    np.add(bits.view(np.int64), 0.5, out=out)
+    out *= 2.0**-53
+    return out
 
 
 def counter_uniforms(seed: int, start: int, count: int,
@@ -68,19 +115,9 @@ def counter_uniforms(seed: int, start: int, count: int,
     """
     if count < 0 or start < 0 or not 0 <= stream < n_streams:
         raise ValueError("bad counter range")
-    # state = seed + (i * n_streams + stream + 1) * golden mod 2^64, as one
-    # multiply and one add on the sample index i
-    golden = 0x9E3779B97F4A7C15
-    bits = np.arange(start, start + count, dtype=np.uint64)
-    bits *= _U64(n_streams * golden % 2**64)
-    bits += _U64(((stream + 1) * golden + seed) % 2**64)
-    _mix64(bits)
-    bits >>= _U64(11)
-    # 53 bits fit int64 exactly, and int64 converts faster than uint64
-    out = bits.view(np.int64).astype(np.float64)
-    out += 0.5
-    out *= 2.0**-53
-    return out
+    bits = _ramp(count, n_streams)
+    return _uniforms_into(bits, _state0(seed, start, stream, n_streams),
+                          bits, np.empty(count))
 
 
 def sample_load(density: LoadDensity, uniforms: np.ndarray) -> np.ndarray:
@@ -148,36 +185,91 @@ class EmpiricalDrop:
         return float(self.delta0.mean()), float(self.delta0.std())
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def batch_plan(n_buses: int, config: McConfig) -> tuple[int, int]:
+    """(samples per batch, threads) that ``run_mc`` uses for this feeder size.
+
+    A batch holds at most ceil(samples / shards) samples. Linear batches
+    hold at most _BATCH_SAMPLES and run on one thread per CPU this process
+    may use, but on no more threads than batches or _MAX_THREADS.
+    Nonlinear batches hold at most _BATCH_VALUES loads and run on the
+    calling thread.
+    """
+    per_shard = -(-config.samples // config.shards)
+    if config.nonlinear:
+        return min(per_shard, max(_BATCH_VALUES // n_buses, 1)), 1
+    size = min(per_shard, _BATCH_SAMPLES)
+    return size, min(_cores(), -(-config.samples // size), _MAX_THREADS)
+
+
+def _linear_mc(spec: FeederSpec, seed: int, size: int, threads: int,
+               samples: np.ndarray) -> None:
+    """Fill column-major ``samples`` with (head flow, drop), ``size`` per batch."""
+    n, rho = spec.n, spec.rho
+    total = len(samples)
+    ramp = _ramp(size, n)  # shared and read-only; a batch adds its start
+    # one (bits, u, load) set per thread, allocated here; a batch takes a
+    # free set and puts it back, so no thread allocates
+    free = queue.SimpleQueue()
+    for _ in range(threads):
+        free.put((np.empty(size, dtype=np.uint64), np.empty(size), np.empty(size)))
+
+    def batch(a: int, b: int) -> None:
+        """Samples a..b-1: draw bus by bus, fold into their (flow, drop) rows."""
+        bufs = free.get()
+        bits, u, load = (x[:b - a] for x in bufs)
+
+        def columns():
+            for k in range(n - 1, -1, -1):
+                _uniforms_into(ramp[:b - a], _state0(seed, a, k, n), bits, u)
+                # the draw uses u and bits as scratch, and the fold then u
+                yield spec.loads[k].ppf(u, out=load, work=bits.view(np.int64))
+
+        try:
+            _batch_delta0(rho, columns(), out=(samples[a:b, 1], samples[a:b, 0], u))
+        finally:
+            free.put(bufs)
+
+    starts = range(0, total, size)
+    stops = [min(a + size, total) for a in starts]
+    if threads == 1:
+        for a, b in zip(starts, stops):
+            batch(a, b)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in pool.map(batch, starts, stops):
+                pass
+
+
 def run_mc(spec: FeederSpec, config: McConfig | None = None) -> EmpiricalDrop:
     """Draw drops for the whole feeder; sharding never changes the values."""
     config = config or McConfig()
     n = spec.n
-    rho = spec.rho
     total = config.samples
-    samples = np.empty((total, 2))  # rows of (head flow, drop)
-
-    def draw(a, b, k):
-        """Bus k's loads for samples a..b-1."""
-        return sample_load(spec.loads[k],
-                           counter_uniforms(config.seed, a, b - a, k, n))
-
-    cap = max(_BATCH_VALUES // n, 1) if config.nonlinear else _BATCH_SAMPLES
-    chunk = min(-(-total // config.shards), cap)
-    for a in range(0, total, chunk):
-        b = min(a + chunk, total)
-        if config.nonlinear:
+    size, threads = batch_plan(n, config)
+    # rows of (head flow, drop); column-major, so that each column is one
+    # contiguous vector the linear fold can write in place
+    samples = np.empty((total, 2), order="F")
+    if not config.nonlinear:
+        _linear_mc(spec, config.seed, size, threads, samples)
+    else:
+        for a in range(0, total, size):
+            b = min(a + size, total)
             loads = np.empty((b - a, n))
             for k in range(n):
-                loads[:, k] = draw(a, b, k)
+                loads[:, k] = sample_load(
+                    spec.loads[k], counter_uniforms(config.seed, a, b - a, k, n))
             for i in range(b - a):
                 profile = solve_nonlinear(spec, loads[i])
                 samples[a + i] = (float(profile.flow_s[0]),
                                   spec.base_voltage - float(profile.voltage.min()))
-        else:
-            delta, flow = _batch_delta0(
-                rho, (draw(a, b, k) for k in range(n - 1, -1, -1)))
-            samples[a:b, 0] = flow
-            samples[a:b, 1] = delta
     drops = samples[:, 1]
     return EmpiricalDrop(
         delta0=np.sort(drops),
@@ -242,14 +334,19 @@ class CompareReport:
         }
 
 
+_DKW_ALPHA = 0.05
+
+
 def compare(drop: DropDistribution, emp: EmpiricalDrop,
             ks_threshold: float = 0.01,
             atom_threshold: float = 0.005) -> CompareReport:
     """Gate the deterministic drop law against an empirical one.
 
     Two hard checks: KS distance and the exact-zero mass gap. Means, stds,
-    reference quantiles, and the twice-mean exceedance go into stats for
-    reporting without gating.
+    reference quantiles, the twice-mean exceedance and the DKW band go into
+    stats for reporting without gating. The band is the KS distance that
+    sampling alone exceeds with probability at most 5% (Dvoretzky-Kiefer-
+    Wolfowitz with Massart's constant): eps = sqrt(ln(2 / 0.05) / (2 n)).
     """
     ks = ks_distance(drop, emp.delta0)
     atom_dp = drop.atom_at_zero()
@@ -275,6 +372,8 @@ def compare(drop: DropDistribution, emp: EmpiricalDrop,
             str(p): {"deterministic": drop.quantile(p), "mc": emp.quantile(p)}
             for p in (0.5, 0.9, 0.99)
         },
+        "dkw_band": {"alpha": _DKW_ALPHA,
+                     "eps": math.sqrt(math.log(2.0 / _DKW_ALPHA) / (2.0 * emp.n))},
         "samples": emp.n,
         "seed": emp.seed,
     }

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against real configs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,9 +95,18 @@ def test_analyze_outputs(tmp_path):
         assert set(stage["phase_s"]) <= {"kernel", "lift", "convolve", "shear", "lines"}
         r0, r1 = stage["rows"]
         assert 0 <= r0 <= r1 <= 256
+        c0, c1 = stage["cols"]
+        assert 0 <= c0 <= c1 <= payload["lattice"]["s_cells"]
+        assert (c1 > c0) == (r1 > r0)  # a band with rows has occupied columns
         assert set(stage["masses"]) == {"grid", "zero", "diag", "atoms"}
+    lat = payload["lattice"]
+    assert lat["s_cells"] >= 256 and lat["d_cells"] == 256
+    assert lat["s_step"] > 0.0 and lat["d_step"] > 0.0
+    assert lat["s_base"] < 0 < lat["s_base"] + lat["s_cells"]  # feeder4 injects
+    assert 0.0 < lat["stage_tail_budget"] < payload["config"]["tail_tol"]
     # the first stage starts from the (0, 0) atom: no 2D grid yet
     assert payload["stages"][0]["rows"] == [0, 0]
+    assert payload["stages"][0]["cols"] == [0, 0]
     assert payload["stages"][-1]["rows"][1] > 0
     assert payload["exceed_twice_mean"]["threshold"] == pytest.approx(
         2.0 * payload["mean"])
@@ -177,6 +187,9 @@ def test_mc_outputs(tmp_path):
     assert payload["seconds"] > 0.0
     assert payload["samples_per_s"] > 0.0
     assert payload["samples_per_s"] == pytest.approx(5000 / payload["seconds"])
+    # 5000 samples fit one batch, which runs on the calling thread
+    assert payload["batch_samples"] == 5000
+    assert payload["threads"] == 1
 
 
 def test_mc_nonlinear_collapse_exits_2_without_output(tmp_path, capsys):
@@ -217,6 +230,8 @@ def test_compare_passes_and_gates(tmp_path):
     assert payload["seed"] == 7
     names = [c["name"] for c in payload["checks"]]
     assert names == ["ks_distance", "zero_atom_gap"]
+    band = payload["stats"]["dkw_band"]  # reported beside the gate, not gating
+    assert band["eps"] == pytest.approx(math.sqrt(math.log(40.0) / 40_000), rel=1e-12)
     # same data, absurd threshold: the gate must trip with exit code 3
     out2 = tmp_path / "cmp2"
     args2 = ["compare", str(CONFIG4), *CFG_FLAGS, "--samples", "20000",

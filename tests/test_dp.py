@@ -302,7 +302,9 @@ SHEAR_CASES = [(0.0, 0.5), (0.13, 0.5), (0.9, 0.5), (2.7, 0.5), (1.0, 0.5), (0.0
 def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
     cell = lat.s_step * lat.d_step
     want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
-    band, o0, zero_gain, top = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
+    band, o0, zero_gain, top, cols = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
+    occupied = np.flatnonzero(canvas.any(axis=0))
+    assert cols == ((int(occupied[0]), int(occupied[-1]) + 1) if len(occupied) else (0, 0))
     if band is not None:
         _assert_trimmed_band(band, o0, lat)
     out = _padded(band, o0, lat)
@@ -347,8 +349,9 @@ def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
     band = np.zeros((2, 30))
     band[:, 2:6] = 1.0  # rows 3 and 4, S < 0 columns pushed far below zero
-    out, _, zero_gain, top = dp_engine._shear_canvas(band, 3, 5.0, lat)
+    out, _, zero_gain, top, cols = dp_engine._shear_canvas(band, 3, 5.0, lat)
     assert out is None and top == 0.0
+    assert cols == (2, 6)
     assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vdropstat.feeder_model import (
     PointMass,
     TwoSidedExponential,
     Uniform,
+    _select,
     density_from_dict,
     feeder_from_dict,
     parse_feeder,
@@ -86,6 +88,50 @@ def test_two_sided_ppf_bitwise_equals_masked_branches(d):
         assert got.shape == np.shape(u)
         assert got.tobytes() == want.tobytes()
     assert d.ppf(0.3).ndim == 0
+
+
+def test_exact_select_matches_where_byte_for_byte():
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3.0,
+                        -tiny, np.finfo(float).max, 1.0, -2.5])
+    nans = np.array([0x7FF8000000000001, 0xFFF0000000000002, 0x7FF0000000000003],
+                    dtype=np.uint64).view(float)  # quiet and signalling, both signs
+    values = np.concatenate((special, nans))
+    a, b = np.meshgrid(values, values)
+    a, b = a.ravel(), b.ravel()
+    rng = np.random.default_rng(4)
+    for cond in (rng.random(a.size) < 0.5, np.ones(a.size, bool), np.zeros(a.size, bool)):
+        want = np.where(cond, a, b)
+        got = a.copy()
+        _select(-cond.astype(np.int64), got, b)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [reference_load(), Uniform(lo=-1.0, hi=2.5),
+                               Gaussian(mean=0.3, std=1.7), PointMass(location=-2.0),
+                               Histogram(edges=(0.0, 1.0, 2.0, 4.0), masses=(0.2, 0.5, 0.3))],
+                         ids=lambda d: d.family)
+def test_ppf_into_buffers_matches_ppf(d):
+    u = np.random.default_rng(6).random(4096)
+    out, scratch, work = np.empty_like(u), u.copy(), np.empty(u.shape, np.int64)
+    got = d.ppf(scratch, out=out, work=work)
+    assert got is out
+    assert out.tobytes() == d.ppf(u).tobytes()
+
+
+def test_two_sided_ppf_into_buffers_allocates_nothing():
+    d = reference_load()
+    u = np.random.default_rng(7).random(1 << 15)
+    out, work = np.empty_like(u), np.empty(u.shape, np.int64)
+    tracemalloc.start()
+    try:
+        d.ppf(u, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no temporary vector (one is 256 KB); the cast in the lobe test
+    # buffers a few KB
+    assert peak < 32_768
 
 
 def test_two_sided_normalization_enforced():

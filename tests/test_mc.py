@@ -1,6 +1,8 @@
 """Counter-based sampling, the empirical law, and the comparison gate."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -153,9 +155,9 @@ def test_batch_cap_keeps_draws_bitwise(monkeypatch):
     config = McConfig(samples=1_001, seed=5)
     whole = run_mc(spec, config)
     counts = []
-    draw = mc_oracle.counter_uniforms
-    monkeypatch.setattr(mc_oracle, "counter_uniforms",
-                        lambda *a: (counts.append(a[2]), draw(*a))[1])
+    draw = mc_oracle._uniforms_into  # the in-place core: one call per bus and batch
+    monkeypatch.setattr(mc_oracle, "_uniforms_into",
+                        lambda *a: (counts.append(len(a[0])), draw(*a))[1])
     monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 100)
     for shards in (1, 4):
         counts.clear()
@@ -208,6 +210,71 @@ def test_mc_stream_regression(case, shards):
     assert hashlib.sha1(emp.samples.tobytes()).hexdigest() == samples_sha
     assert hashlib.sha1(emp.delta0.tobytes()).hexdigest() == delta0_sha
     assert emp.zero_count == zeros
+
+
+LINEAR_DIGESTS = sorted(k for k, v in STREAM_DIGESTS.items() if not v[2])
+
+
+def _run_on(monkeypatch, cores, spec, config):
+    """run_mc as on a host with ``cores`` CPUs; returns it and the batch threads."""
+    monkeypatch.setattr(mc_oracle, "_cores", lambda: cores)
+    seen = set()
+    draw = mc_oracle._uniforms_into
+    monkeypatch.setattr(mc_oracle, "_uniforms_into",
+                        lambda *a: (seen.add(threading.get_ident()), draw(*a))[1])
+    return run_mc(spec, config), seen
+
+
+@pytest.mark.parametrize("case", LINEAR_DIGESTS)
+def test_threaded_batches_are_bitwise_serial(monkeypatch, case):
+    build, samples, _, samples_sha, delta0_sha, zeros = STREAM_DIGESTS[case]
+    spec = build()
+    monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 1_000)
+    serial, seen = _run_on(monkeypatch, 1, spec, McConfig(samples=samples, seed=7))
+    assert seen == {threading.get_ident()}  # no pool on one CPU
+    for shards in (1, 4, 8):
+        emp, seen = _run_on(monkeypatch, 2, spec,
+                            McConfig(samples=samples, seed=7, shards=shards))
+        assert len(seen) == 2 and threading.get_ident() not in seen
+        assert emp.samples.tobytes() == serial.samples.tobytes()
+        assert hashlib.sha1(emp.samples.tobytes()).hexdigest() == samples_sha
+        assert hashlib.sha1(emp.delta0.tobytes()).hexdigest() == delta0_sha
+        assert emp.zero_count == zeros
+
+
+def test_thread_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
+    # more threads than CPUs, switching as often as the interpreter allows:
+    # a batch that borrowed a busy buffer set or lost a row would show here
+    spec = mixed_spec()
+    config = McConfig(samples=20_000, seed=3)
+    monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 1_000)
+    serial, _ = _run_on(monkeypatch, 1, spec, config)
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emp, seen = _run_on(monkeypatch, 8, spec, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) > 1
+    assert emp.samples.tobytes() == serial.samples.tobytes()
+    assert threading.active_count() == baseline
+
+
+def test_batch_plan(monkeypatch):
+    plan = mc_oracle.batch_plan
+    monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 1_000)
+    monkeypatch.setattr(mc_oracle, "_cores", lambda: 2)
+    assert plan(4, McConfig(samples=10_000)) == (1_000, 2)
+    assert plan(4, McConfig(samples=10_000, shards=40)) == (250, 2)
+    assert plan(4, McConfig(samples=1_000)) == (1_000, 1)  # one batch, no pool
+    monkeypatch.setattr(mc_oracle, "_cores", lambda: 64)
+    assert plan(4, McConfig(samples=100_000)) == (1_000, mc_oracle._MAX_THREADS)
+    monkeypatch.setattr(mc_oracle, "_cores", lambda: 1)
+    assert plan(4, McConfig(samples=10_000)) == (1_000, 1)
+    # nonlinear batches cap the values of their samples x buses block
+    assert plan(256, McConfig(samples=200_000, nonlinear=True)) == (
+        mc_oracle._BATCH_VALUES // 256, 1)
 
 
 def test_linear_mc_memory_is_independent_of_bus_count():
@@ -320,7 +387,10 @@ def test_compare_reference_run():
     d = report.to_dict()
     assert d["passed"] is True
     assert set(d["stats"]) == {"mean", "std", "zero_atom", "exceed_twice_mean",
-                               "quantiles", "samples", "seed"}
+                               "quantiles", "dkw_band", "samples", "seed"}
+    # DKW with Massart's constant at 1e5 samples: sqrt(ln 40 / 2e5) = 0.0042947
+    assert d["stats"]["dkw_band"] == {"alpha": 0.05,
+                                      "eps": pytest.approx(0.0042947, abs=1e-7)}
     assert d["stats"]["seed"] == 7
     assert d["stats"]["samples"] == 100_000
     assert set(d["stats"]["quantiles"]) == {"0.5", "0.9", "0.99"}
