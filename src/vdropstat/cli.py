@@ -154,6 +154,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
             "d_cells": lat.d_cells,
             "stage_tail_budget": lat.stage_tail_budget,
         },
+        "threads": report.threads,
         "mass": {
             "total": drop.total_mass(),
             "lost": report.lost_mass,

@@ -26,7 +26,13 @@ alone: a convolution along S never mixes rows. The shear moves whole runs
 of columns with equal integer shift floor(rho * S / d_step) at once into
 the next band, trimmed to its occupied rows, so no stage holds the full
 d_cells x s_cells lattice. Each distinct load's kernel is built once per
-run. Atoms stay exact and the zero line stays off the 2D grid, so
+run. The S-convolution cuts a band larger than one transform block into
+blocks of rows and transforms them on a thread pool (``pool_threads``:
+one thread per CPU, at most four), which the run starts at its first such
+band and joins when it returns or raises. A row's transform does not
+depend on its block or thread, and the fold, the spill sums, the lift and
+the shear stay on the calling thread, so the thread count never changes a
+value. Atoms stay exact and the zero line stays off the 2D grid, so
 point-mass feeders and the zero-drop probability suffer no discretization.
 All truncation (load tails, lattice boundary clips, shear overflow) is
 logged per stage; the run aborts when the accumulated loss blows past 100x
@@ -43,12 +49,14 @@ import numpy as np
 
 from .feeder_model import FeederSpec, LineSegment, LoadDensity, PointMass
 from .mixed_dist import (
+    BlockPool,
     DropDistribution,
     JointLattice,
     JointState,
     convolve_lines,
     line_spectrum,
     marginal_drop,
+    pool_threads,
 )
 
 __all__ = [
@@ -114,6 +122,7 @@ class DpReport:
     lattice: JointLattice
     stage_logs: list[StageLog]
     seconds: float
+    threads: int  # threads the stages' S-convolutions could run on
 
     @property
     def lost_mass(self) -> float:
@@ -473,15 +482,16 @@ class _PhaseClock:
 _KernelCache = dict[LoadDensity, _Kernel]  # the lattice is fixed within a run
 
 
-def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float) -> float:
+def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float,
+                   pool: BlockPool | None = None) -> float:
     """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
 
     ``vals`` is a block of band rows (2D) or the zero line (1D). A
-    continuous load folds in its FFT convolution; a point load shifts
-    ``vals`` by its location.
+    continuous load folds in its FFT convolution, whose blocks of rows run
+    on ``pool``; a point load shifts ``vals`` by its location.
     """
     if kernel.weights is not None:
-        src = convolve_lines(vals, kernel.weights, kernel.spectrum)
+        src = convolve_lines(vals, kernel.weights, kernel.spectrum, pool)
         vals[...] = 0.0
         return _fold_last(vals, src, kernel.k0)
     src = vals.copy()
@@ -490,8 +500,13 @@ def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float) -> float:
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
-    """Advance one bus toward the substation; see the module docstring."""
+                 config: DpConfig, kernels: _KernelCache,
+                 pool: BlockPool | None = None) -> tuple[JointState, StageLog]:
+    """Advance one bus toward the substation; see the module docstring.
+
+    ``pool`` transforms the band's blocks of rows; without one they all
+    run on the calling thread.
+    """
     clock = _PhaseClock()
     lat = state.lattice
     h_s = lat.s_step
@@ -527,7 +542,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
 
     # ---- convolve: grid rows (band, zero line) ----
     if g1 > g0:
-        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s) * cell
+        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s, pool) * cell
     z_vals = zero.values.copy()
     if z_vals.any():
         spill += _convolve_grid(z_vals, kernel, h_s) * h_s
@@ -597,9 +612,12 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     state = JointState.terminal(plan_lattice(spec, config), stage=spec.n)
     logs: list[StageLog] = []
     kernels: _KernelCache = {}  # one kernel per distinct load, for this run only
-    for j in range(spec.n - 1, -1, -1):
-        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, kernels)
-        logs.append(log)
+    threads = pool_threads()
+    with BlockPool(threads) as pool:  # for this run only, joined on any exit
+        for j in range(spec.n - 1, -1, -1):
+            state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config,
+                                      kernels, pool)
+            logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:
         drop = drop.renormalized()
@@ -609,6 +627,7 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
         lattice=state.lattice,
         stage_logs=logs,
         seconds=time.perf_counter() - t0,
+        threads=threads,
     )
 
 

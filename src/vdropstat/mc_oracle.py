@@ -26,7 +26,6 @@ batch, on the calling thread.
 from __future__ import annotations
 
 import math
-import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 
 from .distflow import _batch_delta0, solve_nonlinear
 from .feeder_model import FeederSpec, LoadDensity
-from .mixed_dist import DropDistribution
+from .mixed_dist import DropDistribution, pool_threads
 
 __all__ = [
     "McConfig",
@@ -59,9 +58,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # GIL back and forth more often than they compute; 2^16 was not clearly
 # faster and doubles the vectors.
 _BATCH_SAMPLES = 1 << 15
-# Linear MC threads at most: bounds the vector sets (3 MB with the ramp)
-# whatever the host's CPU count. Only 2-CPU hosts have been measured.
-_MAX_THREADS = 4
 # Load values per nonlinear MC batch (16 MB of float64): bounds its
 # samples x buses block whatever the shard count. Draws are counter-based,
 # so no batch size ever changes the values.
@@ -185,20 +181,12 @@ class EmpiricalDrop:
         return float(self.delta0.mean()), float(self.delta0.std())
 
 
-def _cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def batch_plan(n_buses: int, config: McConfig) -> tuple[int, int]:
     """(samples per batch, threads) that ``run_mc`` uses for this feeder size.
 
     A batch holds at most ceil(samples / shards) samples. Linear batches
-    hold at most _BATCH_SAMPLES and run on one thread per CPU this process
-    may use, but on no more threads than batches or _MAX_THREADS.
+    hold at most _BATCH_SAMPLES and run on ``pool_threads`` threads: one
+    per CPU this process may use, but no more than batches or four.
     Nonlinear batches hold at most _BATCH_VALUES loads and run on the
     calling thread.
     """
@@ -206,7 +194,7 @@ def batch_plan(n_buses: int, config: McConfig) -> tuple[int, int]:
     if config.nonlinear:
         return min(per_shard, max(_BATCH_VALUES // n_buses, 1)), 1
     size = min(per_shard, _BATCH_SAMPLES)
-    return size, min(_cores(), -(-config.samples // size), _MAX_THREADS)
+    return size, pool_threads(-(-config.samples // size))
 
 
 def _linear_mc(spec: FeederSpec, seed: int, size: int, threads: int,

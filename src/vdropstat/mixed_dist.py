@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
     "JointLattice",
     "JointState",
     "DropDistribution",
+    "BlockPool",
+    "pool_threads",
     "convolve_lines",
     "line_spectrum",
     "marginal_drop",
@@ -46,9 +50,15 @@ __all__ = [
 _NEG_REJECT = 1e-12
 # Direct summation below this output size, transform-based above.
 _FFT_THRESHOLD = 4096
-# Transform cells per block of lines (at most two 8 MB working arrays); a
-# line's result does not depend on the block it is transformed in.
-_FFT_BLOCK_CELLS = 1 << 20
+# Transform cells per block of lines (1 MB arrays); a line's result does
+# not depend on the block it is transformed in, nor on the thread. Larger
+# blocks were no faster on a pool and slower on one thread, and each pool
+# thread's malloc arena keeps its own blocks' freed arrays after the run.
+_FFT_BLOCK_CELLS = 1 << 17
+# Pool threads at most: bounds the working sets the threads hold (the MC's
+# vector sets, the transform blocks) whatever the host's CPU count. Only
+# 2-CPU hosts have been measured.
+_MAX_THREADS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,53 @@ class MixedDensity1D:
         return len(self.atom_locs)
 
 
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def pool_threads(tasks: int | None = None) -> int:
+    """Threads for a pool: one per CPU this process may use, but no more
+    than _MAX_THREADS or, when given, the number of ``tasks``."""
+    threads = min(_cores(), _MAX_THREADS)
+    return threads if tasks is None else min(threads, tasks)
+
+
+class BlockPool:
+    """Threads for ``convolve_lines``' blocks of lines, started on first use.
+
+    With one thread nothing is ever started. Leaving the ``with`` block
+    joins the threads, also when it ends in an exception.
+    """
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._executor: ThreadPoolExecutor | None = None
+
+    def map(self, fn, *iterables):
+        if self.threads == 1:
+            return map(fn, *iterables)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(self.threads)
+        return self._executor.map(fn, *iterables)
+
+    def __enter__(self) -> "BlockPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
 def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
     """Transform of ``weights`` sized for lines of ``n_vals`` cells.
 
@@ -178,14 +235,19 @@ def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
 
 
 def convolve_lines(vals: np.ndarray, weights: np.ndarray,
-                   spectrum: np.ndarray | None = None) -> np.ndarray:
+                   spectrum: np.ndarray | None = None,
+                   pool: BlockPool | None = None) -> np.ndarray:
     """Full linear convolution of ``vals`` with ``weights`` along the last axis.
 
     ``vals`` is one line (1D) or a band of lines (2D, one per row). A single
     line with fewer than 4096 output cells is summed directly; everything
-    else goes through rfft/irfft in blocks of lines, reusing ``spectrum``
-    (from ``line_spectrum`` for lines of this length) when given, and has
-    its transform dust clipped to zero.
+    else goes through rfft/irfft, reusing ``spectrum`` (from
+    ``line_spectrum`` for lines of this length) when given, and has its
+    transform dust clipped to zero. A band larger than one block of
+    _FFT_BLOCK_CELLS transform cells is cut into blocks of rows, and each
+    block is transformed, copied into its rows of the output and clipped
+    on a thread of ``pool`` (on the calling thread without one). Every row
+    comes out bitwise the same whatever the block or thread.
     """
     n_out = vals.shape[-1] + len(weights) - 1
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
@@ -202,11 +264,17 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
     step = max(_FFT_BLOCK_CELLS // n_fft, 1)
     if vals.ndim == 1 or len(vals) <= step:
         out = transform(vals)
-    else:
-        out = np.empty((len(vals), n_out))
-        for a in range(0, len(vals), step):
-            out[a:a + step] = transform(vals[a:a + step])
-    np.clip(out, 0.0, None, out=out)
+        np.clip(out, 0.0, None, out=out)
+        return out
+    out = np.empty((len(vals), n_out))
+
+    def block(a):
+        rows = out[a:a + step]
+        rows[...] = transform(vals[a:a + step])
+        np.clip(rows, 0.0, None, out=rows)
+
+    for _ in (map if pool is None else pool.map)(block, range(0, len(vals), step)):
+        pass
     return out
 
 

@@ -1,9 +1,11 @@
 """Shared builders for the test suite."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from vdropstat import mixed_dist
 from vdropstat.feeder_model import (
     FeederSpec,
     LineSegment,
@@ -68,3 +70,13 @@ def single_point_config(tmp_path, location=2.0, r=1e-3):
         "segments": [{"r": r, "x": 0.0}],
         "loads": [{"family": "point-mass", "location": location}],
     })
+
+
+def rfft_threads(monkeypatch):
+    """Patch the transform ``convolve_lines`` calls to collect the ids of
+    the threads that call it; returns the set."""
+    seen = set()
+    rfft = mixed_dist.rfft
+    monkeypatch.setattr(mixed_dist, "rfft",
+                        lambda *a, **k: (seen.add(threading.get_ident()), rfft(*a, **k))[1])
+    return seen

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG4, reference_spec, single_point_config, write_config
+from vdropstat import mixed_dist
 from vdropstat.cli import _sweep_spec, main
 from vdropstat.feeder_model import FeederConfigError, PointMass
 
@@ -73,7 +74,8 @@ def test_deterministic_outputs(tmp_path):
     assert non["delta0"] > lin["delta0"]
 
 
-def test_analyze_outputs(tmp_path):
+def test_analyze_outputs(tmp_path, monkeypatch):
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: 3)
     out = tmp_path / "an"
     code = main(["analyze", str(CONFIG4), *CFG_FLAGS, "--seed", "5",
                  "--threshold", "0.05", "--out-dir", str(out)])
@@ -104,6 +106,7 @@ def test_analyze_outputs(tmp_path):
     assert lat["s_step"] > 0.0 and lat["d_step"] > 0.0
     assert lat["s_base"] < 0 < lat["s_base"] + lat["s_cells"]  # feeder4 injects
     assert 0.0 < lat["stage_tail_budget"] < payload["config"]["tail_tol"]
+    assert payload["threads"] == 3  # one per CPU, on a host that has three
     # the first stage starts from the (0, 0) atom: no 2D grid yet
     assert payload["stages"][0]["rows"] == [0, 0]
     assert payload["stages"][0]["cols"] == [0, 0]

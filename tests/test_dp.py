@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,10 @@ from helpers import (
     random_point_spec,
     reference_load,
     reference_spec,
+    rfft_threads,
     segment,
 )
-from vdropstat import dp_engine
+from vdropstat import dp_engine, mixed_dist
 from vdropstat.distflow import max_drop
 from vdropstat.dp_engine import (
     DpConfig,
@@ -551,15 +553,18 @@ def _sha(arr):
     return hashlib.sha1((np.asarray(arr, dtype=float) + 0.0).tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
-def test_state_regression(name):
-    spec, config = STATE_REGRESSION_SPECS[name]()
-    st = run(spec, config).state
+def _digest(st):
+    """A final state as its STATE_REGRESSION entry."""
     zero, diag = st.hinge_sides()
     atoms = np.column_stack((st.atom_s, st.atom_d, st.atom_mass))
     grid = "none" if st.pc is None else _sha(_padded(st.pc, st.pc_r0, st.lattice))
-    got = (grid, _sha(zero.values), _sha(diag.values), _sha(atoms), st.lost_mass.hex())
-    assert got == STATE_REGRESSION[name]
+    return grid, _sha(zero.values), _sha(diag.values), _sha(atoms), st.lost_mass.hex()
+
+
+@pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
+def test_state_regression(name):
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    assert _digest(run(spec, config).state) == STATE_REGRESSION[name]
 
 
 def _stages(spec, config):
@@ -611,3 +616,116 @@ def test_stage_holds_no_full_canvas():
         tracemalloc.stop()
     assert log.rows == (0, 6)
     assert peak < 8 * lat.d_cells * lat.s_cells
+
+
+# ---------------------------------------------------------------------------
+# the S-convolution's thread pool
+# ---------------------------------------------------------------------------
+
+
+def _on_threads(monkeypatch, threads, block_cells=None):
+    """Plan ``threads`` DP threads and blocks of ``block_cells`` transform
+    cells; returns the set that collects rfft's thread ids."""
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
+    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(threads, mixed_dist._MAX_THREADS))
+    if block_cells is not None:
+        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", block_cells)
+    return rfft_threads(monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
+def test_state_regression_on_threads(monkeypatch, name):
+    # 4096-cell blocks cut the bands of the 256^2 and 512^2 lattices into
+    # blocks of a few rows, so the pool transforms them
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    for threads in (2, 4):
+        seen = _on_threads(monkeypatch, threads, 1 << 12)
+        rep = run(spec, config)
+        assert rep.threads == threads
+        assert _digest(rep.state) == STATE_REGRESSION[name]
+        if name in ("feeder4-512", "chain64-256", "families"):  # bands of many rows
+            assert seen - {threading.get_ident()}
+
+
+def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):
+    # every band of the benchmark's 256-bus chain at 256^2 fits one block, so
+    # four threads start no pool
+    feeder = parse_feeder(CONFIG4)
+    spec = FeederSpec(feeder.base_voltage, feeder.alpha,
+                      tuple(feeder.segments[i % feeder.n] for i in range(256)),
+                      tuple(feeder.loads[i % feeder.n] for i in range(256)))
+    seen = _on_threads(monkeypatch, 4)
+    baseline = threading.active_count()
+    rep = run(spec, CFG)
+    assert rep.threads == 4
+    assert seen == {threading.get_ident()}
+    assert threading.active_count() == baseline
+
+
+def test_run_joins_its_pool_on_return_and_on_mass_loss(monkeypatch):
+    seen = _on_threads(monkeypatch, 2, 1)  # one-row blocks
+    baseline = threading.active_count()
+    run(parse_feeder(CONFIG4), CFG)
+    assert seen - {threading.get_ident()}
+    assert threading.active_count() == baseline
+    seen.clear()
+    with pytest.raises(MassLossError):
+        run(reference_spec(n=64), DpConfig(grid_s=16, grid_delta=16))
+    assert seen - {threading.get_ident()}
+    assert threading.active_count() == baseline
+
+
+def test_worker_exception_surfaces_from_run(monkeypatch):
+    _on_threads(monkeypatch, 2, 1)
+    raised = []
+    rfft = mixed_dist.rfft
+    caller = threading.get_ident()
+
+    def failing(*a, **k):
+        if threading.get_ident() != caller:
+            raised.append(FloatingPointError("transform failed"))
+            raise raised[-1]
+        return rfft(*a, **k)
+
+    monkeypatch.setattr(mixed_dist, "rfft", failing)
+    baseline = threading.active_count()
+    with pytest.raises(FloatingPointError) as info:
+        run(parse_feeder(CONFIG4), CFG)
+    assert info.value in raised
+    assert threading.active_count() == baseline
+
+
+def test_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
+    # more threads than CPUs on blocks of a few rows, switching as often as the
+    # interpreter allows: a block written to the wrong rows, or through a
+    # buffer another thread shares, would show here
+    spec, config = STATE_REGRESSION_SPECS["families"]()
+    seen = _on_threads(monkeypatch, 8, 1 << 10)
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = run(spec, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rep.threads == 8 and len(seen - {threading.get_ident()}) > 1
+    assert _digest(rep.state) == STATE_REGRESSION["families"]
+    assert threading.active_count() == baseline
+
+
+def test_threads_add_at_most_one_block_of_memory(monkeypatch):
+    # a second thread adds at most one block's transform arrays: its padded
+    # lines, their coefficients and the inverse (3 MB)
+    spec = parse_feeder(CONFIG4)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    peaks = []
+    for threads in (1, 2):
+        seen = _on_threads(monkeypatch, threads)
+        tracemalloc.start()
+        try:
+            run(spec, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert seen - {threading.get_ident()}  # the bands at 1024^2 took the pool
+    assert peaks[1] <= peaks[0] + 3 * 8 * mixed_dist._FFT_BLOCK_CELLS

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG4, point_spec, reference_load, reference_spec, segment
-from vdropstat import mc_oracle
+from vdropstat import mc_oracle, mixed_dist
 from vdropstat.cli import _sweep_spec
 from vdropstat.mc_oracle import (
     EmpiricalDrop,
@@ -217,7 +217,7 @@ LINEAR_DIGESTS = sorted(k for k, v in STREAM_DIGESTS.items() if not v[2])
 
 def _run_on(monkeypatch, cores, spec, config):
     """run_mc as on a host with ``cores`` CPUs; returns it and the batch threads."""
-    monkeypatch.setattr(mc_oracle, "_cores", lambda: cores)
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: cores)
     seen = set()
     draw = mc_oracle._uniforms_into
     monkeypatch.setattr(mc_oracle, "_uniforms_into",
@@ -264,13 +264,13 @@ def test_thread_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
 def test_batch_plan(monkeypatch):
     plan = mc_oracle.batch_plan
     monkeypatch.setattr(mc_oracle, "_BATCH_SAMPLES", 1_000)
-    monkeypatch.setattr(mc_oracle, "_cores", lambda: 2)
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: 2)
     assert plan(4, McConfig(samples=10_000)) == (1_000, 2)
     assert plan(4, McConfig(samples=10_000, shards=40)) == (250, 2)
     assert plan(4, McConfig(samples=1_000)) == (1_000, 1)  # one batch, no pool
-    monkeypatch.setattr(mc_oracle, "_cores", lambda: 64)
-    assert plan(4, McConfig(samples=100_000)) == (1_000, mc_oracle._MAX_THREADS)
-    monkeypatch.setattr(mc_oracle, "_cores", lambda: 1)
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: 64)
+    assert plan(4, McConfig(samples=100_000)) == (1_000, mixed_dist._MAX_THREADS)
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: 1)
     assert plan(4, McConfig(samples=10_000)) == (1_000, 1)
     # nonlinear batches cap the values of their samples x buses block
     assert plan(256, McConfig(samples=200_000, nonlinear=True)) == (

@@ -3,19 +3,23 @@
 import csv
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
+from helpers import rfft_threads
 from vdropstat import mixed_dist
 from vdropstat.mixed_dist import (
+    BlockPool,
     DropDistribution,
     Grid1D,
     JointLattice,
     JointState,
     MixedDensity1D,
     convolve_lines,
+    line_spectrum,
     marginal_drop,
     write_density_csv,
 )
@@ -89,9 +93,17 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     weights = rng.random(45)
     whole = convolve_lines(band, weights)  # one block at the default size
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
-    for rows in (1, 3, 8):
-        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * n_fft)
-        assert np.array_equal(convolve_lines(band, weights), whole)
+    spectrum = line_spectrum(weights, 300)
+    seen = rfft_threads(monkeypatch)
+    for threads in (1, 2, 4):
+        with BlockPool(threads) as pool:
+            for rows in (1, 3, 8):
+                monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * n_fft)
+                seen.clear()
+                assert np.array_equal(convolve_lines(band, weights, spectrum, pool), whole)
+                # one thread transforms on the caller, more on the pool alone
+                assert (seen == {threading.get_ident()}) == (threads == 1)
+                assert len(seen) <= threads
     # a lone line on the transform path keeps its 1D shape
     line = rng.random(5000)
     assert convolve_lines(line, weights).shape == (5044,)
