@@ -25,11 +25,14 @@ from __future__ import annotations
 import csv
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+# the transforms scipy.fft.rfft/irfft run, called with the output passed in
+from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
 __all__ = [
     "Grid1D",
@@ -50,11 +53,11 @@ __all__ = [
 _NEG_REJECT = 1e-12
 # Direct summation below this output size, transform-based above.
 _FFT_THRESHOLD = 4096
-# Transform cells per block of lines (1 MB arrays); a line's result does
-# not depend on the block it is transformed in, nor on the thread. Larger
-# blocks were no faster on a pool and slower on one thread, and each pool
-# thread's malloc arena keeps its own blocks' freed arrays after the run.
-_FFT_BLOCK_CELLS = 1 << 17
+# Transform cells per block of lines on one thread (8 MB arrays), shared
+# out among a pool's threads, so that the arrays in flight stay the same
+# whatever the thread count. A line's result does not depend on the block
+# it is transformed in, nor on the thread.
+_FFT_BLOCK_CELLS = 1 << 20
 # Pool threads at most: bounds the working sets the threads hold (the MC's
 # vector sets, the transform blocks) whatever the host's CPU count. Only
 # 2-CPU hosts have been measured.
@@ -243,11 +246,14 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
     line with fewer than 4096 output cells is summed directly; everything
     else goes through rfft/irfft, reusing ``spectrum`` (from
     ``line_spectrum`` for lines of this length) when given, and has its
-    transform dust clipped to zero. A band larger than one block of
-    _FFT_BLOCK_CELLS transform cells is cut into blocks of rows, and each
-    block is transformed, copied into its rows of the output and clipped
-    on a thread of ``pool`` (on the calling thread without one). Every row
-    comes out bitwise the same whatever the block or thread.
+    transform dust clipped to zero. A band larger than one block
+    (_FFT_BLOCK_CELLS transform cells over the threads of ``pool``) is cut
+    into blocks of rows, and each block is transformed, copied into its
+    rows of the output and clipped on a thread of ``pool`` (on the calling
+    thread without one). The blocks' arrays are allocated here, one set per
+    thread, so that no pool thread allocates: a thread's malloc arena would
+    keep its freed arrays resident, by an amount that varies from run to
+    run. Every row comes out bitwise the same whatever the block or thread.
     """
     n_out = vals.shape[-1] + len(weights) - 1
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
@@ -261,19 +267,36 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray,
         coef *= spectrum
         return irfft(coef, n_fft, axis=-1)[..., :n_out]
 
-    step = max(_FFT_BLOCK_CELLS // n_fft, 1)
+    threads = 1 if pool is None else pool.threads
+    step = max(_FFT_BLOCK_CELLS // threads // n_fft, 1)
     if vals.ndim == 1 or len(vals) <= step:
         out = transform(vals)
         np.clip(out, 0.0, None, out=out)
         return out
-    out = np.empty((len(vals), n_out))
+    n_rows, n_vals = vals.shape
+    out = np.empty((n_rows, n_out))
+    # one (zero-padded lines, coefficients, inverse) set per thread; a block
+    # takes a free set and puts it back. Pad columns stay zero throughout.
+    free = queue.SimpleQueue()
+    for _ in range(min(threads, -(-n_rows // step))):
+        free.put((np.zeros((step, n_fft)), np.empty((step, n_fft // 2 + 1), complex),
+                  np.empty((step, n_fft))))
 
     def block(a):
-        rows = out[a:a + step]
-        rows[...] = transform(vals[a:a + step])
-        np.clip(rows, 0.0, None, out=rows)
+        padded, coef, inverse = free.get()
+        k = min(step, n_rows - a)
+        try:
+            padded[:k, :n_vals] = vals[a:a + k]
+            _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
+            coef[:k] *= spectrum
+            _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
+            rows = out[a:a + k]
+            rows[...] = inverse[:k, :n_out]
+            np.clip(rows, 0.0, None, out=rows)
+        finally:
+            free.put((padded, coef, inverse))
 
-    for _ in (map if pool is None else pool.map)(block, range(0, len(vals), step)):
+    for _ in (map if pool is None else pool.map)(block, range(0, n_rows, step)):
         pass
     return out
 

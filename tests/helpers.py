@@ -72,11 +72,13 @@ def single_point_config(tmp_path, location=2.0, r=1e-3):
     })
 
 
-def rfft_threads(monkeypatch):
-    """Patch the transform ``convolve_lines`` calls to collect the ids of
-    the threads that call it; returns the set."""
+def transform_threads(monkeypatch):
+    """Patch the forward transforms ``convolve_lines`` calls (``rfft`` for
+    one block, ``_r2c`` for each of several) to collect the ids of the
+    threads that call them; returns the set."""
     seen = set()
-    rfft = mixed_dist.rfft
-    monkeypatch.setattr(mixed_dist, "rfft",
-                        lambda *a, **k: (seen.add(threading.get_ident()), rfft(*a, **k))[1])
+    for name in ("rfft", "_r2c"):
+        fn = getattr(mixed_dist, name)
+        monkeypatch.setattr(mixed_dist, name, lambda *a, _fn=fn, **k: (
+            seen.add(threading.get_ident()), _fn(*a, **k))[1])
     return seen

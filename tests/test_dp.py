@@ -18,7 +18,7 @@ from helpers import (
     random_point_spec,
     reference_load,
     reference_spec,
-    rfft_threads,
+    transform_threads,
     segment,
 )
 from vdropstat import dp_engine, mixed_dist
@@ -625,12 +625,12 @@ def test_stage_holds_no_full_canvas():
 
 def _on_threads(monkeypatch, threads, block_cells=None):
     """Plan ``threads`` DP threads and blocks of ``block_cells`` transform
-    cells; returns the set that collects rfft's thread ids."""
+    cells; returns the set that collects the transforms' thread ids."""
     monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
     monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(threads, mixed_dist._MAX_THREADS))
     if block_cells is not None:
         monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", block_cells)
-    return rfft_threads(monkeypatch)
+    return transform_threads(monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
@@ -678,16 +678,16 @@ def test_run_joins_its_pool_on_return_and_on_mass_loss(monkeypatch):
 def test_worker_exception_surfaces_from_run(monkeypatch):
     _on_threads(monkeypatch, 2, 1)
     raised = []
-    rfft = mixed_dist.rfft
+    r2c = mixed_dist._r2c  # the transform of a block of several
     caller = threading.get_ident()
 
     def failing(*a, **k):
         if threading.get_ident() != caller:
             raised.append(FloatingPointError("transform failed"))
             raise raised[-1]
-        return rfft(*a, **k)
+        return r2c(*a, **k)
 
-    monkeypatch.setattr(mixed_dist, "rfft", failing)
+    monkeypatch.setattr(mixed_dist, "_r2c", failing)
     baseline = threading.active_count()
     with pytest.raises(FloatingPointError) as info:
         run(parse_feeder(CONFIG4), CFG)
@@ -714,8 +714,9 @@ def test_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
 
 
 def test_threads_add_at_most_one_block_of_memory(monkeypatch):
-    # a second thread adds at most one block's transform arrays: its padded
-    # lines, their coefficients and the inverse (3 MB)
+    # the threads share out one thread's block of transform arrays (padded
+    # lines, their coefficients, the inverse), so a second thread adds at
+    # most the rows lost to rounding, well under one block (8 MB)
     spec = parse_feeder(CONFIG4)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     peaks = []
@@ -728,4 +729,4 @@ def test_threads_add_at_most_one_block_of_memory(monkeypatch):
         finally:
             tracemalloc.stop()
     assert seen - {threading.get_ident()}  # the bands at 1024^2 took the pool
-    assert peaks[1] <= peaks[0] + 3 * 8 * mixed_dist._FFT_BLOCK_CELLS
+    assert peaks[1] <= peaks[0] + mixed_dist._FFT_BLOCK_CELLS  # 1 MB

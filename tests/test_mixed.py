@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from helpers import rfft_threads
+from helpers import transform_threads
 from vdropstat import mixed_dist
 from vdropstat.mixed_dist import (
     BlockPool,
@@ -94,7 +94,7 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     whole = convolve_lines(band, weights)  # one block at the default size
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
     spectrum = line_spectrum(weights, 300)
-    seen = rfft_threads(monkeypatch)
+    seen = transform_threads(monkeypatch)
     for threads in (1, 2, 4):
         with BlockPool(threads) as pool:
             for rows in (1, 3, 8):
