@@ -26,14 +26,14 @@ alone: a convolution along S never mixes rows. The shear moves whole runs
 of columns with equal integer shift floor(rho * S / d_step) at once into
 the next band, trimmed to its occupied rows, so no stage holds the full
 d_cells x s_cells lattice. Each distinct load's kernel is built once per
-run. The S-convolution cuts a band larger than one transform block into
-blocks of rows and transforms them on a thread pool (``pool_threads``:
-one thread per CPU, at most four), which the run starts at its first such
-band and joins when it returns or raises. A row's transform does not
-depend on its block or thread, and the fold, the spill sums, the lift and
-the shear stay on the calling thread, so the thread count never changes a
-value. Atoms stay exact and the zero line stays off the 2D grid, so
-point-mass feeders and the zero-drop probability suffer no discretization.
+run. The S-convolution (``convolve_lines``) cuts a band larger than one
+transform block into blocks of rows and transforms them on a thread pool
+(``pool_threads``: one thread per CPU, at most four) that lives for that
+one convolution. A row's transform does not depend on its block or
+thread, and the fold, the spill sums, the lift and the shear stay on the
+calling thread, so the thread count never changes a value. Atoms stay
+exact and the zero line stays off the 2D grid, so point-mass feeders and
+the zero-drop probability suffer no discretization.
 All truncation (load tails, lattice boundary clips, shear overflow) is
 logged per stage; the run aborts when the accumulated loss blows past 100x
 the configured tolerance.
@@ -49,7 +49,6 @@ import numpy as np
 
 from .feeder_model import FeederSpec, LineSegment, LoadDensity, PointMass
 from .mixed_dist import (
-    BlockPool,
     DropDistribution,
     JointLattice,
     JointState,
@@ -337,13 +336,9 @@ def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: flo
     deposit's mean exact. Returns (cell masses, mass outside the lattice).
     """
     mid, fm = fine
-    u = (mid + shift - lat.s_lo) / lat.s_step - 0.5
-    base = np.floor(u).astype(int)
-    frac = u - base
+    k0, w = _split_onto((mid + shift - lat.s_lo) / lat.s_step - 0.5, fm)
     vals = np.zeros(lat.s_cells)
-    for b, w in ((base, fm * (1.0 - frac)), (base + 1, fm * frac)):
-        ok = (b >= 0) & (b < lat.s_cells)
-        np.add.at(vals, b[ok], w[ok])
+    _fold_last(vals, w, k0)
     vals *= mass
     return vals, mass - float(vals.sum())
 
@@ -482,16 +477,15 @@ class _PhaseClock:
 _KernelCache = dict[LoadDensity, _Kernel]  # the lattice is fixed within a run
 
 
-def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float,
-                   pool: BlockPool | None = None) -> float:
+def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float) -> float:
     """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
 
     ``vals`` is a block of band rows (2D) or the zero line (1D). A
-    continuous load folds in its FFT convolution, whose blocks of rows run
-    on ``pool``; a point load shifts ``vals`` by its location.
+    continuous load folds in its convolution; a point load shifts ``vals``
+    by its location.
     """
     if kernel.weights is not None:
-        src = convolve_lines(vals, kernel.weights, kernel.spectrum, pool)
+        src = convolve_lines(vals, kernel.weights, kernel.spectrum)
         vals[...] = 0.0
         return _fold_last(vals, src, kernel.k0)
     src = vals.copy()
@@ -500,13 +494,8 @@ def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float,
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig, kernels: _KernelCache,
-                 pool: BlockPool | None = None) -> tuple[JointState, StageLog]:
-    """Advance one bus toward the substation; see the module docstring.
-
-    ``pool`` transforms the band's blocks of rows; without one they all
-    run on the calling thread.
-    """
+                 config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
+    """Advance one bus toward the substation; see the module docstring."""
     clock = _PhaseClock()
     lat = state.lattice
     h_s = lat.s_step
@@ -542,7 +531,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
 
     # ---- convolve: grid rows (band, zero line) ----
     if g1 > g0:
-        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s, pool) * cell
+        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s) * cell
     z_vals = zero.values.copy()
     if z_vals.any():
         spill += _convolve_grid(z_vals, kernel, h_s) * h_s
@@ -612,12 +601,9 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     state = JointState.terminal(plan_lattice(spec, config), stage=spec.n)
     logs: list[StageLog] = []
     kernels: _KernelCache = {}  # one kernel per distinct load, for this run only
-    threads = pool_threads()
-    with BlockPool(threads) as pool:  # for this run only, joined on any exit
-        for j in range(spec.n - 1, -1, -1):
-            state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config,
-                                      kernels, pool)
-            logs.append(log)
+    for j in range(spec.n - 1, -1, -1):
+        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, kernels)
+        logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:
         drop = drop.renormalized()
@@ -627,7 +613,7 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
         lattice=state.lattice,
         stage_logs=logs,
         seconds=time.perf_counter() - t0,
-        threads=threads,
+        threads=pool_threads(),
     )
 
 

@@ -14,9 +14,10 @@ so the working set does not grow with the bus count. A draw runs in place
 on three vectors of the batch's length: the hash adds a per-bus constant
 to a ramp computed once per run and mixes it in place, and the inverse
 CDF selects its branches bit for bit in the same vectors. The batches run
-on a thread pool of one thread per CPU (at most one per batch and four in
-all; none on one CPU). The calling thread allocates one vector set per thread, and a
-batch borrows a free set, so memory stays flat whatever the sample count.
+through ``mixed_dist.map_blocks``, the S-convolution's block map, on one
+thread per CPU (at most one per batch and four in all; none on one CPU).
+It allocates one vector set per thread on the calling thread, and a batch
+borrows a free set, so memory stays flat whatever the sample count.
 Because the draws are counter-based, the thread count and the batch order
 never change a value. The nonlinear sampler needs each sample's whole
 load vector and fills a samples x buses block of at most 2^21 values per
@@ -26,15 +27,13 @@ batch, on the calling thread.
 from __future__ import annotations
 
 import math
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distflow import _batch_delta0, solve_nonlinear
 from .feeder_model import FeederSpec, LoadDensity
-from .mixed_dist import DropDistribution, pool_threads
+from .mixed_dist import DropDistribution, map_blocks, pool_threads
 
 __all__ = [
     "McConfig",
@@ -203,15 +202,11 @@ def _linear_mc(spec: FeederSpec, seed: int, size: int, threads: int,
     n, rho = spec.n, spec.rho
     total = len(samples)
     ramp = _ramp(size, n)  # shared and read-only; a batch adds its start
-    # one (bits, u, load) set per thread, allocated here; a batch takes a
-    # free set and puts it back, so no thread allocates
-    free = queue.SimpleQueue()
-    for _ in range(threads):
-        free.put((np.empty(size, dtype=np.uint64), np.empty(size), np.empty(size)))
 
-    def batch(a: int, b: int) -> None:
-        """Samples a..b-1: draw bus by bus, fold into their (flow, drop) rows."""
-        bufs = free.get()
+    def batch(a: int, bufs) -> None:
+        """Samples a..b-1, the batch at ``a``: draw bus by bus into the
+        (bits, u, load) set ``bufs``, fold into their (flow, drop) rows."""
+        b = min(a + size, total)
         bits, u, load = (x[:b - a] for x in bufs)
 
         def columns():
@@ -220,20 +215,10 @@ def _linear_mc(spec: FeederSpec, seed: int, size: int, threads: int,
                 # the draw uses u and bits as scratch, and the fold then u
                 yield spec.loads[k].ppf(u, out=load, work=bits.view(np.int64))
 
-        try:
-            _batch_delta0(rho, columns(), out=(samples[a:b, 1], samples[a:b, 0], u))
-        finally:
-            free.put(bufs)
+        _batch_delta0(rho, columns(), out=(samples[a:b, 1], samples[a:b, 0], u))
 
-    starts = range(0, total, size)
-    stops = [min(a + size, total) for a in starts]
-    if threads == 1:
-        for a, b in zip(starts, stops):
-            batch(a, b)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(batch, starts, stops):
-                pass
+    map_blocks(batch, range(0, total, size), threads,
+               lambda: (np.empty(size, dtype=np.uint64), np.empty(size), np.empty(size)))
 
 
 def run_mc(spec: FeederSpec, config: McConfig | None = None) -> EmpiricalDrop:

@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import next_fast_len, rfft
 # the transforms scipy.fft.rfft/irfft run, called with the output passed in
 from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
 
@@ -40,8 +40,8 @@ __all__ = [
     "JointLattice",
     "JointState",
     "DropDistribution",
-    "BlockPool",
     "pool_threads",
+    "map_blocks",
     "convolve_lines",
     "line_spectrum",
     "marginal_drop",
@@ -201,31 +201,35 @@ def pool_threads(tasks: int | None = None) -> int:
     return threads if tasks is None else min(threads, tasks)
 
 
-class BlockPool:
-    """Threads for ``convolve_lines``' blocks of lines, started on first use.
+def map_blocks(fn, starts, threads: int, scratch) -> None:
+    """Call ``fn(start, bufs)`` for every start, on ``threads`` threads.
 
-    With one thread nothing is ever started. Leaving the ``with`` block
-    joins the threads, also when it ends in an exception.
+    ``bufs`` is one of ``threads`` scratch sets, each made by ``scratch()``
+    here on the calling thread; a call borrows a free set and puts it back.
+    So no pool thread allocates: glibc gives each thread its own malloc
+    arena, which would keep the thread's freed arrays resident by an amount
+    that varies from run to run. With one thread the calls run in order on
+    the calling thread and no pool starts; otherwise the pool is started
+    here and joined on return, also when a call raises.
     """
+    free = queue.SimpleQueue()
+    for _ in range(threads):
+        free.put(scratch())
 
-    def __init__(self, threads: int):
-        self.threads = threads
-        self._executor: ThreadPoolExecutor | None = None
+    def call(start):
+        bufs = free.get()
+        try:
+            fn(start, bufs)
+        finally:
+            free.put(bufs)
 
-    def map(self, fn, *iterables):
-        if self.threads == 1:
-            return map(fn, *iterables)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(self.threads)
-        return self._executor.map(fn, *iterables)
-
-    def __enter__(self) -> "BlockPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+    if threads == 1:
+        for start in starts:
+            call(start)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        for _ in pool.map(call, starts):
+            pass
 
 
 def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
@@ -238,66 +242,51 @@ def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
 
 
 def convolve_lines(vals: np.ndarray, weights: np.ndarray,
-                   spectrum: np.ndarray | None = None,
-                   pool: BlockPool | None = None) -> np.ndarray:
+                   spectrum: np.ndarray | None = None) -> np.ndarray:
     """Full linear convolution of ``vals`` with ``weights`` along the last axis.
 
     ``vals`` is one line (1D) or a band of lines (2D, one per row). A single
-    line with fewer than 4096 output cells is summed directly; everything
-    else goes through rfft/irfft, reusing ``spectrum`` (from
-    ``line_spectrum`` for lines of this length) when given, and has its
-    transform dust clipped to zero. A band larger than one block
-    (_FFT_BLOCK_CELLS transform cells over the threads of ``pool``) is cut
-    into blocks of rows, and each block is transformed, copied into its
-    rows of the output and clipped on a thread of ``pool`` (on the calling
-    thread without one). The blocks' arrays are allocated here, one set per
-    thread, so that no pool thread allocates: a thread's malloc arena would
-    keep its freed arrays resident, by an amount that varies from run to
-    run. Every row comes out bitwise the same whatever the block or thread.
+    line with fewer than 4096 output cells is summed directly. Everything
+    else is transformed as blocks of rows, reusing ``spectrum`` (from
+    ``line_spectrum`` for lines of this length) when given: each block is
+    zero-padded, transformed, multiplied by the spectrum, transformed back,
+    copied into its rows of the output and clipped of its transform dust.
+    A block holds at most _FFT_BLOCK_CELLS transform cells shared out among
+    ``pool_threads()``, and the blocks run through ``map_blocks`` on at most
+    one thread per block, so a band that fits one block runs on the calling
+    thread. Every row comes out bitwise the same whatever the block or
+    thread.
     """
     n_out = vals.shape[-1] + len(weights) - 1
-    if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
-        return np.convolve(vals, weights)
+    if vals.ndim == 1:
+        if n_out < _FFT_THRESHOLD:
+            return np.convolve(vals, weights)
+        return convolve_lines(vals[np.newaxis], weights, spectrum)[0]
+    n_rows, n_vals = vals.shape
     n_fft = next_fast_len(n_out, real=True)
     if spectrum is None:
-        spectrum = rfft(weights, n_fft)
-
-    def transform(lines):
-        coef = rfft(lines, n_fft, axis=-1)
-        coef *= spectrum
-        return irfft(coef, n_fft, axis=-1)[..., :n_out]
-
-    threads = 1 if pool is None else pool.threads
-    step = max(_FFT_BLOCK_CELLS // threads // n_fft, 1)
-    if vals.ndim == 1 or len(vals) <= step:
-        out = transform(vals)
-        np.clip(out, 0.0, None, out=out)
-        return out
-    n_rows, n_vals = vals.shape
+        spectrum = line_spectrum(weights, n_vals)
+    step = min(max(_FFT_BLOCK_CELLS // pool_threads() // n_fft, 1), n_rows)
     out = np.empty((n_rows, n_out))
-    # one (zero-padded lines, coefficients, inverse) set per thread; a block
-    # takes a free set and puts it back. Pad columns stay zero throughout.
-    free = queue.SimpleQueue()
-    for _ in range(min(threads, -(-n_rows // step))):
-        free.put((np.zeros((step, n_fft)), np.empty((step, n_fft // 2 + 1), complex),
-                  np.empty((step, n_fft))))
 
-    def block(a):
-        padded, coef, inverse = free.get()
+    def scratch():
+        # zero-padded lines, coefficients, inverse; pad columns stay zero
+        return (np.zeros((step, n_fft)), np.empty((step, n_fft // 2 + 1), complex),
+                np.empty((step, n_fft)))
+
+    def block(a, bufs):
+        padded, coef, inverse = bufs
         k = min(step, n_rows - a)
-        try:
-            padded[:k, :n_vals] = vals[a:a + k]
-            _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
-            coef[:k] *= spectrum
-            _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
-            rows = out[a:a + k]
-            rows[...] = inverse[:k, :n_out]
-            np.clip(rows, 0.0, None, out=rows)
-        finally:
-            free.put((padded, coef, inverse))
+        padded[:k, :n_vals] = vals[a:a + k]
+        _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
+        coef[:k] *= spectrum
+        _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
+        rows = out[a:a + k]
+        rows[...] = inverse[:k, :n_out]
+        np.clip(rows, 0.0, None, out=rows)
 
-    for _ in (map if pool is None else pool.map)(block, range(0, n_rows, step)):
-        pass
+    starts = range(0, n_rows, step)
+    map_blocks(block, starts, pool_threads(len(starts)), scratch)
     return out
 
 

@@ -73,12 +73,11 @@ def single_point_config(tmp_path, location=2.0, r=1e-3):
 
 
 def transform_threads(monkeypatch):
-    """Patch the forward transforms ``convolve_lines`` calls (``rfft`` for
-    one block, ``_r2c`` for each of several) to collect the ids of the
-    threads that call them; returns the set."""
+    """Patch ``_r2c``, the forward transform of each block of lines in
+    ``convolve_lines`` (``rfft`` runs only in ``line_spectrum``, on the
+    caller), to collect the ids of the threads that call it; returns the set."""
     seen = set()
-    for name in ("rfft", "_r2c"):
-        fn = getattr(mixed_dist, name)
-        monkeypatch.setattr(mixed_dist, name, lambda *a, _fn=fn, **k: (
-            seen.add(threading.get_ident()), _fn(*a, **k))[1])
+    r2c = mixed_dist._r2c
+    monkeypatch.setattr(mixed_dist, "_r2c", lambda *a, **k: (
+        seen.add(threading.get_ident()), r2c(*a, **k))[1])
     return seen

@@ -662,7 +662,7 @@ def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):
     assert threading.active_count() == baseline
 
 
-def test_run_joins_its_pool_on_return_and_on_mass_loss(monkeypatch):
+def test_run_joins_every_pool_on_return_and_on_mass_loss(monkeypatch):
     seen = _on_threads(monkeypatch, 2, 1)  # one-row blocks
     baseline = threading.active_count()
     run(parse_feeder(CONFIG4), CFG)

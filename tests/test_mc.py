@@ -218,6 +218,7 @@ LINEAR_DIGESTS = sorted(k for k, v in STREAM_DIGESTS.items() if not v[2])
 def _run_on(monkeypatch, cores, spec, config):
     """run_mc as on a host with ``cores`` CPUs; returns it and the batch threads."""
     monkeypatch.setattr(mixed_dist, "_cores", lambda: cores)
+    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(cores, mixed_dist._MAX_THREADS))
     seen = set()
     draw = mc_oracle._uniforms_into
     monkeypatch.setattr(mc_oracle, "_uniforms_into",
@@ -256,6 +257,7 @@ def test_thread_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
         emp, seen = _run_on(monkeypatch, 8, spec, config)
     finally:
         sys.setswitchinterval(interval)
+    assert mc_oracle.batch_plan(spec.n, config) == (1_000, 8)
     assert len(seen) > 1
     assert emp.samples.tobytes() == serial.samples.tobytes()
     assert threading.active_count() == baseline

@@ -12,7 +12,6 @@ from scipy.fft import next_fast_len
 from helpers import transform_threads
 from vdropstat import mixed_dist
 from vdropstat.mixed_dist import (
-    BlockPool,
     DropDistribution,
     Grid1D,
     JointLattice,
@@ -96,17 +95,43 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     spectrum = line_spectrum(weights, 300)
     seen = transform_threads(monkeypatch)
     for threads in (1, 2, 4):
-        with BlockPool(threads) as pool:
-            for rows in (1, 3, 8):
-                monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * n_fft)
-                seen.clear()
-                assert np.array_equal(convolve_lines(band, weights, spectrum, pool), whole)
-                # one thread transforms on the caller, more on the pool alone
-                assert (seen == {threading.get_ident()}) == (threads == 1)
-                assert len(seen) <= threads
+        monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
+        monkeypatch.setattr(mixed_dist, "_MAX_THREADS", threads)
+        for rows in (1, 3, 8):
+            # the block's cells are shared out among the threads
+            monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * threads * n_fft)
+            seen.clear()
+            assert np.array_equal(convolve_lines(band, weights, spectrum), whole)
+            # one thread transforms on the caller, more on the pool alone
+            assert (seen == {threading.get_ident()}) == (threads == 1)
+            assert len(seen) <= threads
     # a lone line on the transform path keeps its 1D shape
     line = rng.random(5000)
     assert convolve_lines(line, weights).shape == (5044,)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_blocks_allocates_on_the_caller(threads):
+    # the scratch sets are made on the calling thread, one per thread, so no
+    # pool thread allocates; one thread runs every call on the caller
+    caller = threading.get_ident()
+    made, calls = [], []
+
+    def scratch():
+        made.append(threading.get_ident())
+        return [len(made)]
+
+    def fn(start, bufs):
+        calls.append((start, threading.get_ident(), bufs[0]))
+
+    baseline = threading.active_count()
+    mixed_dist.map_blocks(fn, range(0, 40, 4), threads, scratch)
+    assert made == [caller] * threads
+    assert sorted(start for start, _, _ in calls) == list(range(0, 40, 4))
+    assert {bufs for _, _, bufs in calls} <= set(range(1, threads + 1))
+    if threads == 1:
+        assert {ident for _, ident, _ in calls} == {caller}
+    assert threading.active_count() == baseline
 
 
 # ---------------------------------------------------------------------------
