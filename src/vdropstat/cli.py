@@ -153,6 +153,9 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
             "d_step": lat.d_step,
             "d_cells": lat.d_cells,
             "stage_tail_budget": lat.stage_tail_budget,
+            "s_margin": lat.s_margin,
+            "d_margin": lat.d_margin,
+            "s_windows": [list(w) for w in lat.s_windows],
         },
         "threads": report.threads,
         "mass": {
@@ -177,6 +180,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
                 "cols": list(log.cols),
                 "masses": log.masses,
                 "phase_s": log.phase_s,
+                "minor_faults": log.minor_faults,
             }
             for log in report.stage_logs
         ],

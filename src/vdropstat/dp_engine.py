@@ -25,13 +25,19 @@ and the atoms' deposit rows) and lifts, convolves and deposits into it
 alone: a convolution along S never mixes rows. The shear moves whole runs
 of columns with equal integer shift floor(rho * S / d_step) at once into
 the next band, trimmed to its occupied rows, so no stage holds the full
-d_cells x s_cells lattice. Each distinct load's kernel is built once per
-run. The S-convolution (``convolve_lines``) cuts a band larger than one
-transform block into blocks of rows and transforms them on a thread pool
-(``pool_threads``: one thread per CPU, at most four) that lives for that
-one convolution. A row's transform does not depend on its block or
-thread, and the fold, the spill sums, the lift and the shear stay on the
-calling thread, so the thread count never changes a value. Atoms stay
+d_cells x s_cells lattice. The S-convolution (``convolve_lines``) writes
+each row's convolution straight back into its band row, shifted by the
+kernel's offset, and sums what falls off the lattice from one spill
+array. It cuts a band larger than one transform block into blocks of rows
+and transforms them on a thread pool (``pool_threads``: one thread per
+CPU, at most four) that lives for that one convolution. A row's transform
+and fold do not depend on its block or thread, and the spill sums, the
+lift and the shear stay on the calling thread, so the thread count never
+changes a value. Each run has one workspace (``_Workspace``): the kernel
+of each distinct load, built once, and the arrays a stage works in (the
+band, the transform blocks of each thread, the shear's blocks), which
+grow to the largest stage's and are reused by every later one. The states
+a stage returns own their arrays. Atoms stay
 exact and the zero line stays off the 2D grid, so point-mass feeders and
 the zero-drop probability suffer no discretization.
 All truncation (load tails, lattice boundary clips, shear overflow) is
@@ -47,11 +53,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform; stages then log no fault count
+    resource = None
+
 from .feeder_model import FeederSpec, LineSegment, LoadDensity, PointMass
 from .mixed_dist import (
     DropDistribution,
     JointLattice,
     JointState,
+    Scratch,
     convolve_lines,
     line_spectrum,
     marginal_drop,
@@ -110,6 +122,9 @@ class StageLog:
     masses: dict[str, float] = field(default_factory=dict)
     # seconds per phase: kernel, lift, convolve, shear, lines (assembly)
     phase_s: dict[str, float] = field(default_factory=dict)
+    # minor page faults of the whole process (pool threads too) during the
+    # stage; None where the platform has no ``resource`` module
+    minor_faults: int | None = None
 
 
 @dataclass(eq=False)
@@ -146,7 +161,8 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
     quantile windows at the stage budget. The S domain is their union,
     padded and snapped so S = 0 is a cell edge; the D top bounds the drop
     by sum_j rho_j * max(0, hi_j), which the recursion cannot exceed
-    outside the logged tail events.
+    outside the logged tail events. The windows and the margins reserved
+    beyond them are recorded on the lattice.
     """
     config = config or DpConfig()
     n = spec.n
@@ -223,6 +239,9 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
         d_step=d_max / max(config.grid_delta - m_d, 1),
         d_cells=config.grid_delta,
         stage_tail_budget=budget,
+        s_margin=m_s,
+        d_margin=m_d,
+        s_windows=tuple(zip(s_lo.tolist(), s_hi.tolist())),
     )
 
 
@@ -294,18 +313,6 @@ def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _fold_last(dest: np.ndarray, src: np.ndarray, k0: int) -> float:
-    """dest[..., t + k0] += src[..., t]; returns the out-of-range value sum."""
-    n = dest.shape[-1]
-    width = src.shape[-1]
-    lo = max(0, -k0)
-    hi = min(width, n - k0)
-    if hi <= lo:
-        return float(src.sum())
-    dest[..., k0 + lo:k0 + hi] += src[..., lo:hi]
-    return float(src[..., :lo].sum() + src[..., hi:].sum())
-
-
 def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float) -> float:
     """dest += src shifted by a real number of cells, split over the two
     straddled integer shifts. Returns the clipped value sum."""
@@ -337,8 +344,10 @@ def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: flo
     """
     mid, fm = fine
     k0, w = _split_onto((mid + shift - lat.s_lo) / lat.s_step - 0.5, fm)
+    lo, hi = max(0, -k0), min(len(w), lat.s_cells - k0)  # weights that land on the lattice
     vals = np.zeros(lat.s_cells)
-    _fold_last(vals, w, k0)
+    if hi > lo:
+        vals[k0 + lo:k0 + hi] = w[lo:hi]
     vals *= mass
     return vals, mass - float(vals.sum())
 
@@ -388,7 +397,7 @@ def _lift_diag(diag: np.ndarray, slope: float,
 _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
 
 
-def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
+def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice, scratch: Scratch
                   ) -> tuple[np.ndarray | None, int, np.ndarray, float, tuple[int, int]]:
     """Shear D -> D + rho * S with clipping at zero, on a band of D rows.
 
@@ -406,7 +415,8 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
     stays on the grid; its first row; per-column mass clipped to the zero
     line; mass lost over the top; the occupied columns [c_lo, c_hi) of
     ``band``, (0, 0) when it is empty). Only negative-S columns can feed
-    the zero line.
+    the zero line. Each block and its moved rows are arrays of ``scratch``;
+    the new band is a new array.
     """
     m_d = lat.d_cells
     n_b, n_s = band.shape
@@ -421,6 +431,8 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
     g = rho * lat.s_centers() / lat.d_step
     base = np.floor(g).astype(int)
     frac = g - base
+    stay = 1.0 - frac
+    shifts = base.tolist()
     run_starts = np.flatnonzero(np.diff(base)) + 1
     out_r0 = max(r0 + int(base[c_lo:c_hi].min()), 0)
     out_r1 = min(r1 + int(base[c_lo:c_hi].max()) + 1, m_d)
@@ -428,13 +440,15 @@ def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice
     width = max(_SHEAR_BLOCK_CELLS // n_b, 16)
     for c0 in range(c_lo, c_hi, width):
         c1 = min(c0 + width, c_hi)
-        block = band[:, c0:c1].T.copy()  # block[i - c0] is column i
+        block = scratch.array("shear_block", (c1 - c0, n_b))
+        block[...] = band[:, c0:c1].T  # block[i - c0] is column i
         o0 = max(r0 + int(base[c0:c1].min()), 0)
         o1 = min(r1 + int(base[c0:c1].max()) + 1, m_d)
-        moved = np.zeros((c1 - c0, max(o1 - o0, 0)))
+        moved = scratch.array("shear_moved", (c1 - c0, max(o1 - o0, 0)))
+        moved[...] = 0.0
         inner = run_starts[(run_starts > c0) & (run_starts < c1)].tolist()
         for a, b in zip([c0, *inner], [*inner, c1]):
-            for w, sh in ((1.0 - frac[a:b], int(base[a])), (frac[a:b], int(base[a]) + 1)):
+            for w, sh in ((stay[a:b], shifts[a]), (frac[a:b], shifts[a] + 1)):
                 if not w.any():
                     continue
                 lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
@@ -474,36 +488,58 @@ class _PhaseClock:
         self.last = now
 
 
-_KernelCache = dict[LoadDensity, _Kernel]  # the lattice is fixed within a run
+class _Workspace(Scratch):
+    """What one run keeps from stage to stage: the kernel cache and the
+    stage scratch.
+
+    The lattice is fixed within a run, so each distinct load's kernel is
+    built once. The scratch arrays (the stage's band, the S-convolution's
+    block arrays, one set per thread, and the shear's block and moved rows)
+    grow to the largest stage's and every stage reuses them, so a stage
+    maps no new memory for them. A state never holds one of them: its
+    ``pc``, ``line`` and atoms are new arrays.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.kernels: dict[LoadDensity, _Kernel] = {}
+
+    def kernel(self, load: LoadDensity, lat: JointLattice) -> _Kernel:
+        kernel = self.kernels.get(load)
+        if kernel is None:
+            kernel = self.kernels[load] = _build_kernel(load, lat)
+        return kernel
 
 
-def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float) -> float:
+def _minor_faults() -> int | None:
+    """Minor page faults of the whole process so far; None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace) -> float:
     """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
 
     ``vals`` is a block of band rows (2D) or the zero line (1D). A
-    continuous load folds in its convolution; a point load shifts ``vals``
-    by its location.
+    continuous load's convolution is folded straight into ``vals``; a point
+    load shifts ``vals`` by its location.
     """
     if kernel.weights is not None:
-        src = convolve_lines(vals, kernel.weights, kernel.spectrum)
-        vals[...] = 0.0
-        return _fold_last(vals, src, kernel.k0)
+        return convolve_lines(vals, kernel.weights, kernel.k0, kernel.spectrum, ws)
     src = vals.copy()
     vals[...] = 0.0
     return _shift_last(vals, src, kernel.shift / h_s)
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig, kernels: _KernelCache) -> tuple[JointState, StageLog]:
+                 config: DpConfig, ws: _Workspace) -> tuple[JointState, StageLog]:
     """Advance one bus toward the substation; see the module docstring."""
+    faults = _minor_faults()
     clock = _PhaseClock()
     lat = state.lattice
     h_s = lat.s_step
     cell = h_s * lat.d_step
     rho = segment.rho
-    kernel = kernels.get(load)
-    if kernel is None:
-        kernel = kernels[load] = _build_kernel(load, lat)
+    kernel = ws.kernel(load, lat)
     clock.lap("kernel")
     zero, diag = state.hinge_sides()
     masses = {"grid": state.pc_mass(), "zero": zero.mass(), "diag": diag.mass(),
@@ -523,18 +559,23 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         spans += [(row, row + 1) for da in d if da > 0.0
                   for row, _ in _row_weights(da, lat) if row < lat.d_cells]
     r0, r1 = _span(spans)
-    band = np.zeros((r1 - r0, lat.s_cells))
+    band = ws.array("band", (r1 - r0, lat.s_cells))
+    p0 = p1 = 0  # the state's rows in the band
     if state.pc is not None:
-        band[state.pc_r0 - r0:state.pc_r0 - r0 + len(state.pc)] = state.pc
+        p0 = state.pc_r0 - r0
+        p1 = p0 + len(state.pc)
+        band[p0:p1] = state.pc
+    band[:p0] = 0.0
+    band[p1:] = 0.0
     np.add.at(band, (rows - r0, cols), dens)
     clock.lap("lift")
 
     # ---- convolve: grid rows (band, zero line) ----
     if g1 > g0:
-        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s) * cell
+        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s, ws) * cell
     z_vals = zero.values.copy()
     if z_vals.any():
-        spill += _convolve_grid(z_vals, kernel, h_s) * h_s
+        spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
 
     # ---- convolve: atoms (s, d, m) ----
     if kernel.weights is None:
@@ -557,7 +598,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     # ---- shear: D -> max(0, D + rho * S) ----
     pc, pc_r0, cols = None, 0, (0, 0)
     if r1 > r0:
-        pc, pc_r0, zero_gain, top, cols = _shear_canvas(band, r0, rho, lat)
+        pc, pc_r0, zero_gain, top, cols = _shear_canvas(band, r0, rho, lat, ws)
         spill += top
         z_vals += zero_gain / h_s
     d = np.maximum(0.0, d + rho * s)
@@ -590,6 +631,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         cols=cols,
         masses=masses,
         phase_s=clock.phases,
+        minor_faults=None if faults is None else _minor_faults() - faults,
     )
     return new_state, log
 
@@ -600,9 +642,9 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     t0 = time.perf_counter()
     state = JointState.terminal(plan_lattice(spec, config), stage=spec.n)
     logs: list[StageLog] = []
-    kernels: _KernelCache = {}  # one kernel per distinct load, for this run only
+    ws = _Workspace()  # for this run only
     for j in range(spec.n - 1, -1, -1):
-        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, kernels)
+        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
         logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:

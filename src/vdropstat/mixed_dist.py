@@ -23,6 +23,7 @@ every line cell on exactly one side of the hinge. D cell edges sit at
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import queue
@@ -42,6 +43,7 @@ __all__ = [
     "DropDistribution",
     "pool_threads",
     "map_blocks",
+    "Scratch",
     "convolve_lines",
     "line_spectrum",
     "marginal_drop",
@@ -241,53 +243,112 @@ def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
     return rfft(weights, next_fast_len(n_vals + len(weights) - 1, real=True))
 
 
-def convolve_lines(vals: np.ndarray, weights: np.ndarray,
-                   spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Full linear convolution of ``vals`` with ``weights`` along the last axis.
+class Scratch:
+    """Named arrays kept from call to call, so that repeated work of a similar
+    size maps no new memory.
 
-    ``vals`` is one line (1D) or a band of lines (2D, one per row). A single
-    line with fewer than 4096 output cells is summed directly. Everything
-    else is transformed as blocks of rows, reusing ``spectrum`` (from
-    ``line_spectrum`` for lines of this length) when given: each block is
-    zero-padded, transformed, multiplied by the spectrum, transformed back,
-    copied into its rows of the output and clipped of its transform dust.
-    A block holds at most _FFT_BLOCK_CELLS transform cells shared out among
-    ``pool_threads()``, and the blocks run through ``map_blocks`` on at most
-    one thread per block, so a band that fits one block runs on the calling
-    thread. Every row comes out bitwise the same whatever the block or
-    thread.
+    ``array(name, shape)`` hands out the first prod(shape) cells of the named
+    array as that shape. An array is allocated again only when a request
+    outgrows it, so each grows to the largest request. Its cells hold
+    whatever the last user left there.
     """
-    n_out = vals.shape[-1] + len(weights) - 1
-    if vals.ndim == 1:
-        if n_out < _FFT_THRESHOLD:
-            return np.convolve(vals, weights)
-        return convolve_lines(vals[np.newaxis], weights, spectrum)[0]
-    n_rows, n_vals = vals.shape
-    n_fft = next_fast_len(n_out, real=True)
-    if spectrum is None:
-        spectrum = line_spectrum(weights, n_vals)
-    step = min(max(_FFT_BLOCK_CELLS // pool_threads() // n_fft, 1), n_rows)
-    out = np.empty((n_rows, n_out))
 
-    def scratch():
-        # zero-padded lines, coefficients, inverse; pad columns stay zero
-        return (np.zeros((step, n_fft)), np.empty((step, n_fft // 2 + 1), complex),
-                np.empty((step, n_fft)))
+    def __init__(self):
+        self._arrays: dict = {}
 
-    def block(a, bufs):
-        padded, coef, inverse = bufs
-        k = min(step, n_rows - a)
-        padded[:k, :n_vals] = vals[a:a + k]
-        _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
-        coef[:k] *= spectrum
-        _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
-        rows = out[a:a + k]
-        rows[...] = inverse[:k, :n_out]
-        np.clip(rows, 0.0, None, out=rows)
+    def array(self, name, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
-    starts = range(0, n_rows, step)
-    map_blocks(block, starts, pool_threads(len(starts)), scratch)
-    return out
+
+def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
+                   spectrum: np.ndarray | None = None,
+                   scratch: Scratch | None = None) -> float:
+    """Convolve ``vals`` with ``weights`` along the last axis, folded back in place.
+
+    ``vals`` is one line (1D) or a band of lines (2D, one per row). Cell t of
+    a line's full linear convolution (n_vals + len(weights) - 1 cells) lands
+    on the line's cell t + k0 and overwrites it; cells of the line that no
+    output cell reaches become zero. Returns the value sum of the output
+    cells that land outside the line. A single line with fewer than 4096
+    output cells is summed directly. Everything else is transformed as
+    blocks of rows, reusing ``spectrum`` (from ``line_spectrum`` for lines of
+    this length) when given: each block is zero-padded, transformed,
+    multiplied by the spectrum, transformed back and clipped of its
+    transform dust. A block holds at most _FFT_BLOCK_CELLS transform cells
+    shared out among ``pool_threads()``, and the blocks run through
+    ``map_blocks`` on at most one thread per block, so a band that fits one
+    block runs on the calling thread. Each thread's block arrays come from
+    ``scratch`` (a fresh one when None). Every row comes out bitwise the same
+    whatever the block or thread.
+
+    A block writes its kept cells straight into its rows of ``vals`` and
+    copies the rest into one spill array of all rows, whose two parts are
+    summed once every block is done. Each part is a strided view, like the
+    out-of-line columns of a whole rows x n_out output, so the sum runs in
+    the same order as over those columns.
+    """
+    lines = vals if vals.ndim == 2 else vals[np.newaxis]
+    n_rows, n_vals = lines.shape
+    n_out = n_vals + len(weights) - 1
+    lo, hi = max(0, -k0), min(n_out, n_vals - k0)  # output cells [lo, hi) stay on the line
+    whole = hi <= lo  # no output cell stays: the whole output spills, summed as one array
+    if whole:
+        lo = hi = n_out
+    d0 = 0 if whole else k0 + lo
+    d1 = d0 + hi - lo
+    n_tail = n_out - hi
+    # one spare column keeps both parts of a partial spill strided views
+    spill = np.empty((n_rows, lo + n_tail + (not whole)))
+
+    def fold(a, full):
+        """Write the output rows ``full`` of lines a, a + 1, ... into them and the spill."""
+        k = len(full)
+        rows = lines[a:a + k]
+        rows[:, :d0] = 0.0
+        np.add(full[:, lo:hi], 0.0, out=rows[:, d0:d1])  # as a sum into zeros: -0.0 becomes 0.0
+        rows[:, d1:] = 0.0
+        spill[a:a + k, :lo] = full[:, :lo]
+        spill[a:a + k, lo:lo + n_tail] = full[:, hi:]
+
+    if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
+        fold(0, np.convolve(vals, weights)[np.newaxis])
+    else:
+        n_fft = next_fast_len(n_out, real=True)
+        if spectrum is None:
+            spectrum = line_spectrum(weights, n_vals)
+        if scratch is None:
+            scratch = Scratch()
+        step = min(max(_FFT_BLOCK_CELLS // pool_threads() // n_fft, 1), n_rows)
+        ids = itertools.count()
+
+        def block_set():
+            # zero-padded lines, coefficients, inverse of one thread
+            i = next(ids)
+            padded = scratch.array(("padded", i), (step, n_fft))
+            padded[:, n_vals:] = 0.0  # the pad columns stay zero for this call
+            return (padded, scratch.array(("coef", i), (step, n_fft // 2 + 1), complex),
+                    scratch.array(("inverse", i), (step, n_fft)))
+
+        def block(a, bufs):
+            padded, coef, inverse = bufs
+            k = min(step, n_rows - a)
+            padded[:k, :n_vals] = lines[a:a + k]
+            _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
+            coef[:k] *= spectrum
+            _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
+            full = inverse[:k, :n_out]
+            np.clip(full, 0.0, None, out=full)
+            fold(a, full)
+
+        starts = range(0, n_rows, step)
+        map_blocks(block, starts, pool_threads(len(starts)), block_set)
+    if whole:
+        return float(spill.sum())
+    return float(spill[:, :lo].sum() + spill[:, lo:lo + n_tail].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +363,11 @@ class JointLattice:
     S edges at ``(s_base + j) * s_step`` for j = 0..s_cells (so S = 0 is an
     edge whenever s_base <= 0 <= s_base + s_cells), D edges at ``j * d_step``.
     ``stage_tail_budget`` records the per-stage truncation tolerance the
-    domain was sized for.
+    domain was sized for. The rest records how ``plan_lattice`` sized it and
+    sets no geometry: ``s_margin`` cells reserved beyond the S windows at
+    each end of the S axis, ``d_margin`` cells reserved at the top of the D
+    axis, and ``s_windows[j]``, the (lo, hi) quantile window of stage j's
+    through-flow at the stage budget, padded by a few planning cells.
     """
 
     s_base: int
@@ -311,6 +376,9 @@ class JointLattice:
     d_step: float
     d_cells: int
     stage_tail_budget: float = 1e-6
+    s_margin: int = 0
+    d_margin: int = 0
+    s_windows: tuple[tuple[float, float], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.s_step <= 0 or self.d_step <= 0:

@@ -101,11 +101,17 @@ def test_analyze_outputs(tmp_path, monkeypatch):
         assert 0 <= c0 <= c1 <= payload["lattice"]["s_cells"]
         assert (c1 > c0) == (r1 > r0)  # a band with rows has occupied columns
         assert set(stage["masses"]) == {"grid", "zero", "diag", "atoms"}
+        assert isinstance(stage["minor_faults"], int) and stage["minor_faults"] >= 0
     lat = payload["lattice"]
     assert lat["s_cells"] >= 256 and lat["d_cells"] == 256
     assert lat["s_step"] > 0.0 and lat["d_step"] > 0.0
     assert lat["s_base"] < 0 < lat["s_base"] + lat["s_cells"]  # feeder4 injects
     assert 0.0 < lat["stage_tail_budget"] < payload["config"]["tail_tol"]
+    assert lat["s_margin"] == lat["d_margin"] == 6  # ceil(3 sqrt(4)) cells
+    assert len(lat["s_windows"]) == 4  # one [lo, hi] per stage, stage 0 first
+    s_lo = (lat["s_base"] + lat["s_margin"]) * lat["s_step"]
+    s_hi = (lat["s_base"] + lat["s_cells"] - lat["s_margin"]) * lat["s_step"]
+    assert all(s_lo < lo < hi < s_hi for lo, hi in lat["s_windows"])
     assert payload["threads"] == 3  # one per CPU, on a host that has three
     # the first stage starts from the (0, 0) atom: no 2D grid yet
     assert payload["stages"][0]["rows"] == [0, 0]

@@ -49,8 +49,9 @@ def _terminal(spec, config):
 
 
 def _step(state, spec, j, config):
-    """Apply bus j's stage alone, with a kernel cache of its own."""
-    return dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, {})[0]
+    """Apply bus j's stage alone, with a workspace of its own."""
+    return dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config,
+                                  dp_engine._Workspace())[0]
 
 
 def test_config_validation():
@@ -304,7 +305,8 @@ SHEAR_CASES = [(0.0, 0.5), (0.13, 0.5), (0.9, 0.5), (2.7, 0.5), (1.0, 0.5), (0.0
 def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
     cell = lat.s_step * lat.d_step
     want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
-    band, o0, zero_gain, top, cols = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat)
+    band, o0, zero_gain, top, cols = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat,
+                                                             mixed_dist.Scratch())
     occupied = np.flatnonzero(canvas.any(axis=0))
     assert cols == ((int(occupied[0]), int(occupied[-1]) + 1) if len(occupied) else (0, 0))
     if band is not None:
@@ -351,7 +353,7 @@ def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
     band = np.zeros((2, 30))
     band[:, 2:6] = 1.0  # rows 3 and 4, S < 0 columns pushed far below zero
-    out, _, zero_gain, top, cols = dp_engine._shear_canvas(band, 3, 5.0, lat)
+    out, _, zero_gain, top, cols = dp_engine._shear_canvas(band, 3, 5.0, lat, mixed_dist.Scratch())
     assert out is None and top == 0.0
     assert cols == (2, 6)
     assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
@@ -363,14 +365,18 @@ def test_band_limited_convolution_equals_full_canvas():
     for cols, r0, r1 in ((300, 40, 90), (5000, 0, 3)):
         canvas = np.zeros((128, cols))
         canvas[r0:r1] = rng.random((r1 - r0, cols))
-        full = convolve_lines(canvas, weights)
-        band = convolve_lines(canvas[r0:r1], weights)
+        # output cell t folds onto cell t - 5
+        direct = np.array([np.convolve(row, weights)[5:5 + cols] for row in canvas[r0:r1]])
+        full = canvas.copy()
+        band = canvas[r0:r1].copy()
+        convolve_lines(full, weights, -5)
+        convolve_lines(band, weights, -5)
         assert not full[:r0].any() and not full[r1:].any()
         assert np.array_equal(full[r0:r1], band)
-        direct = np.array([np.convolve(row, weights) for row in canvas[r0:r1]])
         assert np.abs(band - direct).max() <= 1e-12 * direct.max()
         # a line of the band matches the 1D call with the kernel's cached transform
-        one = convolve_lines(canvas[r0], weights, line_spectrum(weights, cols))
+        one = canvas[r0].copy()
+        convolve_lines(one, weights, -5, line_spectrum(weights, cols))
         assert np.abs(one - direct[0]).max() <= 1e-12 * direct.max()
 
 
@@ -410,7 +416,7 @@ def test_fine_law_built_once_per_distinct_load(monkeypatch):
     assert len(calls) == 2
 
 
-def test_stage_logs_carry_phases_and_row_band():
+def test_stage_logs_carry_phases_and_row_band(monkeypatch):
     rep = run(reference_spec(), CFG)
     first, *rest = rep.stage_logs
     assert first.rows == (0, 0)  # the starting atom has no 2D grid
@@ -418,10 +424,30 @@ def test_stage_logs_carry_phases_and_row_band():
         assert set(log.phase_s) <= {"kernel", "lift", "convolve", "shear", "lines"}
         assert all(v >= 0.0 for v in log.phase_s.values())
         assert sum(log.phase_s.values()) == pytest.approx(log.seconds, rel=1e-9)
+        assert isinstance(log.minor_faults, int) and log.minor_faults >= 0
     for log in rest:
         r0, r1 = log.rows
         assert 0 <= r0 < r1 <= rep.lattice.d_cells
     assert rep.stage_logs[-1].rows[1] < rep.lattice.d_cells
+    # a platform without the resource module logs no fault count
+    monkeypatch.setattr(dp_engine, "resource", None)
+    assert all(log.minor_faults is None for log in run(reference_spec(), CFG).stage_logs)
+
+
+def test_plan_records_windows_and_margins():
+    spec = reference_spec(n=16)
+    lat = plan_lattice(spec, CFG)
+    assert lat.s_margin == lat.d_margin == 12  # ceil(3 sqrt(16)) cells
+    assert len(lat.s_windows) == spec.n
+    assert all(lo < hi for lo, hi in lat.s_windows)
+    # the S margins lie beyond every window, the D margin above the drop bound
+    assert lat.s_lo + lat.s_margin * lat.s_step < min(lo for lo, _ in lat.s_windows)
+    assert lat.s_hi - lat.s_margin * lat.s_step > max(hi for _, hi in lat.s_windows)
+    bound = sum(r * max(hi, 0.0) for r, (_, hi) in zip(spec.rho, lat.s_windows))
+    assert (lat.d_cells - lat.d_margin) * lat.d_step >= bound
+    # the flow through the first segment sums every load: its window is the widest
+    widths = [hi - lo for lo, hi in lat.s_windows]
+    assert widths[0] == max(widths)
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -570,10 +596,9 @@ def test_state_regression(name):
 def _stages(spec, config):
     """Yield (state stepped, its stage log, next state) over a whole run."""
     state = _terminal(spec, config)
-    kernels = {}
+    ws = dp_engine._Workspace()
     for j in range(spec.n - 1, -1, -1):
-        new, log = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config,
-                                          kernels)
+        new, log = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
         yield state, log, new
         state = new
 
@@ -603,19 +628,51 @@ def test_stage_holds_no_full_canvas():
     # stepping it must stay under one 1024^2 canvas (8.4 MB)
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
-    kernels = {}
+    ws = dp_engine._Workspace()
     state, _ = dp_engine._apply_stage(_terminal(spec, config), spec.loads[63],
-                                      spec.segments[63], config, kernels)
+                                      spec.segments[63], config, ws)
     lat = state.lattice
     tracemalloc.start()
     try:
-        _, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config,
-                                        kernels)
+        _, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert log.rows == (0, 6)
     assert peak < 8 * lat.d_cells * lat.s_cells
+
+
+def test_warm_workspace_steps_a_stage_in_its_own_arrays():
+    # once the workspace holds a stage's band, transform blocks and shear
+    # blocks, stepping that stage again allocates its new band and less than
+    # half a band besides (a fresh band and a full rows x n_out convolution
+    # output per stage came to over four bands more)
+    spec = reference_spec(n=64)
+    config = DpConfig(grid_s=512, grid_delta=512)
+    ws = dp_engine._Workspace()
+    state = _terminal(spec, config)
+    for j in range(63, 20, -1):
+        state, _ = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
+    first, _ = dp_engine._apply_stage(state, spec.loads[20], spec.segments[20], config, ws)
+    tracemalloc.start()
+    try:
+        again, log = dp_engine._apply_stage(state, spec.loads[20], spec.segments[20], config,
+                                            ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 8 * (log.rows[1] - log.rows[0]) * state.lattice.s_cells
+    assert band > 1 << 20
+    assert peak < again.pc.base.nbytes + band // 2  # the new band, before its trim
+    assert _digest(again) == _digest(first)
+
+
+@pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "free-atoms"])
+def test_stepped_states_keep_their_digests(name):
+    # no state holds a workspace array, so later stages leave it as it was
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    seen = [(st, _digest(st)) for _, _, st in _stages(spec, config)]
+    assert [_digest(st) for st, _ in seen] == [digest for _, digest in seen]
 
 
 # ---------------------------------------------------------------------------

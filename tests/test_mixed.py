@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 from helpers import transform_threads
 from vdropstat import mixed_dist
@@ -60,9 +60,11 @@ def test_grid_clamps_arithmetic_dust():
 
 def test_convolve_uniforms_gives_triangle():
     h = 1.0 / 512
-    tri = convolve_lines(np.ones(512), np.ones(512)) * h  # density of U + U
+    tri = np.zeros(1023)
+    tri[:512] = 1.0
+    assert convolve_lines(tri, np.ones(512), 0) == 0.0  # U + U fits the 1023 cells
+    tri *= h  # density of U + U
     centers = (np.arange(len(tri)) + 1.0) * h
-    assert len(tri) == 1023
     assert tri.sum() * h == pytest.approx(1.0, abs=1e-12)
     i = int(np.argmax(tri))
     assert tri[i] == pytest.approx(1.0, abs=5e-3)
@@ -79,7 +81,10 @@ def test_convolve_fft_path_matches_direct():
     vb = rng.uniform(0.0, 1.0, 3000)
     va /= va.sum() * h
     vb /= vb.sum() * h
-    big = convolve_lines(va, vb) * h  # 5999 output cells: transform path
+    big = np.zeros(5999)
+    big[:3000] = va
+    assert convolve_lines(big, vb, 0) < 1e-9  # 8998 output cells: transform path
+    big *= h
     direct = np.convolve(va, vb) * h
     assert np.abs(big - direct).max() < 1e-9
     assert big.sum() * h == pytest.approx(1.0, abs=1e-9)
@@ -90,7 +95,9 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     band = rng.random((37, 300))
     band[:, :100] = 0.0
     weights = rng.random(45)
-    whole = convolve_lines(band, weights)  # one block at the default size
+    k0 = -7  # output cells spill off both ends
+    whole = band.copy()
+    spill = convolve_lines(whole, weights, k0)  # one block at the default size
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
     spectrum = line_spectrum(weights, 300)
     seen = transform_threads(monkeypatch)
@@ -101,13 +108,112 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
             # the block's cells are shared out among the threads
             monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * threads * n_fft)
             seen.clear()
-            assert np.array_equal(convolve_lines(band, weights, spectrum), whole)
+            got = band.copy()
+            assert convolve_lines(got, weights, k0, spectrum) == spill
+            assert got.tobytes() == whole.tobytes()
             # one thread transforms on the caller, more on the pool alone
             assert (seen == {threading.get_ident()}) == (threads == 1)
             assert len(seen) <= threads
-    # a lone line on the transform path keeps its 1D shape
+    # a lone line on the transform path comes out as a band's row does
     line = rng.random(5000)
-    assert convolve_lines(line, weights).shape == (5044,)
+    row = line[np.newaxis].copy()
+    assert convolve_lines(line, weights, k0) == convolve_lines(row, weights, k0)
+    assert line.tobytes() == row[0].tobytes()
+
+
+def _full_convolution(vals, weights):
+    """The rows x n_out output ``convolve_lines`` returned before it folded
+    into the band: each line's full convolution, clipped of transform dust
+    on the transform path. Kept as the fold's oracle."""
+    n_out = vals.shape[-1] + len(weights) - 1
+    if vals.ndim == 1 and n_out < 4096:
+        return np.convolve(vals, weights)
+    n_fft = next_fast_len(n_out, real=True)
+    full = irfft(rfft(vals, n_fft, axis=-1) * rfft(weights, n_fft), n_fft, axis=-1)
+    return np.clip(full[..., :n_out], 0.0, None)
+
+
+def _fold_last(dest, src, k0):
+    """dest[..., t + k0] += src[..., t]; returns the out-of-range value sum.
+    The fold the engine ran on that output; kept with it as the oracle."""
+    n = dest.shape[-1]
+    width = src.shape[-1]
+    lo = max(0, -k0)
+    hi = min(width, n - k0)
+    if hi <= lo:
+        return float(src.sum())
+    dest[..., k0 + lo:k0 + hi] += src[..., lo:hi]
+    return float(src[..., :lo].sum() + src[..., hi:].sum())
+
+
+def _assert_fold_matches_oracle(vals, weights, k0, spectrum=None):
+    want = np.zeros_like(vals)
+    want_spill = _fold_last(want, _full_convolution(vals, weights), k0)
+    got = vals.copy()
+    spill = convolve_lines(got, weights, k0, spectrum)
+    assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+    assert spill.hex() == want_spill.hex()
+
+
+# (lines, line cells, kernel cells, k0): n_out = cells + kernel - 1 output
+# cells, of which [max(0, -k0), min(n_out, cells - k0)) stay on the line
+FOLD_CASES = {
+    "1D direct": (None, 300, 45, -7),
+    "1D transform": (None, 5000, 45, -7),
+    "one row": (1, 300, 45, -7),
+    "lo == 0": (9, 300, 45, 5),
+    "empty tail": (9, 300, 45, -50),
+    "nothing spills": (9, 300, 1, 0),
+    "all spill, right": (9, 300, 45, 300),
+    "all spill, left": (9, 300, 45, -344),
+    "1D all spill": (None, 300, 45, 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_fold_into_the_band_matches_the_full_output(case):
+    lines, cells, width, k0 = FOLD_CASES[case]
+    rng = np.random.default_rng(len(case))
+    vals = rng.random(cells if lines is None else (lines, cells))
+    vals[..., :cells // 4] = 0.0  # an empty stretch, as bands have
+    _assert_fold_matches_oracle(vals, rng.random(width), k0)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_fold_of_several_blocks_matches_the_full_output(monkeypatch, threads):
+    # blocks of 1-3 rows on 1, 2 and 4 threads, at random shapes and offsets;
+    # spills hundreds of cells wide, as at 2048^2, are where a sum over
+    # contiguous copies of the spilled columns would round differently
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
+    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", threads)
+    rng = np.random.default_rng(threads)
+    for _ in range(40):
+        rows = int(rng.integers(1, 12))
+        cells = int(rng.integers(20, 3000))
+        width = int(rng.integers(1, 2000))
+        n_out = cells + width - 1
+        k0 = int(rng.integers(-n_out - 3, cells + 3))
+        n_fft = next_fast_len(n_out, real=True)
+        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS",
+                            int(rng.integers(1, 4)) * threads * n_fft)
+        weights = rng.random(width)
+        vals = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
+        _assert_fold_matches_oracle(vals, weights, k0, line_spectrum(weights, cells))
+
+
+def test_fold_reuses_scratch_of_any_earlier_shape():
+    # arrays left by a larger, differently shaped call change no value
+    rng = np.random.default_rng(9)
+    scratch = mixed_dist.Scratch()
+    big = rng.random((50, 700))
+    convolve_lines(big, rng.random(90), -20, None, scratch)
+    vals = rng.random((7, 300))
+    weights = rng.random(45)
+    want = vals.copy()
+    spill = convolve_lines(want, weights, -7)
+    got = vals.copy()
+    assert convolve_lines(got, weights, -7, None, scratch) == spill
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 3])
