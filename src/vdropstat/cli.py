@@ -175,6 +175,7 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
                 "seconds": log.seconds,
                 "kernel_tail": log.kernel_tail,
                 "boundary_spill": log.boundary_spill,
+                "window_cut": log.window_cut,
                 "cumulative_lost": log.cumulative_lost,
                 "rows": list(log.rows),
                 "cols": list(log.cols),

@@ -22,9 +22,12 @@ One stage is one step over both carriers:
 
 A stage sizes one band up front (the state's rows, the lifted diagonal's
 and the atoms' deposit rows) and lifts, convolves and deposits into it
-alone: a convolution along S never mixes rows. The shear moves whole runs
-of columns with equal integer shift floor(rho * S / d_step) at once into
-the next band, trimmed to its occupied rows, so no stage holds the full
+alone: a convolution along S never mixes rows. It then trims the band to
+its budget window: the rows that hold all but half the stage budget b, at
+most b/4 cut from each end (the transform's dust would otherwise keep
+nearly every row occupied). The shear moves whole runs of columns of that
+window with equal integer shift floor(rho * S / d_step) at once into the
+next band, trimmed to its occupied rows, so no stage holds the full
 d_cells x s_cells lattice. The S-convolution (``convolve_lines``) writes
 each row's convolution straight back into its band row, shifted by the
 kernel's offset, and sums what falls off the lattice from one spill
@@ -35,14 +38,15 @@ and fold do not depend on its block or thread, and the spill sums, the
 lift and the shear stay on the calling thread, so the thread count never
 changes a value. Each run has one workspace (``_Workspace``): the kernel
 of each distinct load, built once, and the arrays a stage works in (the
-band, the transform blocks of each thread, the shear's blocks), which
+band, the transform blocks of each thread, a point load's shift
+buffers, the shear's blocks), which
 grow to the largest stage's and are reused by every later one. The states
 a stage returns own their arrays. Atoms stay
 exact and the zero line stays off the 2D grid, so point-mass feeders and
 the zero-drop probability suffer no discretization.
-All truncation (load tails, lattice boundary clips, shear overflow) is
-logged per stage; the run aborts when the accumulated loss blows past 100x
-the configured tolerance.
+All truncation (load tails, cut at b/2; trimmed rows; lattice boundary
+clips; shear overflow) is logged per stage; the run aborts when the
+accumulated loss blows past 100x the configured tolerance.
 """
 
 from __future__ import annotations
@@ -93,7 +97,10 @@ class DpConfig:
 
     grid_s / grid_delta count lattice cells per axis (the S axis may gain a
     couple of cells when its edges snap onto the integer lattice).
-    tail_tol is the per-run truncation budget; each stage gets tail_tol / N.
+    tail_tol is the per-run truncation budget. Each of the N stages gets
+    b = tail_tol / N, shared by the load's tail (at most b/2) and the D rows
+    trimmed before the shear (at most b/4 at each end); mass clipped at the
+    lattice edges is logged beside it.
     renormalize scales the final drop law back to total mass one.
     """
 
@@ -115,8 +122,9 @@ class StageLog:
     seconds: float
     kernel_tail: float      # mass dropped with the load-support truncation
     boundary_spill: float   # mass clipped at lattice edges and the drop top
+    window_cut: float       # mass of the D rows trimmed off before the shear
     cumulative_lost: float
-    rows: tuple[int, int] = (0, 0)  # the stage's D-row band [r0, r1)
+    rows: tuple[int, int] = (0, 0)  # the D-row window [r0, r1) the stage sheared
     cols: tuple[int, int] = (0, 0)  # the band's occupied S columns [c0, c1)
     # masses of the state the stage stepped: grid, zero side, diagonal side, atoms
     masses: dict[str, float] = field(default_factory=dict)
@@ -151,6 +159,14 @@ class DpReport:
 # ---------------------------------------------------------------------------
 # lattice planning
 # ---------------------------------------------------------------------------
+
+
+def _budget_window(sums: np.ndarray, cut: float) -> tuple[int, int]:
+    """Cells [lo, hi) of ``sums`` that leave under ``cut`` below lo and at
+    most ``cut`` from hi on; lo == hi when all of them hold under 2 * cut."""
+    cum = np.cumsum(sums)
+    lo = int(np.searchsorted(cum, cut))
+    return lo, max(lo, int(np.searchsorted(cum, cum[-1] - cut)) + 1)
 
 
 def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLattice:
@@ -189,17 +205,14 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
         k0, w = splits[load, h]
         masses = np.convolve(masses, w)
         origin += k0
-        cum = np.cumsum(masses)
-        total = cum[-1]
-        i_lo = int(np.searchsorted(cum, budget))
-        i_hi = int(np.searchsorted(cum, total - budget))
-        s_lo[j] = (origin + i_lo - 1) * h - 3.0 * h
-        s_hi[j] = (origin + i_hi + 1) * h + 3.0 * h
+        w0, w1 = _budget_window(masses, budget)
+        s_lo[j] = (origin + w0 - 1) * h - 3.0 * h
+        s_hi[j] = (origin + w1) * h + 3.0 * h
         # track the moving bulk at constant resolution: trim tails far below
         # the budget (coarsening h instead would freeze the drift of laws
         # whose per-stage mean shift is smaller than a cell)
-        t0 = int(np.searchsorted(cum, 1e-3 * budget))
-        t1 = max(int(np.searchsorted(cum, total - 1e-3 * budget)) + 1, t0 + 2)
+        t0, t1 = _budget_window(masses, 1e-3 * budget)
+        t1 = max(t1, t0 + 2)
         if t0 > 0 or t1 < len(masses):
             masses = masses[t0:t1]
             origin += t0
@@ -302,7 +315,7 @@ def _split_onto(positions: np.ndarray, masses: np.ndarray) -> tuple[int, np.ndar
 def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
     if isinstance(load, PointMass):
         return _Kernel(0, None, None, None, float(load.location), 0.0)
-    mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget)
+    mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget / 2)
     k0, w = _split_onto(mid / lat.s_step, masses)
     return _Kernel(k0, w, line_spectrum(w, lat.s_cells), (mid, masses), 0.0,
                    max(0.0, 1.0 - float(masses.sum())))
@@ -313,9 +326,10 @@ def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float) -> float:
+def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, scratch: Scratch) -> float:
     """dest += src shifted by a real number of cells, split over the two
-    straddled integer shifts. Returns the clipped value sum."""
+    straddled integer shifts, each weighted product formed in ``scratch``.
+    Returns the clipped value sum."""
     base = math.floor(cells)
     frac = cells - base
     n = src.shape[-1]
@@ -329,8 +343,9 @@ def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float) -> float:
             continue
         d0 = max(0, sh)
         s0 = max(0, -sh)
-        dest[..., d0:d0 + ln] += w * src[..., s0:s0 + ln]
-        spill += w * (float(src.sum()) - float(src[..., s0:s0 + ln].sum()))
+        part = src[..., s0:s0 + ln]
+        dest[..., d0:d0 + ln] += np.multiply(part, w, out=scratch.array("shift_w", part.shape))
+        spill += w * (float(src.sum()) - float(part.sum()))
     return spill
 
 
@@ -494,10 +509,11 @@ class _Workspace(Scratch):
 
     The lattice is fixed within a run, so each distinct load's kernel is
     built once. The scratch arrays (the stage's band, the S-convolution's
-    block arrays, one set per thread, and the shear's block and moved rows)
-    grow to the largest stage's and every stage reuses them, so a stage
-    maps no new memory for them. A state never holds one of them: its
-    ``pc``, ``line`` and atoms are new arrays.
+    block arrays, one set per thread, a point load's source rows and
+    weighted part, and the shear's block and moved rows) grow to the
+    largest stage's and every stage reuses them, so a stage maps no new
+    memory for them. A state never holds one of them: its ``pc``, ``line``
+    and atoms are new arrays.
     """
 
     def __init__(self):
@@ -525,9 +541,10 @@ def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace
     """
     if kernel.weights is not None:
         return convolve_lines(vals, kernel.weights, kernel.k0, kernel.spectrum, ws)
-    src = vals.copy()
+    src = ws.array("shift_src", vals.shape)
+    src[...] = vals
     vals[...] = 0.0
-    return _shift_last(vals, src, kernel.shift / h_s)
+    return _shift_last(vals, src, kernel.shift / h_s, ws)
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
@@ -595,12 +612,17 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         s = d = m = _EMPTY
     clock.lap("convolve")
 
-    # ---- shear: D -> max(0, D + rho * S) ----
-    pc, pc_r0, cols = None, 0, (0, 0)
+    # ---- trim to the rows holding all but half the stage budget, then shear ----
+    pc, pc_r0, cols, cut = None, 0, (0, 0), 0.0
     if r1 > r0:
-        pc, pc_r0, zero_gain, top, cols = _shear_canvas(band, r0, rho, lat, ws)
-        spill += top
-        z_vals += zero_gain / h_s
+        sums = band.sum(axis=1) * cell
+        lo, hi = _budget_window(sums, lat.stage_tail_budget / 4)
+        cut = float(sums[:lo].sum() + sums[hi:].sum())
+        r0, r1 = r0 + lo, r0 + hi
+        if hi > lo:
+            pc, pc_r0, zero_gain, top, cols = _shear_canvas(band[lo:hi], r0, rho, lat, ws)
+            spill += top
+            z_vals += zero_gain / h_s
     d = np.maximum(0.0, d + rho * s)
     clock.lap("shear")
 
@@ -614,7 +636,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         atom_s=s,
         atom_d=d,
         atom_mass=m,
-        lost_mass=state.lost_mass + tail_loss + spill,
+        lost_mass=state.lost_mass + tail_loss + spill + cut,
     )
     if new_state.lost_mass > 100.0 * config.tail_tol:
         raise MassLossError(
@@ -626,6 +648,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         seconds=clock.last - clock.start,
         kernel_tail=tail_loss,
         boundary_spill=spill,
+        window_cut=cut,
         cumulative_lost=new_state.lost_mass,
         rows=(r0, r1),
         cols=cols,

@@ -108,6 +108,10 @@ def test_analyze_outputs(tmp_path, monkeypatch):
     assert lat["s_base"] < 0 < lat["s_base"] + lat["s_cells"]  # feeder4 injects
     assert 0.0 < lat["stage_tail_budget"] < payload["config"]["tail_tol"]
     assert lat["s_margin"] == lat["d_margin"] == 6  # ceil(3 sqrt(4)) cells
+    # what the stages logged as kernel tail, spill and trimmed rows is the lost mass
+    assert all(0.0 <= st["window_cut"] <= lat["stage_tail_budget"] for st in payload["stages"])
+    assert sum(st["kernel_tail"] + st["boundary_spill"] + st["window_cut"]
+               for st in payload["stages"]) == pytest.approx(payload["mass"]["lost"], rel=1e-12)
     assert len(lat["s_windows"]) == 4  # one [lo, hi] per stage, stage 0 first
     s_lo = (lat["s_base"] + lat["s_margin"]) * lat["s_step"]
     s_hi = (lat["s_base"] + lat["s_cells"] - lat["s_margin"]) * lat["s_step"]

@@ -463,10 +463,11 @@ def _chain(*loads):
                       segments=tuple(segment(1e-3) for _ in loads), loads=loads)
 
 
-# Laws and logged losses recorded from earlier versions of the engine, which
-# had one code path per carrier and kernel kind; the current engine must
-# reproduce them to rounding. Loads run substation first, so the last load
-# is applied first. The entries cover every carrier x kernel pairing:
+# Laws and logged losses of the engine that trims each stage's band to its
+# budget window (recorded once UNTRIMMED_LAWS held it within tail_tol of the
+# law before the trim); the engine must reproduce them to rounding. Loads run
+# substation first, so the last load is applied first. The entries cover
+# every carrier x kernel pairing:
 LAW_REGRESSION_SPECS = {
     "feeder4-512": lambda: (parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512)),
     "chain64-256": lambda: (reference_spec(n=64), CFG),
@@ -485,29 +486,29 @@ LAW_REGRESSION_SPECS = {
 }
 LAW_REGRESSION = {
     "feeder4-512": dict(
-        mean=0.0207165085483211, std=0.01650124346919351, atom0=0.05402014601052252,
-        q=(0.017495251098909977, 0.042777386174409834, 0.07303138261111267),
-        lost=1.1459628976530075e-06),
+        mean=0.020716506663224832, std=0.01650119152849239, atom0=0.0540204722388263,
+        q=(0.01749523918659657, 0.04277735293509853, 0.07303101772506566),
+        lost=8.118151871880108e-07),
     "chain64-256": dict(
-        mean=4.184487852467777, std=0.9775732574082685, atom0=9.070840733684995e-10,
-        q=(4.144876650091846, 5.458126880175924, 6.6367502017281925),
-        lost=1.0000271386844023e-06),
+        mean=4.184489443633151, std=0.9775692327498724, atom0=9.071942832847373e-10,
+        q=(4.144876303365588, 5.458125334670943, 6.636732439480707),
+        lost=5.792510788709781e-07),
     "ref-pm3": dict(
-        mean=0.00800061623642348, std=0.003164857077267633, atom0=0.0006278330813737702,
-        q=(0.007215572354803427, 0.012053266681880077, 0.01894768060737556),
-        lost=5.00000000069889e-07),
+        mean=0.008000617623397547, std=0.003164864766174999, atom0=0.0006279473499059118,
+        q=(0.007215587201137969, 0.012053284447255591, 0.018947624341680687),
+        lost=3.4764363043837676e-07),
     "pm3-ref": dict(
-        mean=0.007267531765015661, std=0.006022795874403423, atom0=0.012529944623041463,
-        q=(0.005472666884783761, 0.015074444061672573, 0.02891125829707095),
-        lost=5.132427646957455e-07),
+        mean=0.007267524797441834, std=0.006022759830222662, atom0=0.012529865193907112,
+        q=(0.005472719788215262, 0.015074517219437812, 0.028911086408950046),
+        lost=4.5193606924632855e-07),
     "zero-atoms": dict(
-        mean=0.010316284821700168, std=0.009607463698688786, atom0=0.08818689871393309,
-        q=(0.007914788467584, 0.022839360102687615, 0.043578370619600335),
-        lost=5.643998177371249e-07),
+        mean=0.010316286918341716, std=0.009607439606298512, atom0=0.08818679502888153,
+        q=(0.007914765170461082, 0.022839361876993657, 0.04357828080921812),
+        lost=4.111009214082588e-07),
     "free-atoms": dict(
-        mean=0.012000001694175075, std=0.0031679657924145736, atom0=1.137089492015906e-05,
-        q=(0.011225910372870717, 0.016055308937611014, 0.022959391974686875),
-        lost=3.33333333379926e-07),
+        mean=0.012000003514378615, std=0.0031679752271617755, atom0=1.1454787061389506e-05,
+        q=(0.011225899095822193, 0.01605528785801346, 0.022959341292791695),
+        lost=2.1783726911195345e-07),
     "points-64": dict(
         mean=0.015, std=0.0, atom0=0.0, q=(0.015, 0.015, 0.015), lost=0.0),
 }
@@ -527,12 +528,12 @@ def test_law_regression(name):
     assert got["q"] == pytest.approx(want["q"], rel=1e-12, abs=0.0)
 
 
-# Final joint states recorded from the engine that stored the zero line, the
-# diagonal and the free atoms as separate carriers. A state must match them
-# bit for bit: pc, the two sides of the hinge line (each over all S cells),
-# the (s, d, m) atom rows and lost_mass. The point-only chains end on a
-# zero-line atom, a diagonal atom, a free atom, an atom whose drop the last
-# (negative) flow lowered, and one that flow sent back to the zero line.
+# Final joint states recorded from the engine that trims each stage's band to
+# its budget window. A state must match them bit for bit: pc, the two sides
+# of the hinge line (each over all S cells), the (s, d, m) atom rows and
+# lost_mass. The point-only chains end on a zero-line atom, a diagonal atom,
+# a free atom, an atom whose drop the last (negative) flow lowered, and one
+# that flow sent back to the zero line.
 STATE_REGRESSION_SPECS = {
     **LAW_REGRESSION_SPECS,
     "families": lambda: (_chain(Gaussian(mean=1.0, std=0.5), Uniform(lo=-1.0, hi=2.0),
@@ -547,20 +548,20 @@ STATE_REGRESSION_SPECS = {
 # name: sha1[:16] of (pc padded to the lattice or "none", zero side, diagonal
 # side, atoms), lost_mass.hex()
 STATE_REGRESSION = {
-    "feeder4-512": ("a8bbf66f90c4fd0b", "cef657b929cb8225", "9cef8d1766f9049e",
-                    "da39a3ee5e6b4b0d", "0x1.339df87ed9ba4p-20"),
-    "chain64-256": ("09c0eacee161e801", "1e436adf4e2f4c7f", "2f9b9dbd7f392f4c",
-                    "da39a3ee5e6b4b0d", "0x1.0c71577923b38p-20"),
-    "ref-pm3": ("988df151c05abbe0", "a664de58671ea433", "807f5004e5400b4c",
-                "da39a3ee5e6b4b0d", "0x1.0c6f7a0c00000p-21"),
-    "pm3-ref": ("0082de3fbfc120ae", "e1761a8d198a23a4", "05c243618ffa27b7",
-                "da39a3ee5e6b4b0d", "0x1.138b8c67ab319p-21"),
-    "zero-atoms": ("7cd17bb8fab14462", "18f5fe8cda5975d2", "5ca29df19e9283cc",
-                   "da39a3ee5e6b4b0d", "0x1.2f028531b2a1fp-21"),
-    "free-atoms": ("49078e0217ab82c4", "453461e72b602b30", "807f5004e5400b4c",
-                   "da39a3ee5e6b4b0d", "0x1.65e9f81000000p-22"),
-    "families": ("592d62a59b7f6542", "ac11530fb91f6778", "bfb59635aa050b6f",
-                 "da39a3ee5e6b4b0d", "0x1.b5407c3073a8cp-22"),
+    "feeder4-512": ("0d5c5850a6249472", "22712719d84619c9", "2a6117bdef04c589",
+                    "da39a3ee5e6b4b0d", "0x1.b3d7079d06fb2p-21"),
+    "chain64-256": ("61a06e6aa6d0537d", "0965f8085a999319", "66aa7427030530eb",
+                    "da39a3ee5e6b4b0d", "0x1.36fba97dea229p-21"),
+    "ref-pm3": ("eee3cd2b495a9966", "82b0ddaca74c9249", "807f5004e5400b4c",
+                "da39a3ee5e6b4b0d", "0x1.75478db200000p-22"),
+    "pm3-ref": ("f61b3a59de1964b4", "d4ec99991a335efb", "8bd8704c0e100058",
+                "da39a3ee5e6b4b0d", "0x1.e5433da436534p-22"),
+    "zero-atoms": ("c6a3b55779ff12ab", "4131ba4a2b538fce", "651d15f60c9f380e",
+                   "da39a3ee5e6b4b0d", "0x1.b96a8f91dd156p-22"),
+    "free-atoms": ("4a182b9df9b76add", "8c4efd4133322e89", "807f5004e5400b4c",
+                   "da39a3ee5e6b4b0d", "0x1.d3cd4e2000000p-23"),
+    "families": ("f220232d2840d256", "ffa6ba28286980aa", "0d9f115608270f2b",
+                 "da39a3ee5e6b4b0d", "0x1.77619fe7c4950p-22"),
     "point-zero": ("none", "67e8f7491703620a", "67e8f7491703620a",
                    "59e3b2c5def90dff", "0x0.0p+0"),
     "point-diag": ("none", "67e8f7491703620a", "67e8f7491703620a",
@@ -607,11 +608,18 @@ def _stages(spec, config):
 def test_band_is_trimmed_after_every_stage(name):
     spec, config = STATE_REGRESSION_SPECS[name]()
     for stepped, log, st in _stages(spec, config):
-        if stepped.pc is not None:  # the stage's band holds the band it stepped
-            r0, r1 = log.rows
+        r0, r1 = log.rows
+        if stepped.pc is not None and log.window_cut == 0.0:
+            # a window that cut nothing holds the band the stage stepped
             assert r0 <= stepped.pc_r0 and stepped.pc_r0 + len(stepped.pc) <= r1
         if st.pc is not None:
             _assert_trimmed_band(st.pc, st.pc_r0, st.lattice)
+            # the new band lies where the shear moves the window's rows
+            lat = st.lattice
+            c0, c1 = log.cols
+            shift = np.floor(st.slope * lat.s_centers()[c0:c1] / lat.d_step).astype(int)
+            assert max(r0 + shift.min(), 0) <= st.pc_r0
+            assert st.pc_r0 + len(st.pc) <= min(r1 + shift.max() + 1, lat.d_cells)
 
 
 @pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "zero-atoms"])
@@ -623,9 +631,87 @@ def test_stage_masses_close_the_ledger(name):
         assert sum(log.masses.values()) + state.lost_mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_budget_window_cuts_at_most_cut_at_each_end():
+    sums = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.5, 0.0])
+    window = dp_engine._budget_window
+    assert window(sums, 1e-9) == (1, 6)  # only the empty end cells go
+    assert window(sums, 1.0) == (1, 5)   # under the cut below, at most the cut above
+    assert window(sums, 1.5) == (2, 5)
+    assert window(sums, 4.0) == (4, 4)   # the whole array holds under twice the cut
+
+
+@pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "zero-atoms",
+                                  "ref-pm3", "pm3-ref"])
+def test_stage_losses_add_up_to_lost_mass(name):
+    # each stage logs the load's tail (at most half the stage budget per unit
+    # mass), the trimmed rows (at most a quarter budget per end) and the spill
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    rep = run(spec, config)
+    budget = rep.lattice.stage_tail_budget
+    total = 0.0
+    for log in rep.stage_logs:
+        assert 0.0 <= log.window_cut <= 0.5 * budget * (1.0 + 1e-9)
+        assert log.kernel_tail + log.window_cut <= budget * (1.0 + 1e-9)
+        total = total + log.kernel_tail + log.boundary_spill + log.window_cut
+    assert total == pytest.approx(rep.lost_mass, rel=1e-15, abs=0.0)
+    assert rep.lost_mass <= config.tail_tol
+
+
+# The laws as the engine gave them before the row trim, with the load tail cut
+# at the whole stage budget: the CDF at 64 evenly spaced drops from 0 to
+# ``top``, and P(D > x) at their 1 - 1e-3, 1e-4 and 1e-5 quantiles. The trim
+# and the load tail share that budget, so the law may move by at most
+# tail_tol from them.
+UNTRIMMED_LAWS = {
+    "feeder4-512": dict(top=0.2, cdf=(
+        0.0540201460, 0.1193802610, 0.1962104815, 0.2814771864, 0.3701035316, 0.4572591196,
+        0.5393022328, 0.6139314542, 0.6800050988, 0.7372400411, 0.7859625965, 0.8268555201,
+        0.8607728979, 0.8886272768, 0.9113121464, 0.9296560493, 0.9443997027, 0.9561862120,
+        0.9655641088, 0.9729994345, 0.9788742900, 0.9835021284, 0.9871379310, 0.9899876105,
+        0.9922164663, 0.9939565025, 0.9953120247, 0.9963670114, 0.9971870567, 0.9978237190,
+        0.9983174749, 0.9987000291, 0.9989961662, 0.9992252257, 0.9994022228, 0.9995389182,
+        0.9996444597, 0.9997259039, 0.9997887219, 0.9998371520, 0.9998744742, 0.9999032255,
+        0.9999253643, 0.9999423999, 0.9999555114, 0.9999655985, 0.9999733551, 0.9999793171,
+        0.9999838979, 0.9999874163, 0.9999901178, 0.9999921906, 0.9999937812, 0.9999950016,
+        0.9999959377, 0.9999966554, 0.9999972053, 0.9999976263, 0.9999979481, 0.9999981928,
+        0.9999983772, 0.9999985145, 0.9999986155, 0.9999986888),
+        exceed=((0.101633618716, 0.0009988540370922117),
+                (0.129757597351, 9.885403710396812e-05),
+                (0.158574419758, 8.85403710293442e-06))),
+    "chain64-256": dict(top=10.0, cdf=(
+        0.0000000009, 0.0000001050, 0.0000006753, 0.0000028159, 0.0000094056, 0.0000272251,
+        0.0000709996, 0.0001705108, 0.0003821386, 0.0008060146, 0.0016090994, 0.0030527644,
+        0.0055209945, 0.0095427418, 0.0158002694, 0.0251155654, 0.0384095419, 0.0566331665,
+        0.0806745774, 0.1112505838, 0.1487948899, 0.1933593061, 0.2445470557, 0.3014961830,
+        0.3629236374, 0.4272276084, 0.4926316345, 0.5573447376, 0.6197106721, 0.6783255130,
+        0.7321126092, 0.7803535624, 0.8226809463, 0.8590422635, 0.8896455827, 0.9148963609,
+        0.9353331161, 0.9515668178, 0.9642240141, 0.9739303955, 0.9812517562, 0.9866876480,
+        0.9906633837, 0.9935297594, 0.9955681425, 0.9969986988, 0.9979899457, 0.9986683291,
+        0.9991270205, 0.9994335283, 0.9996359983, 0.9997682524, 0.9998537066, 0.9999083450,
+        0.9999429297, 0.9999646109, 0.9999780784, 0.9999863707, 0.9999914339, 0.9999945006,
+        0.9999963436, 0.9999974429, 0.9999980936, 0.9999984760),
+        exceed=((7.56846754293, 0.000998999972878778),
+                (8.38280729417, 9.899997287166062e-05),
+                (9.15284347487, 8.999972872625328e-06))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTRIMMED_LAWS))
+def test_trim_moves_the_law_by_at_most_tail_tol(name):
+    spec, config = LAW_REGRESSION_SPECS[name]()
+    rep = run(spec, config)
+    want = UNTRIMMED_LAWS[name]
+    got = rep.drop.cdf(np.linspace(0.0, want["top"], 64))
+    assert np.abs(got - np.array(want["cdf"])).max() <= config.tail_tol
+    for x, p in want["exceed"]:
+        assert abs(rep.drop.prob_exceed(x) - p) <= config.tail_tol
+    assert rep.lost_mass <= config.tail_tol
+
+
 def test_stage_holds_no_full_canvas():
-    # the second stage lifts the first one's diagonal onto a 6-row band;
-    # stepping it must stay under one 1024^2 canvas (8.4 MB)
+    # the second stage lifts the first one's diagonal onto a 6-row band and
+    # shears the 5 rows the trim leaves; stepping it must stay under one
+    # 1024^2 canvas (8.4 MB)
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     ws = dp_engine._Workspace()
@@ -638,33 +724,49 @@ def test_stage_holds_no_full_canvas():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert log.rows == (0, 6)
+    assert log.rows == (0, 5)
     assert peak < 8 * lat.d_cells * lat.s_cells
+
+
+def _warm_step(spec, load, config):
+    """Step ``spec``'s stages down to bus 1, then bus 0 with ``load`` twice in
+    one workspace; returns (first result, second result, its log, the second
+    step's tracemalloc peak, the bytes of the window it sheared)."""
+    ws = dp_engine._Workspace()
+    state = _terminal(spec, config)
+    for j in range(spec.n - 1, 0, -1):
+        state, _ = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
+    first, _ = dp_engine._apply_stage(state, load, spec.segments[0], config, ws)
+    tracemalloc.start()
+    try:
+        again, log = dp_engine._apply_stage(state, load, spec.segments[0], config, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _digest(again) == _digest(first)
+    return again, log, peak, 8 * (log.rows[1] - log.rows[0]) * state.lattice.s_cells
 
 
 def test_warm_workspace_steps_a_stage_in_its_own_arrays():
     # once the workspace holds a stage's band, transform blocks and shear
     # blocks, stepping that stage again allocates its new band and less than
-    # half a band besides (a fresh band and a full rows x n_out convolution
+    # half a window besides (a fresh band and a full rows x n_out convolution
     # output per stage came to over four bands more)
-    spec = reference_spec(n=64)
-    config = DpConfig(grid_s=512, grid_delta=512)
-    ws = dp_engine._Workspace()
-    state = _terminal(spec, config)
-    for j in range(63, 20, -1):
-        state, _ = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
-    first, _ = dp_engine._apply_stage(state, spec.loads[20], spec.segments[20], config, ws)
-    tracemalloc.start()
-    try:
-        again, log = dp_engine._apply_stage(state, spec.loads[20], spec.segments[20], config,
-                                            ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    band = 8 * (log.rows[1] - log.rows[0]) * state.lattice.s_cells
-    assert band > 1 << 20
-    assert peak < again.pc.base.nbytes + band // 2  # the new band, before its trim
-    assert _digest(again) == _digest(first)
+    spec = reference_spec(n=52)  # bus 0 shears a 407-row window at 512^2
+    again, _, peak, window = _warm_step(spec, spec.loads[0], DpConfig(grid_s=512, grid_delta=512))
+    assert window > 1 << 20
+    assert peak < again.pc.base.nbytes + window // 2  # the new band, before its trim
+
+
+def test_warm_workspace_shifts_a_point_load_in_place():
+    # a point load's shift copies the band rows into the workspace and forms
+    # each weighted part there, so it allocates the new band and at most a
+    # quarter window besides (a band copy and a band-sized product per split
+    # weight came to about one band more)
+    again, _, peak, window = _warm_step(reference_spec(n=30), PointMass(location=1.5),
+                                        DpConfig(grid_s=512, grid_delta=512))
+    assert window > 1 << 20
+    assert peak <= again.pc.base.nbytes + window // 4
 
 
 @pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "free-atoms"])
