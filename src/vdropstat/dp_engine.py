@@ -381,20 +381,22 @@ def _span(spans: list[tuple[int, int]]) -> tuple[int, int]:
     return (min(a for a, _ in spans), max(b for _, b in spans)) if spans else (0, 0)
 
 
-def _lift_diag(diag: np.ndarray, slope: float,
+def _lift_diag(diag: np.ndarray, i0: int, slope: float,
                lat: JointLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Splat the diagonal line density onto 2D cells at D = slope * S.
 
+    ``diag`` is the hinge line's S > 0 side, the line's cells from i0 on.
     Two-row linear split; rows below 0 clamp to row 0 (drop under half a
     cell), rows above the top are clipped and returned as lost mass.
     Returns (rows, cols, densities, lost mass), lower split rows first.
     """
     mass = diag * lat.s_step
-    cols = np.nonzero(mass > 0.0)[0]
+    cols = np.nonzero(mass > 0.0)[0] + i0
+    mass = mass[cols - i0]
     g = slope * lat.s_centers()[cols] / lat.d_step - 0.5
     j0 = np.floor(g).astype(int)
     frac = g - j0
-    dens = mass[cols] / (lat.s_step * lat.d_step)
+    dens = mass / (lat.s_step * lat.d_step)
     spill = 0.0
     parts = []
     for w, rows in ((1.0 - frac, j0), (frac, j0 + 1)):
@@ -558,14 +560,20 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     rho = segment.rho
     kernel = ws.kernel(load, lat)
     clock.lap("kernel")
-    zero, diag = state.hinge_sides()
-    masses = {"grid": state.pc_mass(), "zero": zero.mass(), "diag": diag.mass(),
-              "atoms": float(state.atom_mass.sum())}
+    # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
+    i0 = min(max(-lat.s_base, 0), lat.s_cells)
+    z_vals = np.zeros(lat.s_cells)
+    diag = _EMPTY
+    if state.line is not None:
+        z_vals[:i0] = state.line[:i0]
+        diag = state.line[i0:]
+    masses = {"grid": state.pc_mass(), "zero": float(z_vals[:i0].sum() * h_s),
+              "diag": float(diag.sum() * h_s), "atoms": float(state.atom_mass.sum())}
     tail_loss = (masses["grid"] + masses["diag"] + masses["zero"]) * kernel.tail
     spill = 0.0
 
     # ---- one band: the state's rows, the lifted diagonal's, the atom deposits' ----
-    rows, cols, dens, lost = _lift_diag(diag.values, state.slope, lat)
+    rows, cols, dens, lost = _lift_diag(diag, i0, state.slope, lat)
     spill += lost
     spans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
     if state.pc is not None:
@@ -590,7 +598,6 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     # ---- convolve: grid rows (band, zero line) ----
     if g1 > g0:
         spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s, ws) * cell
-    z_vals = zero.values.copy()
     if z_vals.any():
         spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
 
