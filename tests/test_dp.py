@@ -463,6 +463,14 @@ def _chain(*loads):
                       segments=tuple(segment(1e-3) for _ in loads), loads=loads)
 
 
+def _feeder4_chain(n):
+    """n buses repeating the feeder4 bus, the benchmark's chain256 at n = 256."""
+    feeder = parse_feeder(CONFIG4)
+    return FeederSpec(feeder.base_voltage, feeder.alpha,
+                      tuple(feeder.segments[i % feeder.n] for i in range(n)),
+                      tuple(feeder.loads[i % feeder.n] for i in range(n)))
+
+
 # Laws and logged losses of the engine that trims each stage's band to its
 # budget window (recorded once UNTRIMMED_LAWS held it within tail_tol of the
 # law before the trim); the engine must reproduce them to rounding. Loads run
@@ -471,6 +479,7 @@ def _chain(*loads):
 LAW_REGRESSION_SPECS = {
     "feeder4-512": lambda: (parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512)),
     "chain64-256": lambda: (reference_spec(n=64), CFG),
+    "chain256-256": lambda: (_feeder4_chain(256), CFG),
     # atoms x continuous load
     "ref-pm3": lambda: (_chain(reference_load(), PointMass(location=3.0)), CFG),
     # grid and lines x point load
@@ -657,10 +666,10 @@ def test_stage_losses_add_up_to_lost_mass(name):
     assert rep.lost_mass <= config.tail_tol
 
 
-# The laws as the engine gave them before the row trim, with the load tail cut
-# at the whole stage budget: the CDF at 64 evenly spaced drops from 0 to
-# ``top``, and P(D > x) at their 1 - 1e-3, 1e-4 and 1e-5 quantiles. The trim
-# and the load tail share that budget, so the law may move by at most
+# The laws as the engine gave them before any budget window, with the load
+# tail cut at the whole stage budget: the CDF at 64 evenly spaced drops from 0
+# to ``top``, and P(D > x) at their 1 - 1e-3, 1e-4 and 1e-5 quantiles. The
+# window and the load tail share that budget, so the law may move by at most
 # tail_tol from them.
 UNTRIMMED_LAWS = {
     "feeder4-512": dict(top=0.2, cdf=(
@@ -693,6 +702,21 @@ UNTRIMMED_LAWS = {
         exceed=((7.56846754293, 0.000998999972878778),
                 (8.38280729417, 9.899997287166062e-05),
                 (9.15284347487, 8.999972872625328e-06))),
+    "chain256-256": dict(top=120.0, cdf=(
+        0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000,
+        0.0000000002, 0.0000000011, 0.0000000054, 0.0000000238, 0.0000000940, 0.0000003441,
+        0.0000011580, 0.0000035861, 0.0000103017, 0.0000276244, 0.0000700543, 0.0001677959,
+        0.0003787152, 0.0008086610, 0.0016390630, 0.0031716933, 0.0058703574, 0.0103728853,
+        0.0175410932, 0.0284494263, 0.0443739169, 0.0667115104, 0.0966246835, 0.1350781182,
+        0.1825769076, 0.2390230334, 0.3036535707, 0.3747134057, 0.4499792236, 0.5268178573,
+        0.6024569656, 0.6741606407, 0.7397707631, 0.7977111726, 0.8470984351, 0.8877305675,
+        0.9198699777, 0.9444800031, 0.9626860163, 0.9756867710, 0.9846473099, 0.9905792098,
+        0.9943866071, 0.9967553382, 0.9981803385, 0.9990096641, 0.9994745513, 0.9997279119,
+        0.9998627379, 0.9999323887, 0.9999673314, 0.9999842903, 0.9999923015, 0.9999960271,
+        0.9999977142, 0.9999984582, 0.9999987768, 0.9999989093),
+        exceed=((97.1150463929, 0.0009990000005696276),
+                (103.705866167, 9.900000060281133e-05),
+                (109.762085532, 9.000000583458956e-06))),
 }
 
 
@@ -809,10 +833,7 @@ def test_state_regression_on_threads(monkeypatch, name):
 def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):
     # every band of the benchmark's 256-bus chain at 256^2 fits one block, so
     # four threads start no pool
-    feeder = parse_feeder(CONFIG4)
-    spec = FeederSpec(feeder.base_voltage, feeder.alpha,
-                      tuple(feeder.segments[i % feeder.n] for i in range(256)),
-                      tuple(feeder.loads[i % feeder.n] for i in range(256)))
+    spec = _feeder4_chain(256)
     seen = _on_threads(monkeypatch, 4)
     baseline = threading.active_count()
     rep = run(spec, CFG)
