@@ -4,7 +4,7 @@ Walks the feeder from the leaf to the substation, carrying the joint law of
 (through-flow S, downstream maximal drop D) on the two carriers of
 ``mixed_dist.JointState``:
 
-* grid rows: the 2D density on its occupied band of D rows, with the
+* grid: the 2D density on a frame of D rows and S columns, with the
   hinge line's S > 0 side (the diagonal D = slope * S) lifted onto it,
   plus the line's S < 0 side (the zero line D = 0),
 * atoms (s, d, m): exact point masses with d >= 0.
@@ -20,33 +20,40 @@ One stage is one step over both carriers:
   the zero line, and the zero line becomes the new hinge line: its S > 0
   cells are the new diagonal. An atom's d becomes max(0, d + rho * s).
 
-A stage sizes one band up front (the state's rows, the lifted diagonal's
-and the atoms' deposit rows) and lifts, convolves and deposits into it
-alone: a convolution along S never mixes rows. It then trims the band to
-its budget window: the rows that hold all but half the stage budget b, at
-most b/4 cut from each end (the transform's dust would otherwise keep
-nearly every row occupied). The shear moves whole runs of columns of that
-window with equal integer shift floor(rho * S / d_step) at once into the
-next band, trimmed to its occupied rows, so no stage holds the full
-d_cells x s_cells lattice. The S-convolution (``convolve_lines``) writes
-each row's convolution straight back into its band row, shifted by the
-kernel's offset, and sums what falls off the lattice from one spill
-array. It cuts a band larger than one transform block into blocks of rows
-and transforms them on a thread pool (``pool_threads``: one thread per
-CPU, at most four) that lives for that one convolution. A row's transform
-and fold do not depend on its block or thread, and the spill sums, the
-lift and the shear stay on the calling thread, so the thread count never
-changes a value. Each run has one workspace (``_Workspace``): the kernel
-of each distinct load, built once, and the arrays a stage works in (the
-band, the transform blocks of each thread, a point load's shift
-buffers, the shear's blocks), which
-grow to the largest stage's and are reused by every later one. The states
-a stage returns own their arrays. Atoms stay
-exact and the zero line stays off the 2D grid, so point-mass feeders and
-the zero-drop probability suffer no discretization.
-All truncation (load tails, cut at b/2; trimmed rows; lattice boundary
-clips; shear overflow) is logged per stage; the run aborts when the
-accumulated loss blows past 100x the configured tolerance.
+A stage first finds its budget window, once, on the state's band and the
+lifted diagonal: the D rows, then within them the S columns, that hold all
+but half the stage budget b, at most b/8 cut from each end of each axis
+(the transform's dust would otherwise keep nearly every cell occupied). It
+then sizes one band: the window's rows and the frame of columns that the
+window's convolution reaches (its columns plus the kernel's length - 1,
+clipped to the lattice), widened to the rows and columns of the atoms'
+exact deposits, which are never cut. The band is held as a frame with its
+own column origin, so it moves along S with the through-flow from stage
+to stage and no stage holds the full d_cells x s_cells lattice.
+
+The S-convolution (``convolve_lines``) transforms only the window's cells,
+at a transform length set by the frame, writes each row's convolution
+straight back into its band row, shifted by the kernel's offset, and sums
+what falls off the lattice from one spill array. It cuts a band larger
+than one transform block into blocks of rows and transforms them on a
+thread pool (``pool_threads``: one thread per CPU, at most four) that
+lives for that one convolution. A row's transform and fold do not depend
+on its block or thread, and the spill sums, the lift and the shear stay on
+the calling thread, so the thread count never changes a value. The shear
+then moves the frame's columns, one range per integer shift
+floor(rho * S / d_step) at once, into the next band, which spans the same
+columns.
+
+Each run has one workspace (``_Workspace``): the kernel of each distinct
+load, built once with one transform per transform length, and the arrays a
+stage works in (the band, the transform blocks of each thread, a point
+load's shift buffers, the shear's blocks), which grow to the largest
+stage's and are reused by every later one. The states a stage returns own
+their arrays. Atoms stay exact and the zero line stays off the 2D grid, so
+point-mass feeders and the zero-drop probability suffer no
+discretization. All truncation (load tails, cut at b/2; the window's cut;
+lattice boundary clips; shear overflow) is logged per stage; the run
+aborts when the accumulated loss blows past 100x the configured tolerance.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 try:
     import resource
@@ -98,9 +106,9 @@ class DpConfig:
     grid_s / grid_delta count lattice cells per axis (the S axis may gain a
     couple of cells when its edges snap onto the integer lattice).
     tail_tol is the per-run truncation budget. Each of the N stages gets
-    b = tail_tol / N, shared by the load's tail (at most b/2) and the D rows
-    trimmed before the shear (at most b/4 at each end); mass clipped at the
-    lattice edges is logged beside it.
+    b = tail_tol / N, shared by the load's tail (at most b/2) and the budget
+    window's cut (at most b/8 at each end of the D and the S axis); mass
+    clipped at the lattice edges is logged beside it.
     renormalize scales the final drop law back to total mass one.
     """
 
@@ -122,10 +130,11 @@ class StageLog:
     seconds: float
     kernel_tail: float      # mass dropped with the load-support truncation
     boundary_spill: float   # mass clipped at lattice edges and the drop top
-    window_cut: float       # mass of the D rows trimmed off before the shear
+    window_cut: float       # mass outside the stage's budget window
     cumulative_lost: float
-    rows: tuple[int, int] = (0, 0)  # the D-row window [r0, r1) the stage sheared
-    cols: tuple[int, int] = (0, 0)  # the band's occupied S columns [c0, c1)
+    rows: tuple[int, int] = (0, 0)  # the D rows [r0, r1) the stage sheared
+    cols: tuple[int, int] = (0, 0)  # the S frame [c0, c1) the stage convolved into and sheared
+
     # masses of the state the stage stepped: grid, zero side, diagonal side, atoms
     masses: dict[str, float] = field(default_factory=dict)
     # seconds per phase: kernel, lift, convolve, shear, lines (assembly)
@@ -269,17 +278,20 @@ class _Kernel:
 
     Continuous mass becomes weights at edge offsets k * h (k0 <= k <= k1),
     so grid (cell-center) values convolved with them land back on centers;
-    ``spectrum`` is their transform for lattice-wide lines and ``fine`` the
-    fine law they were split from (atoms convolve against it directly).
-    A point load has no weights and stays one exact ``shift``.
+    ``fine`` is the fine law they were split from (atoms convolve against it
+    directly) and ``spectra`` their transforms, one per transform length.
+    A point load has no weights and stays one exact ``shift``, split over
+    the offsets k0 = floor(shift / h) and k1 = k0 + 1. Either way a cell's
+    mass lands within offsets [k0, k1] of it.
     """
 
     k0: int
+    k1: int
     weights: np.ndarray | None
-    spectrum: np.ndarray | None
     fine: tuple[np.ndarray, np.ndarray] | None
     shift: float
     tail: float
+    spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _fine_law(load: LoadDensity, h: float, budget: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,10 +326,11 @@ def _split_onto(positions: np.ndarray, masses: np.ndarray) -> tuple[int, np.ndar
 
 def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
     if isinstance(load, PointMass):
-        return _Kernel(0, None, None, None, float(load.location), 0.0)
+        k0 = math.floor(load.location / lat.s_step)
+        return _Kernel(k0, k0 + 1, None, None, float(load.location), 0.0)
     mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget / 2)
     k0, w = _split_onto(mid / lat.s_step, masses)
-    return _Kernel(k0, w, line_spectrum(w, lat.s_cells), (mid, masses), 0.0,
+    return _Kernel(k0, k0 + len(w) - 1, w, (mid, masses), 0.0,
                    max(0.0, 1.0 - float(masses.sum())))
 
 
@@ -326,45 +339,45 @@ def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
 # ---------------------------------------------------------------------------
 
 
-def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, scratch: Scratch) -> float:
+def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, scratch: Scratch,
+                at: int = 0) -> float:
     """dest += src shifted by a real number of cells, split over the two
     straddled integer shifts, each weighted product formed in ``scratch``.
-    Returns the clipped value sum."""
+    Unshifted, src cell i sits on dest cell at + i. Returns the value sum
+    that lands off dest."""
     base = math.floor(cells)
     frac = cells - base
-    n = src.shape[-1]
+    n, m = src.shape[-1], dest.shape[-1]
+    total = float(src.sum())
     spill = 0.0
     for w, sh in ((1.0 - frac, base), (frac, base + 1)):
         if w <= 0.0:
             continue
-        ln = n - abs(sh)
-        if ln <= 0:
-            spill += w * float(src.sum())
+        d0 = at + sh  # dest cell of src cell 0
+        s0, s1 = max(0, -d0), min(n, m - d0)
+        if s1 <= s0:
+            spill += w * total
             continue
-        d0 = max(0, sh)
-        s0 = max(0, -sh)
-        part = src[..., s0:s0 + ln]
-        dest[..., d0:d0 + ln] += np.multiply(part, w, out=scratch.array("shift_w", part.shape))
-        spill += w * (float(src.sum()) - float(part.sum()))
+        part = src[..., s0:s1]
+        dest[..., d0 + s0:d0 + s1] += np.multiply(part, w, out=scratch.array("shift_w", part.shape))
+        spill += w * (total - float(part.sum()))
     return spill
 
 
 def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: float,
-                    lat: JointLattice) -> tuple[np.ndarray, float]:
+                    lat: JointLattice) -> tuple[int, np.ndarray, float]:
     """Cell masses of (atom at shift) + load, evaluated from its fine law.
 
     Splitting the fine cdf-difference masses keeps an atom's convolution
     free of the half-cell smear a gridded shift would add, and keeps the
-    deposit's mean exact. Returns (cell masses, mass outside the lattice).
+    deposit's mean exact. Returns (first lattice column, the masses of the
+    columns from there on, mass outside the lattice).
     """
     mid, fm = fine
     k0, w = _split_onto((mid + shift - lat.s_lo) / lat.s_step - 0.5, fm)
     lo, hi = max(0, -k0), min(len(w), lat.s_cells - k0)  # weights that land on the lattice
-    vals = np.zeros(lat.s_cells)
-    if hi > lo:
-        vals[k0 + lo:k0 + hi] = w[lo:hi]
-    vals *= mass
-    return vals, mass - float(vals.sum())
+    vals = w[lo:max(hi, lo)] * mass
+    return k0 + lo, vals, mass - float(vals.sum())
 
 
 def _row_weights(d: float, lat: JointLattice) -> list[tuple[int, float]]:
@@ -414,77 +427,74 @@ def _lift_diag(diag: np.ndarray, i0: int, slope: float,
 _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
 
 
-def _shear_canvas(band: np.ndarray, r0: int, rho: float, lat: JointLattice, scratch: Scratch
-                  ) -> tuple[np.ndarray | None, int, np.ndarray, float, tuple[int, int]]:
-    """Shear D -> D + rho * S with clipping at zero, on a band of D rows.
+def _shear_canvas(band: np.ndarray, r0: int, c0: int, rho: float, lat: JointLattice,
+                  scratch: Scratch) -> tuple[np.ndarray | None, int, np.ndarray, float]:
+    """Shear D -> D + rho * S with clipping at zero, on a frame of the lattice.
 
-    ``band`` holds grid rows [r0, r0 + len(band)) at full S width. Column i
-    moves by g_i = rho * s_i / d_step rows, split over floor(g_i) (weight
-    1 - frac) and floor(g_i) + 1 (weight frac). floor(g_i) is constant on
-    runs of columns, so the band's occupied columns are transposed to
-    S-major (in blocks of about _SHEAR_BLOCK_CELLS cells, which keeps both
-    transposes in cache) and each run moves as one slice per split weight
-    into the rows [r0 + min shift, r1 + max shift] of the new band. Rows
-    pushed below zero feed the zero line of their column; rows pushed past
-    the top are lost.
+    ``band`` holds grid rows [r0, r0 + len(band)) of the lattice columns
+    [c0, c0 + band.shape[1]), its frame. Column i moves by g_i = rho * s_i /
+    d_step rows, split over floor(g_i) (weight 1 - frac) and floor(g_i) + 1
+    (weight frac). With rho >= 0, floor(g_i) never falls from one column to
+    the next, so the columns that move some part by a shift sh are one range:
+    the stay part of those at floor sh and the frac part of those at sh - 1.
+    The frame is transposed to S-major (in blocks of about
+    _SHEAR_BLOCK_CELLS cells, which keeps both transposes in cache) and each
+    shift's range moves as one slice into the rows [r0 + min shift,
+    r1 + max shift] of the new band, which spans the same columns. Each
+    column gets its stay part before its frac part. Rows pushed below zero
+    feed the zero line of their column; rows pushed past the top are lost.
 
-    Returns (new band trimmed to its occupied rows, or None when no mass
-    stays on the grid; its first row; per-column mass clipped to the zero
-    line; mass lost over the top; the occupied columns [c_lo, c_hi) of
-    ``band``, (0, 0) when it is empty). Only negative-S columns can feed
-    the zero line. Each block and its moved rows are arrays of ``scratch``;
-    the new band is a new array.
+    Returns (the new band, or None when none of its rows lies on the grid;
+    its first row; per-column mass clipped to the zero line, over the
+    frame's columns; mass lost over the top). Only negative-S columns can
+    feed the zero line. Each block and its moved rows are arrays of
+    ``scratch``; the new band is a new array.
     """
     m_d = lat.d_cells
-    n_b, n_s = band.shape
+    n_b, n_c = band.shape
     r1 = r0 + n_b
     cell = lat.s_step * lat.d_step
-    zero_gain = np.zeros(n_s)
+    zero_gain = np.zeros(n_c)
     top = 0.0
-    occupied = np.flatnonzero(band.any(axis=0))
-    if not len(occupied):
-        return None, 0, zero_gain, top, (0, 0)
-    c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
-    g = rho * lat.s_centers() / lat.d_step
+    g = rho * lat.s_centers()[c0:c0 + n_c] / lat.d_step
     base = np.floor(g).astype(int)
     frac = g - base
-    stay = 1.0 - frac
-    shifts = base.tolist()
-    run_starts = np.flatnonzero(np.diff(base)) + 1
-    out_r0 = max(r0 + int(base[c_lo:c_hi].min()), 0)
-    out_r1 = min(r1 + int(base[c_lo:c_hi].max()) + 1, m_d)
-    out = np.zeros((max(out_r1 - out_r0, 0), n_s))
-    width = max(_SHEAR_BLOCK_CELLS // n_b, 16)
-    for c0 in range(c_lo, c_hi, width):
-        c1 = min(c0 + width, c_hi)
-        block = scratch.array("shear_block", (c1 - c0, n_b))
-        block[...] = band[:, c0:c1].T  # block[i - c0] is column i
-        o0 = max(r0 + int(base[c0:c1].min()), 0)
-        o1 = min(r1 + int(base[c0:c1].max()) + 1, m_d)
-        moved = scratch.array("shear_moved", (c1 - c0, max(o1 - o0, 0)))
+    odd = base % 2 == 1
+    parts = (np.where(odd, frac, 1.0 - frac), np.where(odd, 1.0 - frac, frac))  # parts[sh % 2][i]
+    b_lo = int(base[0])
+    # first[k]: the first column whose floor shift is b_lo - 1 + k or more
+    first = np.searchsorted(base, np.arange(b_lo - 1, int(base[-1]) + 3)).tolist()
+    out_r0 = max(r0 + b_lo, 0)
+    out_r1 = min(r1 + int(base[-1]) + 1, m_d)
+    out = np.zeros((max(out_r1 - out_r0, 0), n_c))
+    width = max(_SHEAR_BLOCK_CELLS // max(n_b, 1), 16)
+    for b0 in range(0, n_c, width):
+        b1 = min(b0 + width, n_c)
+        block = scratch.array("shear_block", (b1 - b0, n_b))
+        block[...] = band[:, b0:b1].T  # block[i - b0] is frame column i
+        o0 = max(r0 + int(base[b0]), 0)
+        o1 = min(r1 + int(base[b1 - 1]) + 1, m_d)
+        moved = scratch.array("shear_moved", (b1 - b0, max(o1 - o0, 0)))
         moved[...] = 0.0
-        inner = run_starts[(run_starts > c0) & (run_starts < c1)].tolist()
-        for a, b in zip([c0, *inner], [*inner, c1]):
-            for w, sh in ((stay[a:b], shifts[a]), (frac[a:b], shifts[a] + 1)):
-                if not w.any():
-                    continue
-                lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
-                hi = max(min(m_d - sh - r0, n_b), lo)  # band rows [hi, n_b) land over the top
-                src = block[a - c0:b - c0]
-                if lo:
-                    zero_gain[a:b] += w * src[:, :lo].sum(axis=1)
-                if hi < n_b:
-                    top += float(np.dot(w, src[:, hi:].sum(axis=1)))
-                if hi > lo:
-                    d0 = r0 + lo + sh - o0
-                    moved[a - c0:b - c0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
+        for sh in range(int(base[b0]), int(base[b1 - 1]) + 2):
+            a = max(first[sh - b_lo], b0)
+            b = min(first[sh - b_lo + 2], b1)
+            if b <= a:
+                continue
+            w = parts[sh % 2][a:b]
+            lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
+            hi = max(min(m_d - sh - r0, n_b), lo)  # band rows [hi, n_b) land over the top
+            src = block[a - b0:b - b0]
+            if lo:
+                zero_gain[a:b] += w * src[:, :lo].sum(axis=1)
+            if hi < n_b:
+                top += float(np.dot(w, src[:, hi:].sum(axis=1)))
+            if hi > lo:
+                d0 = r0 + lo + sh - o0
+                moved[a - b0:b - b0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
         if o1 > o0:  # a block can land wholly below zero or over the top
-            out[o0 - out_r0:o1 - out_r0, c0:c1] = moved.T
-    rows = np.flatnonzero(out.any(axis=1))
-    if not len(rows):
-        return None, 0, zero_gain * cell, top * cell, (c_lo, c_hi)
-    return (out[rows[0]:rows[-1] + 1], out_r0 + int(rows[0]), zero_gain * cell,
-            top * cell, (c_lo, c_hi))
+            out[o0 - out_r0:o1 - out_r0, b0:b1] = moved.T
+    return (out if len(out) else None), out_r0, zero_gain * cell, top * cell
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +520,8 @@ class _Workspace(Scratch):
     stage scratch.
 
     The lattice is fixed within a run, so each distinct load's kernel is
-    built once. The scratch arrays (the stage's band, the S-convolution's
+    built once, and each of its transforms once per transform length. The
+    scratch arrays (the stage's band, the S-convolution's
     block arrays, one set per thread, a point load's source rows and
     weighted part, and the shear's block and moved rows) grow to the
     largest stage's and every stage reuses them, so a stage maps no new
@@ -528,25 +539,98 @@ class _Workspace(Scratch):
             kernel = self.kernels[load] = _build_kernel(load, lat)
         return kernel
 
+    def spectrum(self, kernel: _Kernel, n_vals: int) -> np.ndarray:
+        """The transform of ``kernel``'s weights for lines of ``n_vals`` input cells."""
+        n_fft = next_fast_len(n_vals + len(kernel.weights) - 1, real=True)
+        if n_fft not in kernel.spectra:
+            kernel.spectra[n_fft] = line_spectrum(kernel.weights, n_vals)
+        return kernel.spectra[n_fft]
+
 
 def _minor_faults() -> int | None:
     """Minor page faults of the whole process so far; None without ``resource``."""
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace) -> float:
+def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace,
+                   cells: tuple[int, int] | None = None) -> float:
     """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
 
-    ``vals`` is a block of band rows (2D) or the zero line (1D). A
-    continuous load's convolution is folded straight into ``vals``; a point
-    load shifts ``vals`` by its location.
+    ``vals`` is a block of band rows (2D) whose input cells are ``cells``,
+    or the zero line (1D, all cells). A continuous load's convolution of the
+    input cells is folded straight into ``vals``; a point load shifts them
+    by its location. Either way every other cell of ``vals`` is overwritten.
     """
+    i0, i1 = (0, vals.shape[-1]) if cells is None else cells
     if kernel.weights is not None:
-        return convolve_lines(vals, kernel.weights, kernel.k0, kernel.spectrum, ws)
-    src = ws.array("shift_src", vals.shape)
-    src[...] = vals
+        return convolve_lines(vals, kernel.weights, kernel.k0, ws.spectrum(kernel, i1 - i0),
+                              ws, (i0, i1))
+    src = ws.array("shift_src", vals[..., i0:i1].shape)
+    src[...] = vals[..., i0:i1]
     vals[...] = 0.0
-    return _shift_last(vals, src, kernel.shift / h_s, ws)
+    return _shift_last(vals, src, kernel.shift / h_s, ws, i0)
+
+
+def _grid_window(state: JointState, rows: np.ndarray, cols: np.ndarray, dens: np.ndarray,
+                 cut: float) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """The budget window of a stage's grid: the state's band plus the lifted
+    diagonal's cells (rows, cols, dens).
+
+    First the D rows that leave under ``cut`` below them and at most ``cut``
+    above (``_budget_window``), then, summed over those rows, the S columns
+    that do the same. Returns the rows [w0, w1), the columns [v0, v1) and
+    the mass outside the window; both ranges are empty when no grid mass is
+    left.
+    """
+    lat = state.lattice
+    pc = state.pc
+    rspans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
+    cspans = [(int(cols.min()), int(cols.max()) + 1)] if len(cols) else []
+    if pc is not None:
+        rspans.append((state.pc_r0, state.pc_r0 + len(pc)))
+        cspans.append((state.pc_c0, state.pc_c0 + pc.shape[1]))
+    if not rspans:
+        return (0, 0), (0, 0), 0.0
+    cell = lat.s_step * lat.d_step
+    g0, g1 = _span(rspans)
+    q0, q1 = _span(cspans)
+    # bincount of no weights gives integers
+    sums = np.bincount(rows - g0, dens, g1 - g0).astype(float, copy=False)
+    if pc is not None:
+        sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
+    sums *= cell
+    lo, hi = _budget_window(sums, cut)
+    outside = float(sums[:lo].sum() + sums[hi:].sum())
+    if hi == lo:
+        return (0, 0), (0, 0), outside
+    w0, w1 = g0 + lo, g0 + hi
+    inside = (rows >= w0) & (rows < w1)
+    sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
+    if pc is not None:
+        a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
+        if b > a:
+            sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
+    sums *= cell
+    lo, hi = _budget_window(sums, cut)
+    outside += float(sums[:lo].sum() + sums[hi:].sum())
+    if hi == lo:
+        return (0, 0), (0, 0), outside
+    return (w0, w1), (q0 + lo, q0 + hi), outside
+
+
+def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
+    """Fill ``dest`` with ``src`` placed with its first cell on dest[r, c],
+    cut to ``dest``, and zeros everywhere else."""
+    a0, a1 = max(r, 0), min(r + len(src), len(dest))
+    b0, b1 = max(c, 0), min(c + src.shape[1], dest.shape[1])
+    if a1 <= a0 or b1 <= b0:
+        dest[...] = 0.0
+        return
+    dest[:a0] = 0.0
+    dest[a1:] = 0.0
+    dest[a0:a1, :b0] = 0.0
+    dest[a0:a1, b1:] = 0.0
+    dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
 
 
 def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
@@ -569,67 +653,79 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         diag = state.line[i0:]
     masses = {"grid": state.pc_mass(), "zero": float(z_vals[:i0].sum() * h_s),
               "diag": float(diag.sum() * h_s), "atoms": float(state.atom_mass.sum())}
-    tail_loss = (masses["grid"] + masses["diag"] + masses["zero"]) * kernel.tail
-    spill = 0.0
 
-    # ---- one band: the state's rows, the lifted diagonal's, the atom deposits' ----
-    rows, cols, dens, lost = _lift_diag(diag, i0, state.slope, lat)
-    spill += lost
-    spans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
-    if state.pc is not None:
-        spans.append((state.pc_r0, state.pc_r0 + len(state.pc)))
-    g0, g1 = _span(spans)  # grid rows: the state's band and the lifted diagonal
+    # ---- the budget window of the grid: the state's band and the lifted diagonal ----
+    rows, cols, dens, spill = _lift_diag(diag, i0, state.slope, lat)
+    (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, lat.stage_tail_budget / 8)
+    # the load's tail, cut from the mass the kernel convolves: the grid in the
+    # window and the zero line (atoms lose theirs with their deposits' clip)
+    tail_loss = (masses["grid"] + masses["diag"] - spill - cut + masses["zero"]) * kernel.tail
+
+    # ---- one band: the window's rows and the frame of columns its convolution
+    # reaches, widened to the atoms' exact deposits ----
+    spans, frame = [], []  # rows; columns the convolution and the deposits write
+    if w1 > w0:
+        spans.append((w0, w1))
+        f0, f1 = max(v0 + kernel.k0, 0), min(v1 + kernel.k1, lat.s_cells)
+        if f1 > f0:
+            frame.append((f0, f1))
     s, d, m = state.atom_s, state.atom_d, state.atom_mass
+    deposits = []
     if kernel.weights is not None:
-        spans += [(row, row + 1) for da in d if da > 0.0
-                  for row, _ in _row_weights(da, lat) if row < lat.d_cells]
+        for sa, da, ma in zip(s, d, m):
+            a0, vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
+            spill += clipped
+            if not len(vals):
+                continue
+            deposits.append((da, a0, vals))
+            if da > 0.0:
+                spans += [(row, row + 1) for row, _ in _row_weights(da, lat)
+                          if row < lat.d_cells]
+                frame.append((a0, a0 + len(vals)))
+        s = d = m = _EMPTY
     r0, r1 = _span(spans)
-    band = ws.array("band", (r1 - r0, lat.s_cells))
-    p0 = p1 = 0  # the state's rows in the band
-    if state.pc is not None:
-        p0 = state.pc_r0 - r0
-        p1 = p0 + len(state.pc)
-        band[p0:p1] = state.pc
-    band[:p0] = 0.0
-    band[p1:] = 0.0
-    np.add.at(band, (rows - r0, cols), dens)
+    e0, e1 = _span(frame)
+    c0, c1 = _span(frame + [(v0, v1)] if w1 > w0 else frame)
+    band = ws.array("band", (r1 - r0, c1 - c0))
+    if w1 > w0:  # the window's cells; the rest of its rows the convolution overwrites
+        band[:w0 - r0] = 0.0
+        band[w1 - r0:] = 0.0
+        window = band[w0 - r0:w1 - r0, v0 - c0:v1 - c0]
+        if state.pc is not None:
+            _place(window, state.pc, state.pc_r0 - w0, state.pc_c0 - v0)
+        else:
+            window[...] = 0.0
+        keep = (rows >= w0) & (rows < w1) & (cols >= v0) & (cols < v1)
+        np.add.at(window, (rows[keep] - w0, cols[keep] - v0), dens[keep])
+    else:
+        band[...] = 0.0
     clock.lap("lift")
 
-    # ---- convolve: grid rows (band, zero line) ----
-    if g1 > g0:
-        spill += _convolve_grid(band[g0 - r0:g1 - r0], kernel, h_s, ws) * cell
+    # ---- convolve: the window (into the frame), the zero line, the atoms ----
+    if w1 > w0:
+        spill += _convolve_grid(band[w0 - r0:w1 - r0], kernel, h_s, ws,
+                                (v0 - c0, v1 - c0)) * cell
     if z_vals.any():
         spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
-
-    # ---- convolve: atoms (s, d, m) ----
     if kernel.weights is None:
         s = s + kernel.shift
-    else:
-        for sa, da, ma in zip(s, d, m):
-            vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
-            spill += clipped
-            if da == 0.0:
-                z_vals += vals / h_s
-                continue
-            for row, w in _row_weights(da, lat):
-                if row >= lat.d_cells:
-                    spill += w * float(vals.sum())
-                else:
-                    band[row - r0] += (w / cell) * vals
-        s = d = m = _EMPTY
+    for da, a0, vals in deposits:
+        if da == 0.0:
+            z_vals[a0:a0 + len(vals)] += vals / h_s
+            continue
+        for row, w in _row_weights(da, lat):
+            if row >= lat.d_cells:
+                spill += w * float(vals.sum())
+            else:
+                band[row - r0, a0 - c0:a0 - c0 + len(vals)] += (w / cell) * vals
     clock.lap("convolve")
 
-    # ---- trim to the rows holding all but half the stage budget, then shear ----
-    pc, pc_r0, cols, cut = None, 0, (0, 0), 0.0
-    if r1 > r0:
-        sums = band.sum(axis=1) * cell
-        lo, hi = _budget_window(sums, lat.stage_tail_budget / 4)
-        cut = float(sums[:lo].sum() + sums[hi:].sum())
-        r0, r1 = r0 + lo, r0 + hi
-        if hi > lo:
-            pc, pc_r0, zero_gain, top, cols = _shear_canvas(band[lo:hi], r0, rho, lat, ws)
-            spill += top
-            z_vals += zero_gain / h_s
+    # ---- shear the frame ----
+    pc, pc_r0 = None, 0
+    if r1 > r0 and e1 > e0:
+        pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0, rho, lat, ws)
+        spill += top
+        z_vals[e0:e1] += zero_gain / h_s
     d = np.maximum(0.0, d + rho * s)
     clock.lap("shear")
 
@@ -639,6 +735,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         lattice=lat,
         pc=pc,
         pc_r0=pc_r0,
+        pc_c0=e0,
         line=z_vals if z_vals.any() else None,
         atom_s=s,
         atom_d=d,
@@ -658,7 +755,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         window_cut=cut,
         cumulative_lost=new_state.lost_mass,
         rows=(r0, r1),
-        cols=cols,
+        cols=(e0, e1),
         masses=masses,
         phase_s=clock.phases,
         minor_faults=None if faults is None else _minor_faults() - faults,
@@ -711,7 +808,8 @@ def joint_to_csv(state: JointState, target) -> None:
         cs = lat.s_centers()
         if state.pc is not None:
             pc = np.zeros((lat.d_cells, lat.s_cells))  # the band padded to the lattice
-            pc[state.pc_r0:state.pc_r0 + len(state.pc)] = state.pc
+            pc[state.pc_r0:state.pc_r0 + len(state.pc),
+               state.pc_c0:state.pc_c0 + state.pc.shape[1]] = state.pc
             block = np.column_stack((
                 np.tile(cs, lat.d_cells),
                 np.repeat(lat.d_centers(), lat.s_cells),

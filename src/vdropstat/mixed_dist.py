@@ -4,11 +4,13 @@ flow-drop state of the dynamic program.
 The joint law of (through-flow S, downstream maximal drop D) at any stage
 sits on the two carriers that ``dp_engine`` steps:
 
-* grid: the 2D density ``pc`` on D > 0, held as its occupied band of D
-  rows (first row ``pc_r0``) at full S width, plus the hinge ``line``, a
-  1D density over the S cells whose mass sits at D = max(0, slope * S). Its
-  S < 0 cells form the zero line D = 0; its S > 0 cells form the diagonal
-  D = slope * S (mass that had zero drop until the latest segment),
+* grid: the 2D density ``pc`` on D > 0, held as a frame of the lattice: a
+  band of D rows (first row ``pc_r0``) over a window of S columns (first
+  column ``pc_c0``) that moves with the through-flow from stage to stage,
+  plus the hinge ``line``, a 1D density over all the S cells whose mass
+  sits at D = max(0, slope * S). Its S < 0 cells form the zero line D = 0;
+  its S > 0 cells form the diagonal D = slope * S (mass that had zero drop
+  until the latest segment),
 * atoms (s, d, m): exact point masses with d >= 0. The start state is
   one; point-mass loads shift them without error, so degenerate feeders
   stay exact, and a continuous load spreads them onto the grid.
@@ -266,17 +268,20 @@ class Scratch:
 
 def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
                    spectrum: np.ndarray | None = None,
-                   scratch: Scratch | None = None) -> float:
+                   scratch: Scratch | None = None,
+                   cells: tuple[int, int] | None = None) -> float:
     """Convolve ``vals`` with ``weights`` along the last axis, folded back in place.
 
-    ``vals`` is one line (1D) or a band of lines (2D, one per row). Cell t of
-    a line's full linear convolution (n_vals + len(weights) - 1 cells) lands
-    on the line's cell t + k0 and overwrites it; cells of the line that no
-    output cell reaches become zero. Returns the value sum of the output
+    ``vals`` is one line (1D) or a band of lines (2D, one per row), and
+    ``cells`` = (i0, i1) the input cells of every line (all of them when
+    None). Cell t of the full linear convolution of a line's input cells
+    (n_vals = i1 - i0 cells, so n_vals + len(weights) - 1 output cells) lands
+    on the line's cell i0 + t + k0 and overwrites it; cells of the line that
+    no output cell reaches become zero. Returns the value sum of the output
     cells that land outside the line. A single line with fewer than 4096
     output cells is summed directly. Everything else is transformed as
-    blocks of rows, reusing ``spectrum`` (from ``line_spectrum`` for lines of
-    this length) when given: each block is zero-padded, transformed,
+    blocks of rows, reusing ``spectrum`` (from ``line_spectrum`` for n_vals
+    input cells) when given: each block is zero-padded, transformed,
     multiplied by the spectrum, transformed back and clipped of its
     transform dust. A block holds at most _FFT_BLOCK_CELLS transform cells
     shared out among ``pool_threads()``, and the blocks run through
@@ -292,9 +297,12 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
     the same order as over those columns.
     """
     lines = vals if vals.ndim == 2 else vals[np.newaxis]
-    n_rows, n_vals = lines.shape
+    n_rows, n_line = lines.shape
+    i0, i1 = (0, n_line) if cells is None else cells
+    n_vals = i1 - i0
+    k0 += i0  # output cell t lands on line cell t + k0
     n_out = n_vals + len(weights) - 1
-    lo, hi = max(0, -k0), min(n_out, n_vals - k0)  # output cells [lo, hi) stay on the line
+    lo, hi = max(0, -k0), min(n_out, n_line - k0)  # output cells [lo, hi) stay on the line
     whole = hi <= lo  # no output cell stays: the whole output spills, summed as one array
     if whole:
         lo = hi = n_out
@@ -315,7 +323,7 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
         spill[a:a + k, lo:lo + n_tail] = full[:, hi:]
 
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
-        fold(0, np.convolve(vals, weights)[np.newaxis])
+        fold(0, np.convolve(vals[i0:i1], weights)[np.newaxis])
     else:
         n_fft = next_fast_len(n_out, real=True)
         if spectrum is None:
@@ -336,7 +344,7 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
         def block(a, bufs):
             padded, coef, inverse = bufs
             k = min(step, n_rows - a)
-            padded[:k, :n_vals] = lines[a:a + k]
+            padded[:k, :n_vals] = lines[a:a + k, i0:i1]
             _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
             coef[:k] *= spectrum
             _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
@@ -418,14 +426,15 @@ _EMPTY = np.empty(0)
 class JointState:
     """Joint law of (through-flow, downstream maximal drop) at one stage.
 
-    ``pc`` is the 2D density on its occupied band of D rows: row i of
-    ``pc`` is lattice row ``pc_r0 + i``, every row spans all s_cells, and
-    the rows outside the band hold no mass. ``line`` is the hinge line
-    density over the S cells, its mass at D = max(0, slope * S). Each is
-    None while it holds no mass. ``slope`` is the drop coefficient
-    of the most recently applied segment. ``atom_s``, ``atom_d`` and
-    ``atom_mass`` list the exact atoms; d = 0 needs s <= 0, since a
-    positive flow through the latest segment makes a positive drop.
+    ``pc`` is the 2D density on a frame of the lattice: cell (i, j) of
+    ``pc`` is lattice cell (``pc_r0 + i``, ``pc_c0 + j``), the frame lies
+    within the lattice, and the cells outside it hold no mass. ``line`` is
+    the hinge line density over all the S cells, its mass at
+    D = max(0, slope * S). Each is None while it holds no mass. ``slope``
+    is the drop coefficient of the most recently applied segment.
+    ``atom_s``, ``atom_d`` and ``atom_mass`` list the exact atoms; d = 0
+    needs s <= 0, since a positive flow through the latest segment makes a
+    positive drop.
     ``lost_mass`` accumulates all logged truncation over the run so far.
     """
 
@@ -434,6 +443,7 @@ class JointState:
     lattice: JointLattice
     pc: np.ndarray | None = None
     pc_r0: int = 0
+    pc_c0: int = 0
     line: np.ndarray | None = None
     atom_s: np.ndarray = field(default_factory=lambda: _EMPTY)
     atom_d: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -442,8 +452,10 @@ class JointState:
 
     def __post_init__(self):
         if self.pc is not None:
-            if (self.pc.ndim != 2 or self.pc.shape[1] != self.lattice.s_cells
-                    or not 0 <= self.pc_r0 < self.pc_r0 + len(self.pc) <= self.lattice.d_cells):
+            lat = self.lattice
+            if (self.pc.ndim != 2
+                    or not 0 <= self.pc_r0 < self.pc_r0 + len(self.pc) <= lat.d_cells
+                    or not 0 <= self.pc_c0 < self.pc_c0 + self.pc.shape[1] <= lat.s_cells):
                 raise ValueError("pc band does not fit the lattice")
         if self.line is not None and self.line.shape != (self.lattice.s_cells,):
             raise ValueError("line shape does not match the lattice")

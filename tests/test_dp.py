@@ -225,6 +225,10 @@ def test_joint_csv_layout():
         + len(st.atom_s)
     )
     assert len(lines) - 1 == expect
+    # the "c" rows hold the band at (pc_r0, pc_c0) of the lattice, row by row
+    grid = np.array([float(row.split(",")[3]) for row in lines[1:] if row.startswith("c,")])
+    assert np.array_equal(grid.reshape(lat.d_cells, lat.s_cells),
+                          _padded(st.pc, st.pc_r0, st.pc_c0, lat))
     # mass recovered from the rows matches the state
     cell = lat.s_step * lat.d_step
     total = 0.0
@@ -237,6 +241,21 @@ def test_joint_csv_layout():
         else:
             total += float(atom)
     assert total == pytest.approx(st.total_mass(), abs=1e-9)
+
+
+def test_joint_csv_places_the_band_at_its_frame():
+    lat = JointLattice(s_base=-3, s_step=0.5, s_cells=6, d_step=0.25, d_cells=8)
+    pc = np.arange(1.0, 7.0).reshape(2, 3)  # lattice rows 5-6, columns 2-4
+    st = JointState(stage=0, slope=0.5, lattice=lat, pc=pc, pc_r0=5, pc_c0=2)
+    buf = io.StringIO()
+    joint_to_csv(st, buf)
+    cells = {(float(s_), float(d)): float(v) for part, s_, d, v, _ in
+             (row.split(",") for row in buf.getvalue().strip().split("\n")[1:]) if part == "c"}
+    assert len(cells) == lat.d_cells * lat.s_cells
+    for (i, j), v in np.ndenumerate(_padded(pc, 5, 2, lat)):
+        assert cells[lat.s_centers()[j], lat.d_centers()[i]] == v
+    assert cells[lat.s_centers()[2], lat.d_centers()[5]] == 1.0
+    assert cells[lat.s_centers()[4], lat.d_centers()[6]] == 6.0
 
 
 def test_joint_csv_of_terminal_state():
@@ -253,18 +272,26 @@ def test_joint_csv_of_terminal_state():
 # ---------------------------------------------------------------------------
 
 
-def _padded(band, r0, lat):
-    """The grid band as a full d_cells x s_cells canvas (zeros when None)."""
+def _padded(band, r0, c0, lat):
+    """The grid band, first cell at (r0, c0), as a full d_cells x s_cells
+    canvas (zeros when None)."""
     full = np.zeros((lat.d_cells, lat.s_cells))
     if band is not None:
-        full[r0:r0 + len(band)] = band
+        full[r0:r0 + band.shape[0], c0:c0 + band.shape[1]] = band
     return full
 
 
-def _assert_trimmed_band(band, r0, lat):
-    assert band.shape[1] == lat.s_cells
-    assert 0 <= r0 < r0 + len(band) <= lat.d_cells
-    assert band[0].any() and band[-1].any()
+def _assert_frame_in_lattice(band, r0, c0, lat):
+    assert band.ndim == 2
+    assert 0 <= r0 < r0 + band.shape[0] <= lat.d_cells
+    assert 0 <= c0 < c0 + band.shape[1] <= lat.s_cells
+
+
+def _reach(rows, cols, rho, lat):
+    """The rows [o0, o1) the shear can move the band rows ``rows`` of the
+    columns ``cols`` into, cut to the lattice."""
+    shift = np.floor(rho * lat.s_centers()[cols[0]:cols[1]] / lat.d_step).astype(int)
+    return max(rows[0] + int(shift.min()), 0), min(rows[1] + int(shift.max()) + 1, lat.d_cells)
 
 
 def _shear_per_column(canvas, rho, lat):
@@ -303,23 +330,34 @@ SHEAR_CASES = [(0.0, 0.5), (0.13, 0.5), (0.9, 0.5), (2.7, 0.5), (1.0, 0.5), (0.0
 
 
 def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
+    # the canvas's mass lies in rows [r0, r1); shear it as frames of the
+    # whole width, of its occupied columns and of a few columns past them
     cell = lat.s_step * lat.d_step
     want_out, want_zero, want_top = _shear_per_column(canvas, rho, lat)
-    band, o0, zero_gain, top, cols = dp_engine._shear_canvas(canvas[r0:r1], r0, rho, lat,
-                                                             mixed_dist.Scratch())
     occupied = np.flatnonzero(canvas.any(axis=0))
-    assert cols == ((int(occupied[0]), int(occupied[-1]) + 1) if len(occupied) else (0, 0))
-    if band is not None:
-        _assert_trimmed_band(band, o0, lat)
-    out = _padded(band, o0, lat)
-    assert np.abs(out - want_out).max() <= 1e-15
-    assert np.abs(zero_gain - want_zero).max() <= 1e-15
-    assert abs(top - want_top) <= 1e-15
-    mass_in = canvas.sum() * cell
-    mass_out = out.sum() * cell + zero_gain.sum() + top
-    assert abs(mass_out - mass_in) <= 1e-12 * max(mass_in, 1e-300)
-    if r1 == r0:
-        assert out.sum() == 0.0 and zero_gain.sum() == 0.0 and top == 0.0
+    frames = [(0, lat.s_cells)]
+    if len(occupied):
+        c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
+        frames += [(c_lo, c_hi), (max(c_lo - 3, 0), min(c_hi + 2, lat.s_cells))]
+    for c0, c1 in frames:
+        band, o0, zero_gain, top = dp_engine._shear_canvas(
+            canvas[r0:r1, c0:c1], r0, c0, rho, lat, mixed_dist.Scratch())
+        assert zero_gain.shape == (c1 - c0,)
+        if band is not None:
+            # the new band spans the frame's columns and the rows the shear reaches
+            _assert_frame_in_lattice(band, o0, c0, lat)
+            assert band.shape[1] == c1 - c0
+            assert (o0, o0 + len(band)) == _reach((r0, r1), (c0, c1), rho, lat)
+        out = _padded(band, o0, c0, lat)
+        assert np.abs(out - want_out).max() <= 1e-15
+        assert np.abs(zero_gain - want_zero[c0:c1]).max() <= 1e-15
+        assert not want_zero[:c0].any() and not want_zero[c1:].any()
+        assert abs(top - want_top) <= 1e-15
+        mass_in = canvas.sum() * cell
+        mass_out = out.sum() * cell + zero_gain.sum() + top
+        assert abs(mass_out - mass_in) <= 1e-12 * max(mass_in, 1e-300)
+        if r1 == r0:
+            assert out.sum() == 0.0 and zero_gain.sum() == 0.0 and top == 0.0
 
 
 @pytest.mark.parametrize("rho, d_step", SHEAR_CASES)
@@ -351,11 +389,10 @@ def test_shear_column_blocks_match_per_column_loop(monkeypatch, s_base, rho):
 
 def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
-    band = np.zeros((2, 30))
-    band[:, 2:6] = 1.0  # rows 3 and 4, S < 0 columns pushed far below zero
-    out, _, zero_gain, top, cols = dp_engine._shear_canvas(band, 3, 5.0, lat, mixed_dist.Scratch())
+    band = np.ones((2, 4))  # rows 3 and 4 of the S < 0 columns 2-5, pushed far below zero
+    out, _, zero_gain, top = dp_engine._shear_canvas(band, 3, 2, 5.0, lat, mixed_dist.Scratch())
     assert out is None and top == 0.0
-    assert cols == (2, 6)
+    assert zero_gain.shape == (4,)
     assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
 
 
@@ -428,7 +465,10 @@ def test_stage_logs_carry_phases_and_row_band(monkeypatch):
     for log in rest:
         r0, r1 = log.rows
         assert 0 <= r0 < r1 <= rep.lattice.d_cells
+        c0, c1 = log.cols  # the frame the stage convolved into and sheared
+        assert 0 <= c0 < c1 <= rep.lattice.s_cells
     assert rep.stage_logs[-1].rows[1] < rep.lattice.d_cells
+    assert rep.stage_logs[-1].cols == (rep.state.pc_c0, rep.state.pc_c0 + rep.state.pc.shape[1])
     # a platform without the resource module logs no fault count
     monkeypatch.setattr(dp_engine, "resource", None)
     assert all(log.minor_faults is None for log in run(reference_spec(), CFG).stage_logs)
@@ -471,9 +511,10 @@ def _feeder4_chain(n):
                       tuple(feeder.loads[i % feeder.n] for i in range(n)))
 
 
-# Laws and logged losses of the engine that trims each stage's band to its
-# budget window (recorded once UNTRIMMED_LAWS held it within tail_tol of the
-# law before the trim); the engine must reproduce them to rounding. Loads run
+# Laws and logged losses of the engine that steps each stage on its 2D budget
+# window in a moving S frame (recorded once UNTRIMMED_LAWS held it within
+# tail_tol of the law before any window); the engine must reproduce them to
+# rounding. Loads run
 # substation first, so the last load is applied first. The entries cover
 # every carrier x kernel pairing:
 LAW_REGRESSION_SPECS = {
@@ -495,25 +536,25 @@ LAW_REGRESSION_SPECS = {
 }
 LAW_REGRESSION = {
     "feeder4-512": dict(
-        mean=0.020716506663224832, std=0.01650119152849239, atom0=0.0540204722388263,
-        q=(0.01749523918659657, 0.04277735293509853, 0.07303101772506566),
-        lost=8.118151871880108e-07),
+        mean=0.020716508835596642, std=0.016501205504753133, atom0=0.05402042674140501,
+        q=(0.01749524132661306, 0.04277736057303384, 0.0730310871826891),
+        lost=8.591430295993641e-07),
     "chain64-256": dict(
-        mean=4.184489443633151, std=0.9775692327498724, atom0=9.071942832847373e-10,
-        q=(4.144876303365588, 5.458125334670943, 6.636732439480707),
-        lost=5.792510788709781e-07),
+        mean=4.184488825267314, std=0.9775689792412927, atom0=6.299174343953868e-10,
+        q=(4.144876451330082, 5.458125719363745, 6.636735098378493),
+        lost=6.977295520267865e-07),
     "ref-pm3": dict(
         mean=0.008000617623397547, std=0.003164864766174999, atom0=0.0006279473499059118,
         q=(0.007215587201137969, 0.012053284447255591, 0.018947624341680687),
-        lost=3.4764363043837676e-07),
+        lost=3.4764363032735446e-07),
     "pm3-ref": dict(
-        mean=0.007267524797441834, std=0.006022759830222662, atom0=0.012529865193907112,
+        mean=0.007267530719884002, std=0.0060227976787831745, atom0=0.012529865193907112,
         q=(0.005472719788215262, 0.015074517219437812, 0.028911086408950046),
-        lost=4.5193606924632855e-07),
+        lost=3.8721907333220507e-07),
     "zero-atoms": dict(
-        mean=0.010316286918341716, std=0.009607439606298512, atom0=0.08818679502888153,
+        mean=0.010316285203065339, std=0.009607428792463159, atom0=0.08818679502888153,
         q=(0.007914765170461082, 0.022839361876993657, 0.04357828080921812),
-        lost=4.111009214082588e-07),
+        lost=4.2320371029207966e-07),
     "free-atoms": dict(
         mean=0.012000003514378615, std=0.0031679752271617755, atom0=1.1454787061389506e-05,
         q=(0.011225899095822193, 0.01605528785801346, 0.022959341292791695),
@@ -537,10 +578,10 @@ def test_law_regression(name):
     assert got["q"] == pytest.approx(want["q"], rel=1e-12, abs=0.0)
 
 
-# Final joint states recorded from the engine that trims each stage's band to
-# its budget window. A state must match them bit for bit: pc, the two sides
-# of the hinge line (each over all S cells), the (s, d, m) atom rows and
-# lost_mass. The point-only chains end on a zero-line atom, a diagonal atom,
+# Final joint states recorded from the engine that steps each stage on its 2D
+# budget window in a moving S frame. A state must match them bit for bit: pc
+# padded to the lattice at its frame, the two sides of the hinge line (each
+# over all S cells), the (s, d, m) atom rows and lost_mass. The point-only chains end on a zero-line atom, a diagonal atom,
 # a free atom, an atom whose drop the last (negative) flow lowered, and one
 # that flow sent back to the zero line.
 STATE_REGRESSION_SPECS = {
@@ -557,20 +598,20 @@ STATE_REGRESSION_SPECS = {
 # name: sha1[:16] of (pc padded to the lattice or "none", zero side, diagonal
 # side, atoms), lost_mass.hex()
 STATE_REGRESSION = {
-    "feeder4-512": ("0d5c5850a6249472", "22712719d84619c9", "2a6117bdef04c589",
-                    "da39a3ee5e6b4b0d", "0x1.b3d7079d06fb2p-21"),
-    "chain64-256": ("61a06e6aa6d0537d", "0965f8085a999319", "66aa7427030530eb",
-                    "da39a3ee5e6b4b0d", "0x1.36fba97dea229p-21"),
+    "feeder4-512": ("e3e51ba23e52469e", "8cbad854a5603ddf", "3f924b12072fa312",
+                    "da39a3ee5e6b4b0d", "0x1.cd3fb807ec5e1p-21"),
+    "chain64-256": ("31bb895e8c937bad", "15479413c49c657a", "910f047a8e679cf1",
+                    "da39a3ee5e6b4b0d", "0x1.7697382d06c4ap-21"),
     "ref-pm3": ("eee3cd2b495a9966", "82b0ddaca74c9249", "807f5004e5400b4c",
-                "da39a3ee5e6b4b0d", "0x1.75478db200000p-22"),
-    "pm3-ref": ("f61b3a59de1964b4", "d4ec99991a335efb", "8bd8704c0e100058",
-                "da39a3ee5e6b4b0d", "0x1.e5433da436534p-22"),
-    "zero-atoms": ("c6a3b55779ff12ab", "4131ba4a2b538fce", "651d15f60c9f380e",
-                   "da39a3ee5e6b4b0d", "0x1.b96a8f91dd156p-22"),
+                "da39a3ee5e6b4b0d", "0x1.75478db000000p-22"),
+    "pm3-ref": ("1feaa53476b587a9", "d4ec99991a335efb", "8bd8704c0e100058",
+                "da39a3ee5e6b4b0d", "0x1.9fc5f7e97a8a2p-22"),
+    "zero-atoms": ("e423c1caa46f525e", "762f8a828659b1fa", "651d15f60c9f380e",
+                   "da39a3ee5e6b4b0d", "0x1.c669599fe4942p-22"),
     "free-atoms": ("4a182b9df9b76add", "8c4efd4133322e89", "807f5004e5400b4c",
                    "da39a3ee5e6b4b0d", "0x1.d3cd4e2000000p-23"),
-    "families": ("f220232d2840d256", "ffa6ba28286980aa", "0d9f115608270f2b",
-                 "da39a3ee5e6b4b0d", "0x1.77619fe7c4950p-22"),
+    "families": ("105d66b1bfeec22c", "28961529846470ab", "52d4a166f887c9fa",
+                 "da39a3ee5e6b4b0d", "0x1.7401f5de51113p-22"),
     "point-zero": ("none", "67e8f7491703620a", "67e8f7491703620a",
                    "59e3b2c5def90dff", "0x0.0p+0"),
     "point-diag": ("none", "67e8f7491703620a", "67e8f7491703620a",
@@ -593,7 +634,7 @@ def _digest(st):
     """A final state as its STATE_REGRESSION entry."""
     zero, diag = st.hinge_sides()
     atoms = np.column_stack((st.atom_s, st.atom_d, st.atom_mass))
-    grid = "none" if st.pc is None else _sha(_padded(st.pc, st.pc_r0, st.lattice))
+    grid = "none" if st.pc is None else _sha(_padded(st.pc, st.pc_r0, st.pc_c0, st.lattice))
     return grid, _sha(zero.values), _sha(diag.values), _sha(atoms), st.lost_mass.hex()
 
 
@@ -616,19 +657,35 @@ def _stages(spec, config):
 @pytest.mark.parametrize("name", sorted(STATE_REGRESSION_SPECS))
 def test_band_is_trimmed_after_every_stage(name):
     spec, config = STATE_REGRESSION_SPECS[name]()
-    for stepped, log, st in _stages(spec, config):
-        r0, r1 = log.rows
+    loads = spec.loads[::-1]  # in the order the stages apply them
+    for load, (stepped, log, st) in zip(loads, _stages(spec, config)):
+        lat = st.lattice
+        kernel = dp_engine._build_kernel(load, lat)
         if stepped.pc is not None and log.window_cut == 0.0:
-            # a window that cut nothing holds the band the stage stepped
-            assert r0 <= stepped.pc_r0 and stepped.pc_r0 + len(stepped.pc) <= r1
+            # a window that cut nothing holds the band the stage stepped, and
+            # its frame holds every column the load moves that band to
+            assert log.rows[0] <= stepped.pc_r0
+            assert stepped.pc_r0 + len(stepped.pc) <= log.rows[1]
+            assert log.cols[0] <= max(stepped.pc_c0 + kernel.k0, 0)
+            assert min(stepped.pc_c0 + stepped.pc.shape[1] + kernel.k1, lat.s_cells) <= log.cols[1]
         if st.pc is not None:
-            _assert_trimmed_band(st.pc, st.pc_r0, st.lattice)
-            # the new band lies where the shear moves the window's rows
-            lat = st.lattice
-            c0, c1 = log.cols
-            shift = np.floor(st.slope * lat.s_centers()[c0:c1] / lat.d_step).astype(int)
-            assert max(r0 + shift.min(), 0) <= st.pc_r0
-            assert st.pc_r0 + len(st.pc) <= min(r1 + shift.max() + 1, lat.d_cells)
+            # the new band lies inside the lattice, spans the frame the stage
+            # convolved and sheared, and holds the rows the shear moves it to
+            _assert_frame_in_lattice(st.pc, st.pc_r0, st.pc_c0, lat)
+            assert (st.pc_c0, st.pc_c0 + st.pc.shape[1]) == log.cols
+            assert (st.pc_r0, st.pc_r0 + len(st.pc)) == _reach(log.rows, log.cols, st.slope, lat)
+
+
+def test_chain256_bands_hold_under_half_the_s_cells():
+    # the benchmark's chain at 256^2: the median stage steps a frame at most
+    # half the lattice wide and none spans it all (every band that the
+    # stages before the column window stepped spanned all s_cells)
+    spec, config = LAW_REGRESSION_SPECS["chain256-256"]()
+    widths = [st.pc.shape[1] for _, _, st in _stages(spec, config) if st.pc is not None]
+    s_cells = plan_lattice(spec, config).s_cells
+    assert len(widths) == spec.n - 1  # the first stage leaves only the hinge line
+    assert np.median(widths) <= s_cells / 2
+    assert max(widths) < s_cells
 
 
 @pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "zero-atoms"])
@@ -653,7 +710,8 @@ def test_budget_window_cuts_at_most_cut_at_each_end():
                                   "ref-pm3", "pm3-ref"])
 def test_stage_losses_add_up_to_lost_mass(name):
     # each stage logs the load's tail (at most half the stage budget per unit
-    # mass), the trimmed rows (at most a quarter budget per end) and the spill
+    # mass), the window's cut (at most an eighth of the budget at each end of
+    # each axis) and the spill
     spec, config = STATE_REGRESSION_SPECS[name]()
     rep = run(spec, config)
     budget = rep.lattice.stage_tail_budget
@@ -734,8 +792,8 @@ def test_trim_moves_the_law_by_at_most_tail_tol(name):
 
 def test_stage_holds_no_full_canvas():
     # the second stage lifts the first one's diagonal onto a 6-row band and
-    # shears the 5 rows the trim leaves; stepping it must stay under one
-    # 1024^2 canvas (8.4 MB)
+    # steps the window of it the budget keeps; stepping it must stay under a
+    # tenth of one 1024^2 canvas (8.4 MB)
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     ws = dp_engine._Workspace()
@@ -744,18 +802,21 @@ def test_stage_holds_no_full_canvas():
     lat = state.lattice
     tracemalloc.start()
     try:
-        _, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config, ws)
+        new, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert log.rows == (0, 5)
-    assert peak < 8 * lat.d_cells * lat.s_cells
+    assert 0 < log.cols[1] - log.cols[0] < lat.s_cells
+    assert (new.pc_c0, new.pc_c0 + new.pc.shape[1]) == log.cols
+    assert peak < 8 * lat.d_cells * lat.s_cells // 10
 
 
 def _warm_step(spec, load, config):
     """Step ``spec``'s stages down to bus 1, then bus 0 with ``load`` twice in
-    one workspace; returns (first result, second result, its log, the second
-    step's tracemalloc peak, the bytes of the window it sheared)."""
+    one workspace; returns (the second result, its log, its tracemalloc
+    peak, the bytes of the frame it sheared: the window's rows by the frame's
+    columns)."""
     ws = dp_engine._Workspace()
     state = _terminal(spec, config)
     for j in range(spec.n - 1, 0, -1):
@@ -768,7 +829,7 @@ def _warm_step(spec, load, config):
     finally:
         tracemalloc.stop()
     assert _digest(again) == _digest(first)
-    return again, log, peak, 8 * (log.rows[1] - log.rows[0]) * state.lattice.s_cells
+    return again, log, peak, 8 * (log.rows[1] - log.rows[0]) * (log.cols[1] - log.cols[0])
 
 
 def test_warm_workspace_steps_a_stage_in_its_own_arrays():
@@ -776,10 +837,10 @@ def test_warm_workspace_steps_a_stage_in_its_own_arrays():
     # blocks, stepping that stage again allocates its new band and less than
     # half a window besides (a fresh band and a full rows x n_out convolution
     # output per stage came to over four bands more)
-    spec = reference_spec(n=52)  # bus 0 shears a 407-row window at 512^2
+    spec = reference_spec(n=52)
     again, _, peak, window = _warm_step(spec, spec.loads[0], DpConfig(grid_s=512, grid_delta=512))
     assert window > 1 << 20
-    assert peak < again.pc.base.nbytes + window // 2  # the new band, before its trim
+    assert peak < again.pc.nbytes + window // 2
 
 
 def test_warm_workspace_shifts_a_point_load_in_place():
@@ -790,7 +851,7 @@ def test_warm_workspace_shifts_a_point_load_in_place():
     again, _, peak, window = _warm_step(reference_spec(n=30), PointMass(location=1.5),
                                         DpConfig(grid_s=512, grid_delta=512))
     assert window > 1 << 20
-    assert peak <= again.pc.base.nbytes + window // 4
+    assert peak <= again.pc.nbytes + window // 4
 
 
 @pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "free-atoms"])

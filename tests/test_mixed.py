@@ -146,17 +146,21 @@ def _fold_last(dest, src, k0):
     return float(src[..., :lo].sum() + src[..., hi:].sum())
 
 
-def _assert_fold_matches_oracle(vals, weights, k0, spectrum=None):
+def _assert_fold_matches_oracle(vals, weights, k0, spectrum=None, cells=None):
+    # the oracle convolves the input cells alone and folds the output onto
+    # the line from the first input cell on
+    i0, i1 = (0, vals.shape[-1]) if cells is None else cells
     want = np.zeros_like(vals)
-    want_spill = _fold_last(want, _full_convolution(vals, weights), k0)
+    want_spill = _fold_last(want, _full_convolution(vals[..., i0:i1], weights), i0 + k0)
     got = vals.copy()
-    spill = convolve_lines(got, weights, k0, spectrum)
+    spill = convolve_lines(got, weights, k0, spectrum, None, cells)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
     assert spill.hex() == want_spill.hex()
 
 
-# (lines, line cells, kernel cells, k0): n_out = cells + kernel - 1 output
-# cells, of which [max(0, -k0), min(n_out, cells - k0)) stay on the line
+# (lines, line cells, kernel cells, k0[, input cells]): the input cells
+# [i0, i1) (all by default) give n_out = i1 - i0 + kernel - 1 output cells, of
+# which [max(0, -i0 - k0), min(n_out, cells - i0 - k0)) stay on the line
 FOLD_CASES = {
     "1D direct": (None, 300, 45, -7),
     "1D transform": (None, 5000, 45, -7),
@@ -167,16 +171,22 @@ FOLD_CASES = {
     "all spill, right": (9, 300, 45, 300),
     "all spill, left": (9, 300, 45, -344),
     "1D all spill": (None, 300, 45, 400),
+    "window inside the line": (9, 300, 45, -7, (80, 200)),
+    "window, output past both ends": (9, 300, 45, -30, (10, 290)),
+    "window left of its output": (9, 300, 45, 60, (20, 120)),
+    "window, all spill": (9, 300, 45, 200, (150, 250)),
+    "1D window": (None, 300, 45, -7, (50, 120)),
+    "1D window, transform": (None, 5000, 45, -7, (1000, 4990)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
 def test_fold_into_the_band_matches_the_full_output(case):
-    lines, cells, width, k0 = FOLD_CASES[case]
+    lines, cells, width, k0, *window = FOLD_CASES[case]
     rng = np.random.default_rng(len(case))
     vals = rng.random(cells if lines is None else (lines, cells))
     vals[..., :cells // 4] = 0.0  # an empty stretch, as bands have
-    _assert_fold_matches_oracle(vals, rng.random(width), k0)
+    _assert_fold_matches_oracle(vals, rng.random(width), k0, None, *window)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -199,6 +209,22 @@ def test_fold_of_several_blocks_matches_the_full_output(monkeypatch, threads):
         weights = rng.random(width)
         vals = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
         _assert_fold_matches_oracle(vals, weights, k0, line_spectrum(weights, cells))
+    # the same with a window of input cells, transformed at its own length
+    rng = np.random.default_rng(10 + threads)
+    for _ in range(40):
+        rows = int(rng.integers(1, 12))
+        cells = int(rng.integers(20, 3000))
+        i0 = int(rng.integers(0, cells - 1))
+        i1 = int(rng.integers(i0 + 1, cells + 1))
+        width = int(rng.integers(1, 2000))
+        n_out = i1 - i0 + width - 1
+        k0 = int(rng.integers(-i0 - n_out - 3, cells - i0 + 3))
+        n_fft = next_fast_len(n_out, real=True)
+        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS",
+                            int(rng.integers(1, 4)) * threads * n_fft)
+        weights = rng.random(width)
+        vals = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
+        _assert_fold_matches_oracle(vals, weights, k0, line_spectrum(weights, i1 - i0), (i0, i1))
 
 
 def test_fold_reuses_scratch_of_any_earlier_shape():
@@ -397,11 +423,15 @@ def test_marginal_drop_hand_state():
 
 def test_grid_band_must_fit_the_lattice():
     lat = _lattice()  # 8 D rows, 6 S cells
-    for shape, r0 in (((2, 6), -1), ((2, 6), 7), ((2, 5), 0), ((0, 6), 3), ((6,), 0)):
+    # (shape, pc_r0, pc_c0): rows off either end, no rows, not 2D; columns
+    # off either end, no columns, wider than the lattice
+    for shape, r0, c0 in (((2, 6), -1, 0), ((2, 6), 7, 0), ((0, 6), 3, 0), ((6,), 0, 0),
+                          ((2, 5), 0, 2), ((2, 1), 0, 6), ((2, 3), 0, -1), ((2, 0), 0, 3),
+                          ((2, 7), 0, 0)):
         with pytest.raises(ValueError, match="pc band"):
-            JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0)
-    for shape, r0 in (((8, 6), 0), ((1, 6), 7)):
-        JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0)
+            JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0, pc_c0=c0)
+    for shape, r0, c0 in (((8, 6), 0, 0), ((1, 6), 7, 0), ((2, 5), 0, 1), ((1, 1), 7, 5)):
+        JointState(stage=0, slope=0.5, lattice=lat, pc=np.ones(shape), pc_r0=r0, pc_c0=c0)
 
 
 def test_validate_rejects_wrong_support():
