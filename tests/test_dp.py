@@ -957,7 +957,7 @@ def test_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
 def test_threads_add_at_most_one_block_of_memory(monkeypatch):
     # the threads share out one thread's block of transform arrays (padded
     # lines, their coefficients, the inverse), so a second thread adds at
-    # most the rows lost to rounding, well under one block (8 MB)
+    # most the rows lost to rounding, well under one block (4 MB)
     spec = parse_feeder(CONFIG4)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     peaks = []
@@ -970,4 +970,4 @@ def test_threads_add_at_most_one_block_of_memory(monkeypatch):
         finally:
             tracemalloc.stop()
     assert seen - {threading.get_ident()}  # the bands at 1024^2 took the pool
-    assert peaks[1] <= peaks[0] + mixed_dist._FFT_BLOCK_CELLS  # 1 MB
+    assert peaks[1] <= peaks[0] + mixed_dist._FFT_BLOCK_CELLS  # 512 KB
