@@ -581,9 +581,10 @@ def test_law_regression(name):
 # Final joint states recorded from the engine that steps each stage on its 2D
 # budget window in a moving S frame. A state must match them bit for bit: pc
 # padded to the lattice at its frame, the two sides of the hinge line (each
-# over all S cells), the (s, d, m) atom rows and lost_mass. The point-only chains end on a zero-line atom, a diagonal atom,
-# a free atom, an atom whose drop the last (negative) flow lowered, and one
-# that flow sent back to the zero line.
+# over all S cells), the (s, d, m) atom rows and lost_mass. The point-only
+# chains end on a zero-line atom, a diagonal atom, a free atom, an atom whose
+# drop the last (negative) flow lowered, and one that flow sent back to the
+# zero line.
 STATE_REGRESSION_SPECS = {
     **LAW_REGRESSION_SPECS,
     "families": lambda: (_chain(Gaussian(mean=1.0, std=0.5), Uniform(lo=-1.0, hi=2.0),
