@@ -60,9 +60,9 @@ _FFT_THRESHOLD = 4096
 # Transform cells per block of lines on one thread (4 MB arrays), shared
 # out among a pool's threads, so that the arrays in flight stay the same
 # whatever the thread count. A line's result does not depend on the block
-# it is transformed in, nor on the thread. Frames change size from stage to
-# stage and fragment the heap; at 8 MB arrays that raised feeder4 2048^2's
-# peak resident set by a tenth.
+# it is transformed in, nor on the thread. Small blocks leave less of the
+# heap to fragment as frames change size from stage to stage: feeder4
+# 2048^2 peaks 12 MB lower than with 8 MB arrays.
 _FFT_BLOCK_CELLS = 1 << 19
 # Pool threads at most: bounds the working sets the threads hold (the MC's
 # vector sets, the transform blocks) whatever the host's CPU count. Only
