@@ -49,7 +49,10 @@ load, built once with one transform per transform length, and the arrays a
 stage works in (the band, the transform blocks of each thread, a point
 load's shift buffers, the shear's blocks), which grow to the largest
 stage's and are reused by every later one. The states a stage returns own
-their arrays. Atoms stay exact and the zero line stays off the 2D grid, so
+their arrays. A stage reads its state only up to the lift (``_lift_stage``),
+which copies the state's band into the workspace's, so ``run`` lets each
+state go there and the shear never holds the stepped band beside the new
+one. Atoms stay exact and the zero line stays off the 2D grid, so
 point-mass feeders and the zero-drop probability suffer no
 discretization. All truncation (load tails, cut at b/2; the window's cut;
 lattice boundary clips; shear overflow) is logged per stage; the run
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,18 +398,19 @@ def _span(spans: list[tuple[int, int]]) -> tuple[int, int]:
     return (min(a for a, _ in spans), max(b for _, b in spans)) if spans else (0, 0)
 
 
-def _lift_diag(diag: np.ndarray, i0: int, slope: float,
+def _lift_diag(diag: np.ndarray, slope: float,
                lat: JointLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Splat the diagonal line density onto 2D cells at D = slope * S.
 
-    ``diag`` is the hinge line's S > 0 side, the line's cells from i0 on.
+    ``diag`` is the hinge line's S > 0 side, its cells from ``lat.hinge`` on.
     Two-row linear split; rows below 0 clamp to row 0 (drop under half a
     cell), rows above the top are clipped and returned as lost mass.
     Returns (rows, cols, densities, lost mass), lower split rows first.
     """
     mass = diag * lat.s_step
-    cols = np.nonzero(mass > 0.0)[0] + i0
-    mass = mass[cols - i0]
+    cols = np.nonzero(mass > 0.0)[0]
+    mass = mass[cols]
+    cols += lat.hinge
     g = slope * lat.s_centers()[cols] / lat.d_step - 0.5
     j0 = np.floor(g).astype(int)
     frac = g - j0
@@ -633,9 +638,18 @@ def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
     dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
 
 
-def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig, ws: _Workspace) -> tuple[JointState, StageLog]:
-    """Advance one bus toward the substation; see the module docstring."""
+def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
+                config: DpConfig, ws: _Workspace) -> Callable[[], tuple[JointState, StageLog]]:
+    """The part of a stage that reads ``state``: the hinge line's split, the
+    budget window, the band with the window lifted into it, and the atoms'
+    deposits.
+
+    Returns the rest of the stage (convolve, shear, the new state and its
+    log) as a function of no arguments. It keeps no reference to ``state``,
+    whose band the workspace's band now holds a copy of, so a caller that
+    lets ``state`` go before calling it frees that band before the shear
+    allocates the next one.
+    """
     faults = _minor_faults()
     clock = _PhaseClock()
     lat = state.lattice
@@ -645,7 +659,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     kernel = ws.kernel(load, lat)
     clock.lap("kernel")
     # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
-    i0 = min(max(-lat.s_base, 0), lat.s_cells)
+    i0 = lat.hinge
     z_vals = np.zeros(lat.s_cells)
     diag = _EMPTY
     if state.line is not None:
@@ -655,7 +669,7 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
               "diag": float(diag.sum() * h_s), "atoms": float(state.atom_mass.sum())}
 
     # ---- the budget window of the grid: the state's band and the lifted diagonal ----
-    rows, cols, dens, spill = _lift_diag(diag, i0, state.slope, lat)
+    rows, cols, dens, spill = _lift_diag(diag, state.slope, lat)
     (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, lat.stage_tail_budget / 8)
     # the load's tail, cut from the mass the kernel convolves: the grid in the
     # window and the zero line (atoms lose theirs with their deposits' clip)
@@ -699,68 +713,80 @@ def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         np.add.at(window, (rows[keep] - w0, cols[keep] - v0), dens[keep])
     else:
         band[...] = 0.0
+    stage, lost_before = state.stage - 1, state.lost_mass
     clock.lap("lift")
 
-    # ---- convolve: the window (into the frame), the zero line, the atoms ----
-    if w1 > w0:
-        spill += _convolve_grid(band[w0 - r0:w1 - r0], kernel, h_s, ws,
-                                (v0 - c0, v1 - c0)) * cell
-    if z_vals.any():
-        spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
-    if kernel.weights is None:
-        s = s + kernel.shift
-    for da, a0, vals in deposits:
-        if da == 0.0:
-            z_vals[a0:a0 + len(vals)] += vals / h_s
-            continue
-        for row, w in _row_weights(da, lat):
-            if row >= lat.d_cells:
-                spill += w * float(vals.sum())
-            else:
-                band[row - r0, a0 - c0:a0 - c0 + len(vals)] += (w / cell) * vals
-    clock.lap("convolve")
+    def finish() -> tuple[JointState, StageLog]:
+        nonlocal spill, s, d
+        # ---- convolve: the window (into the frame), the zero line, the atoms ----
+        if w1 > w0:
+            spill += _convolve_grid(band[w0 - r0:w1 - r0], kernel, h_s, ws,
+                                    (v0 - c0, v1 - c0)) * cell
+        if z_vals.any():
+            spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
+        if kernel.weights is None:
+            s = s + kernel.shift
+        for da, a0, vals in deposits:
+            if da == 0.0:
+                z_vals[a0:a0 + len(vals)] += vals / h_s
+                continue
+            for row, w in _row_weights(da, lat):
+                if row >= lat.d_cells:
+                    spill += w * float(vals.sum())
+                else:
+                    band[row - r0, a0 - c0:a0 - c0 + len(vals)] += (w / cell) * vals
+        clock.lap("convolve")
 
-    # ---- shear the frame ----
-    pc, pc_r0 = None, 0
-    if r1 > r0 and e1 > e0:
-        pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0, rho, lat, ws)
-        spill += top
-        z_vals[e0:e1] += zero_gain / h_s
-    d = np.maximum(0.0, d + rho * s)
-    clock.lap("shear")
+        # ---- shear the frame ----
+        pc, pc_r0 = None, 0
+        if r1 > r0 and e1 > e0:
+            pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0, rho,
+                                                      lat, ws)
+            spill += top
+            z_vals[e0:e1] += zero_gain / h_s
+        d = np.maximum(0.0, d + rho * s)
+        clock.lap("shear")
 
-    new_state = JointState(
-        stage=state.stage - 1,
-        slope=rho,
-        lattice=lat,
-        pc=pc,
-        pc_r0=pc_r0,
-        pc_c0=e0,
-        line=z_vals if z_vals.any() else None,
-        atom_s=s,
-        atom_d=d,
-        atom_mass=m,
-        lost_mass=state.lost_mass + tail_loss + spill + cut,
-    )
-    if new_state.lost_mass > 100.0 * config.tail_tol:
-        raise MassLossError(
-            f"accumulated mass loss {new_state.lost_mass:.3e} exceeds "
-            f"100x tail_tol={config.tail_tol:.1e} at stage {new_state.stage}")
-    clock.lap("lines")
-    log = StageLog(
-        stage=new_state.stage,
-        seconds=clock.last - clock.start,
-        kernel_tail=tail_loss,
-        boundary_spill=spill,
-        window_cut=cut,
-        cumulative_lost=new_state.lost_mass,
-        rows=(r0, r1),
-        cols=(e0, e1),
-        masses=masses,
-        phase_s=clock.phases,
-        minor_faults=None if faults is None else _minor_faults() - faults,
-    )
-    return new_state, log
+        new_state = JointState(
+            stage=stage,
+            slope=rho,
+            lattice=lat,
+            pc=pc,
+            pc_r0=pc_r0,
+            pc_c0=e0,
+            line=z_vals if z_vals.any() else None,
+            atom_s=s,
+            atom_d=d,
+            atom_mass=m,
+            lost_mass=lost_before + tail_loss + spill + cut,
+        )
+        if new_state.lost_mass > 100.0 * config.tail_tol:
+            raise MassLossError(
+                f"accumulated mass loss {new_state.lost_mass:.3e} exceeds "
+                f"100x tail_tol={config.tail_tol:.1e} at stage {new_state.stage}")
+        clock.lap("lines")
+        log = StageLog(
+            stage=new_state.stage,
+            seconds=clock.last - clock.start,
+            kernel_tail=tail_loss,
+            boundary_spill=spill,
+            window_cut=cut,
+            cumulative_lost=new_state.lost_mass,
+            rows=(r0, r1),
+            cols=(e0, e1),
+            masses=masses,
+            phase_s=clock.phases,
+            minor_faults=None if faults is None else _minor_faults() - faults,
+        )
+        return new_state, log
+
+    return finish
+
+
+def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
+                 config: DpConfig, ws: _Workspace) -> tuple[JointState, StageLog]:
+    """Advance one bus toward the substation; see the module docstring."""
+    return _lift_stage(state, load, segment, config, ws)()
 
 
 def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
@@ -771,7 +797,9 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     logs: list[StageLog] = []
     ws = _Workspace()  # for this run only
     for j in range(spec.n - 1, -1, -1):
-        state, log = _apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
+        finish = _lift_stage(state, spec.loads[j], spec.segments[j], config, ws)
+        del state  # the workspace holds its band now: free it before the shear allocates the next
+        state, log = finish()
         logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:

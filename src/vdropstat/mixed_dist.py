@@ -62,7 +62,8 @@ _FFT_THRESHOLD = 4096
 # whatever the thread count. A line's result does not depend on the block
 # it is transformed in, nor on the thread. Small blocks leave less of the
 # heap to fragment as frames change size from stage to stage: feeder4
-# 2048^2 peaks 12 MB lower than with 8 MB arrays.
+# 2048^2 after a 1e6-sample Monte Carlo peaks 13 MB lower than with 8 MB
+# arrays.
 _FFT_BLOCK_CELLS = 1 << 19
 # Pool threads at most: bounds the working sets the threads hold (the MC's
 # vector sets, the transform blocks) whatever the host's CPU count. Only
@@ -408,6 +409,12 @@ class JointLattice:
     def d_hi(self) -> float:
         return self.d_cells * self.d_step
 
+    @property
+    def hinge(self) -> int:
+        """The first S cell on the S >= 0 side, clipped to the lattice: the
+        cells before it have centers below zero."""
+        return min(max(-self.s_base, 0), self.s_cells)
+
     def s_centers(self) -> np.ndarray:
         return (self.s_base + np.arange(self.s_cells) + 0.5) * self.s_step
 
@@ -482,9 +489,11 @@ class JointState:
         Both span all S cells, with zeros on the other side of the hinge.
         """
         lat = self.lattice
-        line = self.line if self.line is not None else np.zeros(lat.s_cells)
-        neg = lat.s_centers() < 0.0
-        return lat.s_grid(np.where(neg, line, 0.0)), lat.s_grid(np.where(neg, 0.0, line))
+        zero, diag = np.zeros(lat.s_cells), np.zeros(lat.s_cells)
+        if self.line is not None:
+            zero[:lat.hinge] = self.line[:lat.hinge]
+            diag[lat.hinge:] = self.line[lat.hinge:]
+        return lat.s_grid(zero), lat.s_grid(diag)
 
     def total_mass(self) -> float:
         zero, diag = self.hinge_sides()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -543,6 +544,10 @@ LAW_REGRESSION = {
         mean=4.184488825267314, std=0.9775689792412927, atom0=6.299174343953868e-10,
         q=(4.144876451330082, 5.458125719363745, 6.636735098378493),
         lost=6.977295520267865e-07),
+    "chain256-256": dict(
+        mean=66.09095142850043, std=9.835897414365267, atom0=6.757418191518936e-22,
+        q=(66.00200746584368, 78.76828639115205, 89.3002584566422),
+        lost=6.396246117728783e-07),
     "ref-pm3": dict(
         mean=0.008000617623397547, std=0.003164864766174999, atom0=0.0006279473499059118,
         q=(0.007215587201137969, 0.012053284447255591, 0.018947624341680687),
@@ -603,6 +608,8 @@ STATE_REGRESSION = {
                     "da39a3ee5e6b4b0d", "0x1.cd3fb807ec5e1p-21"),
     "chain64-256": ("31bb895e8c937bad", "15479413c49c657a", "910f047a8e679cf1",
                     "da39a3ee5e6b4b0d", "0x1.7697382d06c4ap-21"),
+    "chain256-256": ("65b2ae2c09af49a8", "77e7bfa6dcfcd7d6", "15d3b9f2e6cd0c6f",
+                     "da39a3ee5e6b4b0d", "0x1.576556567983bp-21"),
     "ref-pm3": ("eee3cd2b495a9966", "82b0ddaca74c9249", "807f5004e5400b4c",
                 "da39a3ee5e6b4b0d", "0x1.75478db000000p-22"),
     "pm3-ref": ("1feaa53476b587a9", "d4ec99991a335efb", "8bd8704c0e100058",
@@ -659,9 +666,12 @@ def _stages(spec, config):
 def test_band_is_trimmed_after_every_stage(name):
     spec, config = STATE_REGRESSION_SPECS[name]()
     loads = spec.loads[::-1]  # in the order the stages apply them
+    kernels = {}
     for load, (stepped, log, st) in zip(loads, _stages(spec, config)):
         lat = st.lattice
-        kernel = dp_engine._build_kernel(load, lat)
+        if load not in kernels:
+            kernels[load] = dp_engine._build_kernel(load, lat)
+        kernel = kernels[load]
         if stepped.pc is not None and log.window_cut == 0.0:
             # a window that cut nothing holds the band the stage stepped, and
             # its frame holds every column the load moves that band to
@@ -811,6 +821,27 @@ def test_stage_holds_no_full_canvas():
     assert 0 < log.cols[1] - log.cols[0] < lat.s_cells
     assert (new.pc_c0, new.pc_c0 + new.pc.shape[1]) == log.cols
     assert peak < 8 * lat.d_cells * lat.s_cells // 10
+
+
+def test_run_frees_the_stepped_band_before_the_shear(monkeypatch):
+    # run() lets each state go once the stage has lifted its band into the
+    # workspace, so the shear never holds the stepped band beside the new one
+    spec, config = STATE_REGRESSION_SPECS["chain64-256"]()
+    bands = []
+    lift, shear = dp_engine._lift_stage, dp_engine._shear_canvas
+
+    def lift_spy(state, *args):
+        bands.append(None if state.pc is None else weakref.ref(state.pc))
+        return lift(state, *args)
+
+    def shear_spy(*args):
+        assert bands[-1] is None or bands[-1]() is None
+        return shear(*args)
+
+    monkeypatch.setattr(dp_engine, "_lift_stage", lift_spy)
+    monkeypatch.setattr(dp_engine, "_shear_canvas", shear_spy)
+    run(spec, config)
+    assert sum(b is not None for b in bands) == spec.n - 2  # the first two step no band
 
 
 def _warm_step(spec, load, config):
