@@ -67,7 +67,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 try:
     import resource
@@ -84,6 +83,7 @@ from .mixed_dist import (
     line_spectrum,
     marginal_drop,
     pool_threads,
+    transform_len,
 )
 
 __all__ = [
@@ -546,7 +546,7 @@ class _Workspace(Scratch):
 
     def spectrum(self, kernel: _Kernel, n_vals: int) -> np.ndarray:
         """The transform of ``kernel``'s weights for lines of ``n_vals`` input cells."""
-        n_fft = next_fast_len(n_vals + len(kernel.weights) - 1, real=True)
+        n_fft = transform_len(n_vals, len(kernel.weights))
         if n_fft not in kernel.spectra:
             kernel.spectra[n_fft] = line_spectrum(kernel.weights, n_vals)
         return kernel.spectra[n_fft]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "FeederConfigError",
@@ -310,11 +309,17 @@ class Gaussian(LoadDensity):
         z = (x - self.mean) / self.std
         return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
 
+    # scipy.special is imported by the methods that need it, so that feeders
+    # without a Gaussian load never pay for importing scipy
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         return ndtr((x - self.mean) / self.std)
 
     def ppf(self, u, out=None, work=None):
+        from scipy.special import ndtri
+
         u = np.asarray(u, dtype=float)
         return _into(out, self.mean + self.std * ndtri(u))
 
@@ -322,6 +327,8 @@ class Gaussian(LoadDensity):
         return self.mean, self.std
 
     def support(self, tail):
+        from scipy.special import ndtri
+
         z = float(ndtri(tail / 2.0))  # negative
         return self.mean + self.std * z, self.mean - self.std * z
 

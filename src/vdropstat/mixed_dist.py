@@ -20,6 +20,10 @@ Grids share one integer-anchored lattice: S cell edges sit at
 every line cell on exactly one side of the hinge. D cell edges sit at
 ``j * d_step``. The drop law integrated out of a state is a
 ``MixedDensity1D`` (D grid plus atoms) wrapped in a ``DropDistribution``.
+
+``convolve_lines`` convolves lines with the real transforms of
+``numpy.fft`` (pocketfft, the code ``scipy.fft`` also runs), so this module
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ import itertools
 import math
 import os
 import queue
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft
-# the transforms scipy.fft.rfft/irfft run, called with the output passed in
-from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
+from numpy.fft import irfft, rfft
 
 __all__ = [
     "Grid1D",
@@ -48,6 +51,8 @@ __all__ = [
     "Scratch",
     "convolve_lines",
     "line_spectrum",
+    "next_fast_len",
+    "transform_len",
     "marginal_drop",
     "write_density_csv",
 ]
@@ -239,13 +244,45 @@ def map_blocks(fn, starts, threads: int, scratch) -> None:
             pass
 
 
+def _smooth_lengths(limit: int) -> list[int]:
+    """Every 2·3·5-smooth number up to ``limit``, ascending."""
+    out = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                out.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return sorted(out)
+
+
+# 3461 lengths, far past any line that fits in memory (2^40 cells is 8 TB)
+_SMOOTH_LENGTHS = _smooth_lengths(1 << 40)
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 2·3·5-smooth number >= ``n``: a length pocketfft
+    transforms fast, as ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, n)]
+
+
+def transform_len(n_vals: int, n_weights: int) -> int:
+    """Transform length of the linear convolution of ``n_vals`` cells with
+    ``n_weights`` weights."""
+    return next_fast_len(n_vals + n_weights - 1)
+
+
 def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
     """Transform of ``weights`` sized for lines of ``n_vals`` cells.
 
     Computed once per kernel and handed to ``convolve_lines``, which then
     transforms only the lines.
     """
-    return rfft(weights, next_fast_len(n_vals + len(weights) - 1, real=True))
+    return rfft(weights, transform_len(n_vals, len(weights)))
 
 
 class Scratch:
@@ -284,14 +321,15 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
     cells that land outside the line. A single line with fewer than 4096
     output cells is summed directly. Everything else is transformed as
     blocks of rows, reusing ``spectrum`` (from ``line_spectrum`` for n_vals
-    input cells) when given: each block is zero-padded, transformed,
-    multiplied by the spectrum, transformed back and clipped of its
-    transform dust. A block holds at most _FFT_BLOCK_CELLS transform cells
-    shared out among ``pool_threads()``, and the blocks run through
-    ``map_blocks`` on at most one thread per block, so a band that fits one
-    block runs on the calling thread. Each thread's block arrays come from
-    ``scratch`` (a fresh one when None). Every row comes out bitwise the same
-    whatever the block or thread.
+    input cells) when given: each block is zero-padded, transformed
+    (``numpy.fft.rfft`` into the block's coefficient array), multiplied by
+    the spectrum, transformed back (``numpy.fft.irfft`` into its inverse
+    array) and clipped of its transform dust. A block holds at most
+    _FFT_BLOCK_CELLS transform cells shared out among ``pool_threads()``,
+    and the blocks run through ``map_blocks`` on at most one thread per
+    block, so a band that fits one block runs on the calling thread. Each
+    thread's block arrays come from ``scratch`` (a fresh one when None).
+    Every row comes out bitwise the same whatever the block or thread.
 
     A block writes its kept cells straight into its rows of ``vals`` and
     copies the rest into one spill array of all rows, whose two parts are
@@ -328,7 +366,7 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
         fold(0, np.convolve(vals[i0:i1], weights)[np.newaxis])
     else:
-        n_fft = next_fast_len(n_out, real=True)
+        n_fft = transform_len(n_vals, len(weights))
         if spectrum is None:
             spectrum = line_spectrum(weights, n_vals)
         if scratch is None:
@@ -348,9 +386,9 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
             padded, coef, inverse = bufs
             k = min(step, n_rows - a)
             padded[:k, :n_vals] = lines[a:a + k, i0:i1]
-            _r2c(padded[:k], (1,), True, 0, coef[:k], 1)  # rfft(.., n_fft, axis=-1)
+            rfft(padded[:k], axis=-1, out=coef[:k])
             coef[:k] *= spectrum
-            _c2r(coef[:k], (1,), n_fft, False, 2, inverse[:k], 1)  # irfft(.., n_fft, axis=-1)
+            irfft(coef[:k], n_fft, axis=-1, out=inverse[:k])
             full = inverse[:k, :n_out]
             np.clip(full, 0.0, None, out=full)
             fold(a, full)

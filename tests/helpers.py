@@ -73,11 +73,11 @@ def single_point_config(tmp_path, location=2.0, r=1e-3):
 
 
 def transform_threads(monkeypatch):
-    """Patch ``_r2c``, the forward transform of each block of lines in
-    ``convolve_lines`` (``rfft`` runs only in ``line_spectrum``, on the
-    caller), to collect the ids of the threads that call it; returns the set."""
+    """Patch ``rfft``, the forward transform of each block of lines in
+    ``convolve_lines`` (and of a kernel in ``line_spectrum``, on the caller),
+    to collect the ids of the threads that call it; returns the set."""
     seen = set()
-    r2c = mixed_dist._r2c
-    monkeypatch.setattr(mixed_dist, "_r2c", lambda *a, **k: (
-        seen.add(threading.get_ident()), r2c(*a, **k))[1])
+    rfft = mixed_dist.rfft
+    monkeypatch.setattr(mixed_dist, "rfft", lambda *a, **k: (
+        seen.add(threading.get_ident()), rfft(*a, **k))[1])
     return seen

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from helpers import (
     reference_spec,
     transform_threads,
     segment,
+    write_config,
 )
 from vdropstat import dp_engine, mixed_dist
 from vdropstat.distflow import max_drop
@@ -491,12 +493,49 @@ def test_plan_records_windows_and_margins():
     assert widths[0] == max(widths)
 
 
-def test_cli_import_leaves_scipy_signal_out():
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded in a fresh interpreter after each ``report()``
+    that ``code`` calls, one list per call."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = "import sys, vdropstat.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    assert out == "False"
+    code = ("import json, sys\n"
+            "def report():\n"
+            "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+            + code)
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import vdropstat.cli\nreport()") == [[]]
+
+
+def test_only_a_gaussian_load_imports_scipy_special(tmp_path):
+    # feeder4 solves and samples with no scipy module; the same feeder with
+    # Gaussian loads imports scipy.special when it solves, and agrees with MC
+    gauss = write_config(tmp_path / "gauss.json", {
+        "base_voltage": 1.0, "alpha": 0.0,
+        "segments": [{"r": 1e-3, "x": 0.0}] * 4,
+        "loads": [{"family": "gaussian", "mean": 2.0, "std": 1.0}] * 4,
+    })
+    code = """
+from vdropstat.dp_engine import DpConfig, run
+from vdropstat.feeder_model import parse_feeder
+from vdropstat.mc_oracle import McConfig, run_mc
+for path in sys.argv[1:]:
+    spec = parse_feeder(path)
+    report()
+    law = run(spec, DpConfig(grid_s=256, grid_delta=256)).drop
+    emp = run_mc(spec, McConfig(samples=20_000, seed=3))
+    report()
+    print(json.dumps([law.mean_std()[0], emp.mean_std()[0]]))
+"""
+    feeder4_parsed, feeder4_run, feeder4_means, gauss_parsed, gauss_run, gauss_means = (
+        _scipy_modules_after(code, CONFIG4, gauss))
+    assert feeder4_parsed == feeder4_run == gauss_parsed == []
+    assert "scipy.special" in gauss_run
+    for dp_mean, mc_mean in (feeder4_means, gauss_means):
+        assert dp_mean == pytest.approx(mc_mean, rel=0.02)
 
 
 def _chain(*loads):
@@ -951,16 +990,16 @@ def test_run_joins_every_pool_on_return_and_on_mass_loss(monkeypatch):
 def test_worker_exception_surfaces_from_run(monkeypatch):
     _on_threads(monkeypatch, 2, 1)
     raised = []
-    r2c = mixed_dist._r2c  # the transform of a block of several
+    rfft = mixed_dist.rfft  # the transform of a block of several
     caller = threading.get_ident()
 
     def failing(*a, **k):
         if threading.get_ident() != caller:
             raised.append(FloatingPointError("transform failed"))
             raise raised[-1]
-        return r2c(*a, **k)
+        return rfft(*a, **k)
 
-    monkeypatch.setattr(mixed_dist, "_r2c", failing)
+    monkeypatch.setattr(mixed_dist, "rfft", failing)
     baseline = threading.active_count()
     with pytest.raises(FloatingPointError) as info:
         run(parse_feeder(CONFIG4), CFG)

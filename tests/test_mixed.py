@@ -90,6 +90,30 @@ def test_convolve_fft_path_matches_direct():
     assert big.sum() * h == pytest.approx(1.0, abs=1e-9)
 
 
+def test_next_fast_len_is_scipys_real_length():
+    ns = range(1, (1 << 20) + 1)
+    assert list(map(mixed_dist.next_fast_len, ns)) == [next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize("rows, cells, width, n_fft", [
+    (1351, 2048, 1300, 3375),  # feeder4 at 2048^2, stage 0
+    (74, 60, 52, 120),  # chain256 at 256^2
+])
+def test_convolve_lines_is_bitwise_scipys_transforms(rows, cells, width, n_fft):
+    # numpy.fft runs the pocketfft that scipy.fft runs: the folded band equals
+    # scipy's transforms of the whole band, bit for bit
+    rng = np.random.default_rng(rows)
+    weights = rng.random(width)
+    n_out = cells + width - 1
+    assert mixed_dist.transform_len(cells, width) == n_fft
+    band = np.zeros((rows, n_out))
+    band[:, :cells] = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
+    full = irfft(rfft(band[:, :cells], n_fft, axis=-1) * rfft(weights, n_fft), n_fft, axis=-1)
+    expected = np.clip(full[:, :n_out], 0.0, None) + 0.0
+    assert convolve_lines(band, weights, 0, cells=(0, cells)) == 0.0  # every output cell stays
+    assert band.tobytes() == expected.tobytes()
+
+
 def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     rng = np.random.default_rng(6)
     band = rng.random((37, 300))
