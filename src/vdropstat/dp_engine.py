@@ -23,8 +23,11 @@ One stage is one step over both carriers:
 A stage first finds its budget window, once, on the state's band and the
 lifted diagonal: the D rows, then within them the S columns, that hold all
 but half the stage budget b, at most b/8 cut from each end of each axis
-(the transform's dust would otherwise keep nearly every cell occupied). It
-then sizes one band: the window's rows and the frame of columns that the
+(the transform's dust would otherwise keep nearly every cell occupied). A
+hinge line that holds under b/8 is transform dust too: the stage cuts it
+whole, neither lifting nor convolving it, and its mass comes out of the
+low-end cut of the D axis, at whose bottom the line sits. It then sizes
+one band: the window's rows and the frame of columns that the
 window's convolution reaches (its columns plus the kernel's length - 1,
 clipped to the lattice), widened to the rows and columns of the atoms'
 exact deposits, which are never cut. The band is held as a frame with its
@@ -40,12 +43,13 @@ thread pool (``pool_threads``: one thread per CPU, at most four) that
 lives for that one convolution. A row's transform and fold do not depend
 on its block or thread, and the spill sums, the lift and the shear stay on
 the calling thread, so the thread count never changes a value. The shear
-then moves the frame's columns, one range per integer shift
-floor(rho * S / d_step) at once, into the next band, which spans the same
-columns.
+then forms each frame column's two-part move once, and copies the columns
+of each integer shift floor(rho * S / d_step), one range, with one slice
+into the next band, which spans the same columns.
 
 Each run has one workspace (``_Workspace``): the kernel of each distinct
-load, built once with one transform per transform length, and the arrays a
+load, built once with one transform per transform length, the S cell
+centers and the shear's table of each distinct rho, and the arrays a
 stage works in (the band, the transform blocks of each thread, a point
 load's shift buffers, the shear's blocks), which grow to the largest
 stage's and are reused by every later one. The states a stage returns own
@@ -61,6 +65,7 @@ aborts when the accumulated loss blows past 100x the configured tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Callable
@@ -97,6 +102,7 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0)
+_NO_CELLS = np.empty(0, dtype=int)
 
 
 class MassLossError(RuntimeError):
@@ -174,11 +180,12 @@ class DpReport:
 # ---------------------------------------------------------------------------
 
 
-def _budget_window(sums: np.ndarray, cut: float) -> tuple[int, int]:
-    """Cells [lo, hi) of ``sums`` that leave under ``cut`` below lo and at
-    most ``cut`` from hi on; lo == hi when all of them hold under 2 * cut."""
+def _budget_window(sums: np.ndarray, cut: float, below: float | None = None) -> tuple[int, int]:
+    """Cells [lo, hi) of ``sums`` that leave under ``below`` (``cut`` when
+    None) below lo and at most ``cut`` from hi on; lo == hi when all of them
+    hold under their sum."""
     cum = np.cumsum(sums)
-    lo = int(np.searchsorted(cum, cut))
+    lo = int(np.searchsorted(cum, cut if below is None else below))
     return lo, max(lo, int(np.searchsorted(cum, cum[-1] - cut)) + 1)
 
 
@@ -398,11 +405,12 @@ def _span(spans: list[tuple[int, int]]) -> tuple[int, int]:
     return (min(a for a, _ in spans), max(b for _, b in spans)) if spans else (0, 0)
 
 
-def _lift_diag(diag: np.ndarray, slope: float,
-               lat: JointLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _lift_diag(diag: np.ndarray, slope: float, lat: JointLattice,
+               centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Splat the diagonal line density onto 2D cells at D = slope * S.
 
-    ``diag`` is the hinge line's S > 0 side, its cells from ``lat.hinge`` on.
+    ``diag`` is the hinge line's S > 0 side, its cells from ``lat.hinge`` on,
+    and ``centers`` the lattice's S cell centers.
     Two-row linear split; rows below 0 clamp to row 0 (drop under half a
     cell), rows above the top are clipped and returned as lost mass.
     Returns (rows, cols, densities, lost mass), lower split rows first.
@@ -411,7 +419,7 @@ def _lift_diag(diag: np.ndarray, slope: float,
     cols = np.nonzero(mass > 0.0)[0]
     mass = mass[cols]
     cols += lat.hinge
-    g = slope * lat.s_centers()[cols] / lat.d_step - 0.5
+    g = slope * centers[cols] / lat.d_step - 0.5
     j0 = np.floor(g).astype(int)
     frac = g - j0
     dens = mass / (lat.s_step * lat.d_step)
@@ -419,7 +427,7 @@ def _lift_diag(diag: np.ndarray, slope: float,
     parts = []
     for w, rows in ((1.0 - frac, j0), (frac, j0 + 1)):
         contrib = w * dens
-        rows = np.clip(rows, 0, None)
+        rows = np.maximum(rows, 0)
         over = rows >= lat.d_cells
         if np.any(over):
             spill += float(contrib[over].sum()) * lat.s_step * lat.d_step
@@ -432,28 +440,60 @@ def _lift_diag(diag: np.ndarray, slope: float,
 _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
 
 
-def _shear_canvas(band: np.ndarray, r0: int, c0: int, rho: float, lat: JointLattice,
+@dataclass(frozen=True)
+class _ShearTable:
+    """Where the shear D -> D + rho * S moves each lattice column.
+
+    Column i moves by g_i = rho * s_i / d_step rows, split over base[i] =
+    floor(g_i) (weight stay[i] = 1 - frac[i]) and base[i] + 1 (weight
+    frac[i]); parts[sh % 2][i] is its weight for the shift sh = base[i] or
+    base[i] + 1. With rho >= 0, base never falls from one column to the
+    next, so the columns whose floor shift is v or more start at
+    first[v - lo], lo = base[0], for v in [lo, base[-1]]. It depends only
+    on rho and the lattice, so a run builds it once per distinct rho.
+    """
+
+    base: np.ndarray
+    stay: np.ndarray
+    frac: np.ndarray
+    parts: tuple[np.ndarray, np.ndarray]
+    first: list[int]
+    lo: int
+
+
+def _build_shear_table(rho: float, centers: np.ndarray, lat: JointLattice) -> _ShearTable:
+    g = rho * centers / lat.d_step
+    base = np.floor(g).astype(int)
+    frac = g - base
+    stay = 1.0 - frac
+    odd = base % 2 == 1
+    lo = int(base[0])
+    return _ShearTable(base, stay, frac, (np.where(odd, frac, stay), np.where(odd, stay, frac)),
+                       np.searchsorted(base, np.arange(lo, int(base[-1]) + 1)).tolist(), lo)
+
+
+def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: JointLattice,
                   scratch: Scratch) -> tuple[np.ndarray | None, int, np.ndarray, float]:
     """Shear D -> D + rho * S with clipping at zero, on a frame of the lattice.
 
     ``band`` holds grid rows [r0, r0 + len(band)) of the lattice columns
-    [c0, c0 + band.shape[1]), its frame. Column i moves by g_i = rho * s_i /
-    d_step rows, split over floor(g_i) (weight 1 - frac) and floor(g_i) + 1
-    (weight frac). With rho >= 0, floor(g_i) never falls from one column to
-    the next, so the columns that move some part by a shift sh are one range:
-    the stay part of those at floor sh and the frac part of those at sh - 1.
-    The frame is transposed to S-major (in blocks of about
-    _SHEAR_BLOCK_CELLS cells, which keeps both transposes in cache) and each
-    shift's range moves as one slice into the rows [r0 + min shift,
-    r1 + max shift] of the new band, which spans the same columns. Each
-    column gets its stay part before its frac part. Rows pushed below zero
-    feed the zero line of their column; rows pushed past the top are lost.
+    [c0, c0 + band.shape[1]), its frame; ``table`` says where rho moves each
+    column. The frame is transposed to S-major, in blocks of about
+    _SHEAR_BLOCK_CELLS cells, which keeps both transposes in cache. In a
+    block each column x forms its two-part move once, y = stay * x with
+    y[1:] += frac * x (its rows from floor shift on), and the columns of
+    each floor shift, one range, copy their y into the rows [r0 + min shift,
+    r1 + max shift] of the new band as one slice; the new band spans the
+    same columns. Rows pushed below zero feed the zero line of their
+    column; rows pushed past the top are lost. Both are summed per integer
+    shift, over the columns that move some part by it.
 
     Returns (the new band, or None when none of its rows lies on the grid;
     its first row; per-column mass clipped to the zero line, over the
     frame's columns; mass lost over the top). Only negative-S columns can
-    feed the zero line. Each block and its moved rows are arrays of
-    ``scratch``; the new band is a new array.
+    feed the zero line. A block's columns, their moves y and their moved
+    rows are arrays of ``scratch`` (the columns in the moved rows' array,
+    which they leave before it is filled); the new band is a new array.
     """
     m_d = lat.d_cells
     n_b, n_c = band.shape
@@ -461,44 +501,55 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, rho: float, lat: JointLatt
     cell = lat.s_step * lat.d_step
     zero_gain = np.zeros(n_c)
     top = 0.0
-    g = rho * lat.s_centers()[c0:c0 + n_c] / lat.d_step
-    base = np.floor(g).astype(int)
-    frac = g - base
-    odd = base % 2 == 1
-    parts = (np.where(odd, frac, 1.0 - frac), np.where(odd, 1.0 - frac, frac))  # parts[sh % 2][i]
-    b_lo = int(base[0])
-    # first[k]: the first column whose floor shift is b_lo - 1 + k or more
-    first = np.searchsorted(base, np.arange(b_lo - 1, int(base[-1]) + 3)).tolist()
-    out_r0 = max(r0 + b_lo, 0)
+    base = table.base[c0:c0 + n_c]
+    stay, frac = table.stay[c0:c0 + n_c, np.newaxis], table.frac[c0:c0 + n_c, np.newaxis]
+    parts = [p[c0:c0 + n_c] for p in table.parts]
+    first, f0 = table.first, table.lo  # lattice columns from first[v - f0] on shift v or more
+    out_r0 = max(r0 + int(base[0]), 0)
     out_r1 = min(r1 + int(base[-1]) + 1, m_d)
     out = np.zeros((max(out_r1 - out_r0, 0), n_c))
     width = max(_SHEAR_BLOCK_CELLS // max(n_b, 1), 16)
     for b0 in range(0, n_c, width):
         b1 = min(b0 + width, n_c)
-        block = scratch.array("shear_block", (b1 - b0, n_b))
-        block[...] = band[:, b0:b1].T  # block[i - b0] is frame column i
-        o0 = max(r0 + int(base[b0]), 0)
-        o1 = min(r1 + int(base[b1 - 1]) + 1, m_d)
-        moved = scratch.array("shear_moved", (b1 - b0, max(o1 - o0, 0)))
-        moved[...] = 0.0
-        for sh in range(int(base[b0]), int(base[b1 - 1]) + 2):
-            a = max(first[sh - b_lo], b0)
-            b = min(first[sh - b_lo + 2], b1)
+        sh0, sh1 = int(base[b0]), int(base[b1 - 1])
+        x = scratch.array("shear_moved", (b1 - b0, n_b))  # x[i] is frame column b0 + i
+        x[...] = band[:, b0:b1].T
+        # x[cuts[t]:cuts[t + 1]] are the columns at floor shift sh0 - 1 + t
+        cuts = [0, 0, *(v - c0 - b0 for v in first[sh0 + 1 - f0:sh1 + 1 - f0]), b1 - b0, b1 - b0]
+        # the rows a shift sh pushes off the grid, for the stay part of the
+        # columns at floor sh and the frac part of those at sh - 1
+        for sh in itertools.chain(range(sh0, min(sh1 + 2, -r0)),
+                                  range(max(sh0, m_d - r1 + 1), sh1 + 2)):
+            a, b = cuts[sh - sh0], cuts[sh - sh0 + 2]
             if b <= a:
                 continue
-            w = parts[sh % 2][a:b]
+            w = parts[sh % 2][b0 + a:b0 + b]
             lo = min(max(-sh - r0, 0), n_b)        # band rows [0, lo) land below zero
             hi = max(min(m_d - sh - r0, n_b), lo)  # band rows [hi, n_b) land over the top
-            src = block[a - b0:b - b0]
+            src = x[a:b]
             if lo:
-                zero_gain[a:b] += w * src[:, :lo].sum(axis=1)
+                zero_gain[b0 + a:b0 + b] += w * src[:, :lo].sum(axis=1)
             if hi < n_b:
                 top += float(np.dot(w, src[:, hi:].sum(axis=1)))
-            if hi > lo:
-                d0 = r0 + lo + sh - o0
-                moved[a - b0:b - b0, d0:d0 + hi - lo] += w[:, np.newaxis] * src[:, lo:hi]
-        if o1 > o0:  # a block can land wholly below zero or over the top
-            out[o0 - out_r0:o1 - out_r0, b0:b1] = moved.T
+        o0 = max(r0 + sh0, 0)
+        o1 = min(r1 + sh1 + 1, m_d)
+        if o1 <= o0:  # a block can land wholly below zero or over the top
+            continue
+        # y = stay * x, y[1:] += frac * x: row j of y lands floor shift + j rows on
+        y = scratch.array("shear_block", (b1 - b0, n_b + 1))
+        np.multiply(x, stay[b0:b1], out=y[:, :n_b])
+        y[:, n_b] = 0.0
+        x *= frac[b0:b1]
+        y[:, 1:] += x
+        moved = scratch.array("shear_moved", (b1 - b0, o1 - o0))
+        moved[...] = 0.0
+        for sh, a, b in zip(range(sh0, sh1 + 1), cuts[1:], cuts[2:]):
+            # y rows [j0, j1) land on the grid, on moved rows from o0 on
+            j0 = -sh - r0 if sh < -r0 else 0
+            j1 = m_d - sh - r0 if sh > m_d - r1 - 1 else n_b + 1
+            if b > a and j1 > j0:
+                moved[a:b, r0 - o0 + sh + j0:r0 - o0 + sh + j1] = y[a:b, j0:j1]
+        out[o0 - out_r0:o1 - out_r0, b0:b1] = moved.T
     return (out if len(out) else None), out_r0, zero_gain * cell, top * cell
 
 
@@ -521,11 +572,12 @@ class _PhaseClock:
 
 
 class _Workspace(Scratch):
-    """What one run keeps from stage to stage: the kernel cache and the
-    stage scratch.
+    """What one run keeps from stage to stage: the kernel cache, the run's
+    geometry and the stage scratch.
 
     The lattice is fixed within a run, so each distinct load's kernel is
-    built once, and each of its transforms once per transform length. The
+    built once, and each of its transforms once per transform length; the
+    S cell centers once, and the shear's table once per distinct rho. The
     scratch arrays (the stage's band, the S-convolution's
     block arrays, one set per thread, a point load's source rows and
     weighted part, and the shear's block and moved rows) grow to the
@@ -537,12 +589,25 @@ class _Workspace(Scratch):
     def __init__(self):
         super().__init__()
         self.kernels: dict[LoadDensity, _Kernel] = {}
+        self.shear_tables: dict[float, _ShearTable] = {}
+        self.centers: np.ndarray | None = None
 
     def kernel(self, load: LoadDensity, lat: JointLattice) -> _Kernel:
         kernel = self.kernels.get(load)
         if kernel is None:
             kernel = self.kernels[load] = _build_kernel(load, lat)
         return kernel
+
+    def s_centers(self, lat: JointLattice) -> np.ndarray:
+        if self.centers is None:
+            self.centers = lat.s_centers()
+        return self.centers
+
+    def shear_table(self, rho: float, lat: JointLattice) -> _ShearTable:
+        table = self.shear_tables.get(rho)
+        if table is None:
+            table = self.shear_tables[rho] = _build_shear_table(rho, self.s_centers(lat), lat)
+        return table
 
     def spectrum(self, kernel: _Kernel, n_vals: int) -> np.ndarray:
         """The transform of ``kernel``'s weights for lines of ``n_vals`` input cells."""
@@ -577,44 +642,49 @@ def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace
 
 
 def _grid_window(state: JointState, rows: np.ndarray, cols: np.ndarray, dens: np.ndarray,
-                 cut: float) -> tuple[tuple[int, int], tuple[int, int], float]:
+                 cut: float, below: float) -> tuple[tuple[int, int], tuple[int, int], float]:
     """The budget window of a stage's grid: the state's band plus the lifted
     diagonal's cells (rows, cols, dens).
 
-    First the D rows that leave under ``cut`` below them and at most ``cut``
-    above (``_budget_window``), then, summed over those rows, the S columns
-    that do the same. Returns the rows [w0, w1), the columns [v0, v1) and
-    the mass outside the window; both ranges are empty when no grid mass is
-    left.
+    First the D rows that leave under ``below`` below them and at most
+    ``cut`` above (``_budget_window``), then, summed over those rows, the S
+    columns that leave under ``cut`` below and at most ``cut`` above.
+    Returns the rows [w0, w1), the columns [v0, v1) and the mass outside the
+    window; both ranges are empty when no grid mass is left.
     """
     lat = state.lattice
     pc = state.pc
-    rspans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
-    cspans = [(int(cols.min()), int(cols.max()) + 1)] if len(cols) else []
-    if pc is not None:
-        rspans.append((state.pc_r0, state.pc_r0 + len(pc)))
-        cspans.append((state.pc_c0, state.pc_c0 + pc.shape[1]))
-    if not rspans:
-        return (0, 0), (0, 0), 0.0
     cell = lat.s_step * lat.d_step
-    g0, g1 = _span(rspans)
-    q0, q1 = _span(cspans)
-    # bincount of no weights gives integers
-    sums = np.bincount(rows - g0, dens, g1 - g0).astype(float, copy=False)
-    if pc is not None:
-        sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
+    if len(rows):
+        g0, g1 = _span([(int(rows.min()), int(rows.max()) + 1)]
+                       + ([(state.pc_r0, state.pc_r0 + len(pc))] if pc is not None else []))
+        sums = np.bincount(rows - g0, dens, g1 - g0)
+        if pc is not None:
+            sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
+    elif pc is not None:  # the band alone: its sums span its rows, then its columns
+        g0 = state.pc_r0
+        sums = pc.sum(axis=1)
+    else:
+        return (0, 0), (0, 0), 0.0
     sums *= cell
-    lo, hi = _budget_window(sums, cut)
+    lo, hi = _budget_window(sums, cut, below)
     outside = float(sums[:lo].sum() + sums[hi:].sum())
     if hi == lo:
         return (0, 0), (0, 0), outside
     w0, w1 = g0 + lo, g0 + hi
-    inside = (rows >= w0) & (rows < w1)
-    sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
-    if pc is not None:
-        a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
-        if b > a:
-            sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
+    if len(rows):
+        q0, q1 = _span([(int(cols.min()), int(cols.max()) + 1)]
+                       + ([(state.pc_c0, state.pc_c0 + pc.shape[1])] if pc is not None else []))
+        inside = (rows >= w0) & (rows < w1)
+        # bincount of no weights gives integers
+        sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
+        if pc is not None:
+            a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
+            if b > a:
+                sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
+    else:
+        q0 = state.pc_c0
+        sums = pc[lo:hi].sum(axis=0)
     sums *= cell
     lo, hi = _budget_window(sums, cut)
     outside += float(sums[:lo].sum() + sums[hi:].sum())
@@ -661,16 +731,23 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
     i0 = lat.hinge
     z_vals = np.zeros(lat.s_cells)
-    diag = _EMPTY
-    if state.line is not None:
-        z_vals[:i0] = state.line[:i0]
-        diag = state.line[i0:]
-    masses = {"grid": state.pc_mass(), "zero": float(z_vals[:i0].sum() * h_s),
-              "diag": float(diag.sum() * h_s), "atoms": float(state.atom_mass.sum())}
+    line = _EMPTY if state.line is None else state.line
+    masses = {"grid": state.pc_mass(), "zero": float(line[:i0].sum() * h_s),
+              "diag": float(line[i0:].sum() * h_s), "atoms": float(state.atom_mass.sum())}
 
-    # ---- the budget window of the grid: the state's band and the lifted diagonal ----
-    rows, cols, dens, spill = _lift_diag(diag, state.slope, lat)
-    (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, lat.stage_tail_budget / 8)
+    # ---- the budget window of the grid: the state's band and the lifted
+    # diagonal. A line under b/8 is dust: it is cut whole, and its mass comes
+    # out of the D axis's low-end cut ----
+    end_cut = lat.stage_tail_budget / 8
+    dropped = masses["zero"] + masses["diag"]
+    if dropped < end_cut:
+        rows, cols, dens, spill = _NO_CELLS, _NO_CELLS, _EMPTY, 0.0
+    else:
+        z_vals[:i0] = line[:i0]
+        rows, cols, dens, spill = _lift_diag(line[i0:], state.slope, lat, ws.s_centers(lat))
+        dropped = 0.0
+    (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, end_cut, end_cut - dropped)
+    cut += dropped
     # the load's tail, cut from the mass the kernel convolves: the grid in the
     # window and the zero line (atoms lose theirs with their deposits' clip)
     tail_loss = (masses["grid"] + masses["diag"] - spill - cut + masses["zero"]) * kernel.tail
@@ -709,8 +786,9 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
             _place(window, state.pc, state.pc_r0 - w0, state.pc_c0 - v0)
         else:
             window[...] = 0.0
-        keep = (rows >= w0) & (rows < w1) & (cols >= v0) & (cols < v1)
-        np.add.at(window, (rows[keep] - w0, cols[keep] - v0), dens[keep])
+        if len(rows):
+            keep = (rows >= w0) & (rows < w1) & (cols >= v0) & (cols < v1)
+            np.add.at(window, (rows[keep] - w0, cols[keep] - v0), dens[keep])
     else:
         band[...] = 0.0
     stage, lost_before = state.stage - 1, state.lost_mass
@@ -740,8 +818,8 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         # ---- shear the frame ----
         pc, pc_r0 = None, 0
         if r1 > r0 and e1 > e0:
-            pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0, rho,
-                                                      lat, ws)
+            pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0,
+                                                      ws.shear_table(rho, lat), lat, ws)
             spill += top
             z_vals[e0:e1] += zero_gain / h_s
         d = np.maximum(0.0, d + rho * s)

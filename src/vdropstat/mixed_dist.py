@@ -221,9 +221,14 @@ def map_blocks(fn, starts, threads: int, scratch) -> None:
     So no pool thread allocates: glibc gives each thread its own malloc
     arena, which would keep the thread's freed arrays resident by an amount
     that varies from run to run. With one thread the calls run in order on
-    the calling thread and no pool starts; otherwise the pool is started
-    here and joined on return, also when a call raises.
+    the calling thread with one set and no pool starts; otherwise the pool
+    is started here and joined on return, also when a call raises.
     """
+    if threads == 1:
+        bufs = scratch()
+        for start in starts:
+            fn(start, bufs)
+        return
     free = queue.SimpleQueue()
     for _ in range(threads):
         free.put(scratch())
@@ -235,10 +240,6 @@ def map_blocks(fn, starts, threads: int, scratch) -> None:
         finally:
             free.put(bufs)
 
-    if threads == 1:
-        for start in starts:
-            call(start)
-        return
     with ThreadPoolExecutor(threads) as pool:
         for _ in pool.map(call, starts):
             pass
@@ -390,7 +391,7 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
             coef[:k] *= spectrum
             irfft(coef[:k], n_fft, axis=-1, out=inverse[:k])
             full = inverse[:k, :n_out]
-            np.clip(full, 0.0, None, out=full)
+            np.maximum(full, 0.0, out=full)
             fold(a, full)
 
         starts = range(0, n_rows, step)

@@ -347,6 +347,60 @@ def test_ks_atom_cases_exact():
     assert ks_distance(law, np.array([0.5, 0.5, 1.0, 1.0])) == 0.5
 
 
+def _ks_over_union(dist, samples):
+    """The KS distance as one scan over the union of knots and samples; kept
+    as the oracle of the chunked scan, which must match it exactly."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    xs = np.unique(np.concatenate((dist.knots(), samples)))
+    f_hi = np.asarray(dist.cdf(xs))
+    f_lo = np.asarray(dist.cdf_left(xs))
+    e_hi = np.searchsorted(samples, xs, side="right") / n
+    e_lo = np.searchsorted(samples, xs, side="left") / n
+    return float(max(np.abs(e_hi - f_hi).max(), np.abs(e_lo - f_lo).max()))
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+def test_ks_distance_equals_the_scan_over_the_union(monkeypatch, chunk):
+    # random laws with a grid and atoms; samples with ties, samples drawn from
+    # the atoms, samples on the knots and outside the grid, sorted or not
+    if chunk is not None:
+        monkeypatch.setattr(mc_oracle, "_KS_CHUNK", chunk)
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        cells = int(rng.integers(2, 40))
+        values = rng.random(cells)
+        atoms = np.unique(np.round(rng.uniform(0.0, 2.0, int(rng.integers(0, 4))), 1))
+        masses = rng.random(len(atoms))
+        scale = rng.uniform(0.5, 1.0) / (values.sum() * 2.0 / cells + masses.sum())
+        law = DropDistribution(MixedDensity1D(
+            grid=Grid1D(0.0, 2.0, values * scale), atom_locs=atoms, atom_masses=masses * scale))
+        n = int(rng.integers(1, 60))
+        pool = np.concatenate((law.knots(), atoms, rng.uniform(-0.5, 2.5, 8)))
+        samples = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                           np.round(rng.uniform(-0.2, 2.2, n), 2))
+        if trial % 2:
+            samples = np.sort(samples)
+        assert ks_distance(law, samples) == _ks_over_union(law, samples)
+
+
+def test_ks_distance_holds_no_sample_sized_temporary():
+    # sorted samples are neither copied nor merged with the knots: a scan of
+    # 1e6 of them peaks under their own 8 MB (the scan over the union built
+    # about eight such arrays)
+    law = exact_single_bus_law()
+    samples = np.sort(np.random.default_rng(3).uniform(0.0, 0.02, 1_000_000))
+    want = _ks_over_union(law, samples)
+    tracemalloc.start()
+    try:
+        got = ks_distance(law, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < samples.nbytes
+
+
 def exact_single_bus_law() -> DropDistribution:
     """Law of max(0, rho * s) built from the load's own cdf, no lattice."""
     sc = reference_load().scaled(1e-3)
