@@ -17,6 +17,7 @@ import math
 import secrets
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,9 @@ SCHEMA_VERSION = 1
 SWEEP_PARAMETERS = ("bus-count", "load-mean-scale", "injection-probability-scale")
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = EXIT_CONFIG) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
+    return code
 
 
 def _resolve_seed(args) -> int:
@@ -100,11 +101,7 @@ def cmd_deterministic(spec: FeederSpec, args) -> int:
     loads = spec.load_means()
     profile = solve_linear(spec, loads)
     drop = max_drop(spec, loads)
-    try:
-        nonlin = solve_nonlinear(spec, loads)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    nonlin = solve_nonlinear(spec, loads)
     out = _out_dir(args)
     _write_json(out / "deterministic.json", {
         "schema_version": SCHEMA_VERSION,
@@ -131,7 +128,6 @@ def cmd_deterministic(spec: FeederSpec, args) -> int:
 
 def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dict:
     drop = report.drop
-    lat = report.lattice
     mean, std = drop.mean_std()
     twice = 2.0 * mean
     exceed = {repr(float(t)): drop.prob_exceed(t) for t in (args.threshold or [])}
@@ -140,23 +136,8 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
         "command": "analyze",
         "seed": seed,
         "feeder": _feeder_block(spec),
-        "config": {
-            "grid_s": args.grid_s,
-            "grid_delta": args.grid_delta,
-            "tail_tol": args.tail_tol,
-            "renormalize": args.renormalize,
-        },
-        "lattice": {
-            "s_base": lat.s_base,
-            "s_step": lat.s_step,
-            "s_cells": lat.s_cells,
-            "d_step": lat.d_step,
-            "d_cells": lat.d_cells,
-            "stage_tail_budget": lat.stage_tail_budget,
-            "s_margin": lat.s_margin,
-            "d_margin": lat.d_margin,
-            "s_windows": [list(w) for w in lat.s_windows],
-        },
+        "config": asdict(_dp_config(args)),
+        "lattice": asdict(report.lattice),
         "threads": report.threads,
         "mass": {
             "total": drop.total_mass(),
@@ -169,33 +150,14 @@ def _summary_payload(spec: FeederSpec, report: DpReport, args, seed: int) -> dic
         "quantiles": {repr(float(q)): drop.quantile(q) for q in args.quantile},
         "exceedance": exceed,
         "exceed_twice_mean": {"threshold": twice, "probability": drop.prob_exceed(twice)},
-        "stages": [
-            {
-                "stage": log.stage,
-                "seconds": log.seconds,
-                "kernel_tail": log.kernel_tail,
-                "boundary_spill": log.boundary_spill,
-                "window_cut": log.window_cut,
-                "cumulative_lost": log.cumulative_lost,
-                "rows": list(log.rows),
-                "cols": list(log.cols),
-                "masses": log.masses,
-                "phase_s": log.phase_s,
-                "minor_faults": log.minor_faults,
-            }
-            for log in report.stage_logs
-        ],
+        "stages": [asdict(log) for log in report.stage_logs],
         "runtime_s": report.seconds,
     }
 
 
 def cmd_analyze(spec: FeederSpec, args) -> int:
     seed = _resolve_seed(args)
-    try:
-        report = run(spec, _dp_config(args))
-    except MassLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = run(spec, _dp_config(args))
     out = _out_dir(args)
     write_density_csv(out / "drop_marginal.csv", report.drop)
     print(f"wrote {out / 'drop_marginal.csv'}")
@@ -216,11 +178,7 @@ def cmd_mc(spec: FeederSpec, args) -> int:
                       nonlinear=args.nonlinear)
     batch_samples, threads = batch_plan(spec.n, config)
     t0 = time.perf_counter()
-    try:
-        emp = run_mc(spec, config)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    emp = run_mc(spec, config)
     seconds = time.perf_counter() - t0
     out = _out_dir(args)
     path = out / "mc_samples.csv"
@@ -254,12 +212,9 @@ def cmd_mc(spec: FeederSpec, args) -> int:
 
 def cmd_compare(spec: FeederSpec, args) -> int:
     seed = _resolve_seed(args)
-    try:
-        report = run(spec, _dp_config(args))
-    except MassLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    emp = run_mc(spec, McConfig(samples=args.samples, seed=seed, shards=args.shards))
+    mc_config = McConfig(samples=args.samples, seed=seed, shards=args.shards)
+    report = run(spec, _dp_config(args))
+    emp = run_mc(spec, mc_config)
     result = compare(report.drop, emp,
                      ks_threshold=args.ks_threshold,
                      atom_threshold=args.atom_threshold)
@@ -317,6 +272,8 @@ def _sweep_spec(spec: FeederSpec, parameter: str, value: float) -> FeederSpec:
 
 
 def cmd_sweep(spec: FeederSpec, args) -> int:
+    if args.threshold and len(args.threshold) > 1:
+        return _fail("sweep takes at most one --threshold")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -472,6 +429,9 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     try:
         return _DISPATCH[args.command](spec, args)
+    except (MassLossError, NonConvergenceError) as exc:
+        # raised before any command touches its output directory
+        return _fail(str(exc), EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -88,6 +88,7 @@ from .mixed_dist import (
     line_spectrum,
     marginal_drop,
     pool_threads,
+    text_target,
     transform_len,
 )
 
@@ -861,12 +862,6 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     return finish
 
 
-def _apply_stage(state: JointState, load: LoadDensity, segment: LineSegment,
-                 config: DpConfig, ws: _Workspace) -> tuple[JointState, StageLog]:
-    """Advance one bus toward the substation; see the module docstring."""
-    return _lift_stage(state, load, segment, config, ws)()
-
-
 def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     """Propagate the full feeder and integrate out the through-flow."""
     config = config or DpConfig()
@@ -906,9 +901,7 @@ def joint_to_csv(state: JointState, target) -> None:
     d == slope * s and "atom" elsewhere. An empty state writes the header
     only.
     """
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="", encoding="utf-8") if own else target
-    try:
+    with text_target(target) as fh:
         fh.write("part,s,delta,density,atom_mass\n")
         lat = state.lattice
         cs = lat.s_centers()
@@ -931,6 +924,3 @@ def joint_to_csv(state: JointState, target) -> None:
         for sa, da, ma in zip(state.atom_s, state.atom_d, state.atom_mass):
             part = "zero" if da == 0.0 else "diag" if da == state.slope * sa else "atom"
             fh.write(f"{part},{float(sa)!r},{float(da)!r},0,{float(ma)!r}\n")
-    finally:
-        if own:
-            fh.close()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -417,14 +417,6 @@ _FAMILIES: dict[str, type] = {
     for cls in (TwoSidedExponential, PointMass, Uniform, Gaussian, Histogram)
 }
 
-_FAMILY_FIELDS: dict[str, tuple[str, ...]] = {
-    "two-sided-exponential": ("weight", "rate_pos", "rate_neg"),
-    "point-mass": ("location",),
-    "uniform": ("lo", "hi"),
-    "gaussian": ("mean", "std"),
-    "histogram": ("edges", "masses"),
-}
-
 
 def density_from_dict(obj, path: str = "load") -> LoadDensity:
     """Build a LoadDensity from a tagged config mapping."""
@@ -432,11 +424,12 @@ def density_from_dict(obj, path: str = "load") -> LoadDensity:
     family = obj.get("family")
     _require(family in _FAMILIES, f"{path}.family",
              f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
-    fields = _FAMILY_FIELDS[family]
-    extra = set(obj) - set(fields) - {"family"}
+    cls = _FAMILIES[family]
+    names = [f.name for f in fields(cls)]
+    extra = set(obj) - set(names) - {"family"}
     _require(not extra, path, f"unexpected fields {sorted(extra)}")
     kwargs = {}
-    for name in fields:
+    for name in names:
         _require(name in obj, f"{path}.{name}", "missing")
         value = obj[name]
         if name in ("edges", "masses"):
@@ -445,7 +438,7 @@ def density_from_dict(obj, path: str = "load") -> LoadDensity:
         else:
             kwargs[name] = _as_float(value, f"{path}.{name}")
     try:
-        return _FAMILIES[family](**kwargs)
+        return cls(**kwargs)
     except FeederConfigError as err:
         # re-anchor the field path reported by the dataclass validator
         raise FeederConfigError(f"{path}.{err.path}", str(err).split(": ", 1)[-1]) from None

@@ -27,7 +27,7 @@ batch, on the calling thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -317,11 +317,7 @@ class CompareReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "value": c.value,
-                 "threshold": c.threshold, "passed": c.passed}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "stats": self.stats,
         }
 

@@ -35,6 +35,7 @@ import os
 import queue
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "next_fast_len",
     "transform_len",
     "marginal_drop",
+    "text_target",
     "write_density_csv",
 ]
 
@@ -697,12 +699,21 @@ class DropDistribution:
         ))
 
 
+@contextmanager
+def text_target(target):
+    """Yield a text handle on ``target``: a path opened for writing (and
+    closed on exit), or an open handle as given (left open)."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def write_density_csv(target, obj) -> None:
     """Emit a MixedDensity1D or DropDistribution as x,density,atom_mass rows."""
     density = obj.density if isinstance(obj, DropDistribution) else obj
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="", encoding="utf-8") if own else target
-    try:
+    with text_target(target) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "density", "atom_mass"])
         if density.grid is not None:
@@ -710,6 +721,3 @@ def write_density_csv(target, obj) -> None:
                 writer.writerow([repr(float(x)), repr(float(v)), "0"])
         for x, m in zip(density.atom_locs, density.atom_masses):
             writer.writerow([repr(float(x)), "0", repr(float(m))])
-    finally:
-        if own:
-            fh.close()

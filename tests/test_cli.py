@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG4, reference_spec, single_point_config, write_config
-from vdropstat import mixed_dist
+from vdropstat import cli, mixed_dist
 from vdropstat.cli import _sweep_spec, main
 from vdropstat.feeder_model import FeederConfigError, PointMass
 
@@ -92,8 +92,17 @@ def test_analyze_outputs(tmp_path, monkeypatch):
     assert 0.0 < payload["atom_at_zero"] < 0.2
     assert set(payload["quantiles"]) == {"0.5", "0.9", "0.99"}
     assert set(payload["exceedance"]) == {"0.05"}
+    # the config, lattice and stage blocks are the records' own fields, so a
+    # renamed field shows up here as a schema change
+    assert set(payload["config"]) == {"grid_s", "grid_delta", "tail_tol", "renormalize"}
+    assert set(payload["lattice"]) == {
+        "s_base", "s_step", "s_cells", "d_step", "d_cells", "stage_tail_budget",
+        "s_margin", "d_margin", "s_windows"}
     assert len(payload["stages"]) == 4
     for stage in payload["stages"]:
+        assert set(stage) == {
+            "stage", "seconds", "kernel_tail", "boundary_spill", "window_cut",
+            "cumulative_lost", "rows", "cols", "masses", "phase_s", "minor_faults"}
         assert set(stage["phase_s"]) <= {"kernel", "lift", "convolve", "shear", "lines"}
         r0, r1 = stage["rows"]
         assert 0 <= r0 <= r1 <= 256
@@ -253,6 +262,39 @@ def test_compare_passes_and_gates(tmp_path):
     assert read_json(out2 / "compare.json")["passed"] is False
 
 
+def test_compare_bad_samples_exit_1_before_solving(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the DP solve ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "cmp0"
+    code = main(["compare", str(CONFIG4), *CFG_FLAGS, "--samples", "0",
+                 "--seed", "1", "--out-dir", str(out)])
+    assert code == 1
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def chain64_config(tmp_path):
+    """feeder4's bus repeated 64 times: loses mass past the gate at 16^2."""
+    feeder = read_json(CONFIG4)
+    feeder["segments"] = feeder["segments"][:1] * 64
+    feeder["loads"] = feeder["loads"][:1] * 64
+    return write_config(tmp_path / "chain64.json", feeder)
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_mass_loss_exits_2_without_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, chain64_config(tmp_path), "--grid-s", "16", "--grid-delta", "16",
+                 "--seed", "1", "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "mass loss" in err
+    assert not out.exists()
+
+
 def test_compare_point_mass_is_exact(tmp_path):
     cfg = single_point_config(tmp_path, location=2.0, r=1e-3)
     out = tmp_path / "cmp_pm"
@@ -290,6 +332,16 @@ def test_sweep_explicit_threshold(tmp_path):
     assert code == 0
     row = (out / "sweep.csv").read_text().strip().split("\n")[1]
     assert float(row.split(",")[2]) == 0.05
+
+
+def test_sweep_rejects_a_second_threshold(tmp_path, capsys):
+    out = tmp_path / "sw_tt"
+    code = main(["sweep", str(CONFIG4), "--parameter", "load-mean-scale",
+                 "--values", "1.0", "--threshold", "0.01", "--threshold", "0.05",
+                 *CFG_FLAGS, "--out-dir", str(out)])
+    assert code == 1
+    assert "at most one --threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_values_exit_1(tmp_path, capsys):

@@ -53,8 +53,8 @@ def _terminal(spec, config):
 
 def _step(state, spec, j, config):
     """Apply bus j's stage alone, with a workspace of its own."""
-    return dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config,
-                                  dp_engine._Workspace())[0]
+    return dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config,
+                                 dp_engine._Workspace())()[0]
 
 
 def test_config_validation():
@@ -811,7 +811,7 @@ def _stages(spec, config):
     state = _terminal(spec, config)
     ws = dp_engine._Workspace()
     for j in range(spec.n - 1, -1, -1):
-        new, log = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
+        new, log = dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config, ws)()
         yield state, log, new
         state = new
 
@@ -990,12 +990,12 @@ def test_stage_holds_no_full_canvas():
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     ws = dp_engine._Workspace()
-    state, _ = dp_engine._apply_stage(_terminal(spec, config), spec.loads[63],
-                                      spec.segments[63], config, ws)
+    state, _ = dp_engine._lift_stage(_terminal(spec, config), spec.loads[63],
+                                     spec.segments[63], config, ws)()
     lat = state.lattice
     tracemalloc.start()
     try:
-        new, log = dp_engine._apply_stage(state, spec.loads[62], spec.segments[62], config, ws)
+        new, log = dp_engine._lift_stage(state, spec.loads[62], spec.segments[62], config, ws)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1034,11 +1034,11 @@ def _warm_step(spec, load, config):
     ws = dp_engine._Workspace()
     state = _terminal(spec, config)
     for j in range(spec.n - 1, 0, -1):
-        state, _ = dp_engine._apply_stage(state, spec.loads[j], spec.segments[j], config, ws)
-    first, _ = dp_engine._apply_stage(state, load, spec.segments[0], config, ws)
+        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config, ws)()
+    first, _ = dp_engine._lift_stage(state, load, spec.segments[0], config, ws)()
     tracemalloc.start()
     try:
-        again, log = dp_engine._apply_stage(state, load, spec.segments[0], config, ws)
+        again, log = dp_engine._lift_stage(state, load, spec.segments[0], config, ws)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
