@@ -223,12 +223,7 @@ def cmd_compare(spec: FeederSpec, args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
         "seed": seed,
-        "config": {
-            "grid_s": args.grid_s,
-            "grid_delta": args.grid_delta,
-            "tail_tol": args.tail_tol,
-            "samples": args.samples,
-        },
+        "config": {**asdict(_dp_config(args)), "samples": args.samples},
         "feeder": _feeder_block(spec),
     }
     payload.update(result.to_dict())

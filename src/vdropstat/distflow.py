@@ -8,12 +8,13 @@ drops the quadratic loss terms, giving the backward flow sum
 
 and the forward voltage profile V_{j+1} = V_j - rho_j * S_j. The nonlinear
 solver keeps the loss terms and exists to quantify the linearization error;
-everything statistical downstream is built on the linear model.
+everything statistical downstream is built on the linear model. Its sweep
+(``_sweep``) solves a whole samples x N block of load vectors at once, each
+row stopping at its own convergence; ``solve_nonlinear`` is its one-row call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,15 @@ def _split_pq(spec: FeederSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, spec.alpha * p
 
 
+def _suffix_sums(a: np.ndarray) -> np.ndarray:
+    """Sums from each entry to the end of the last axis: the flows of loads."""
+    return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+
+
 def solve_linear(spec: FeederSpec, loads) -> FlowProfile:
     """Lossless linearized profile for one realized load vector (kW)."""
     s = _combined_loads(spec, loads)
-    flow_s = np.cumsum(s[::-1])[::-1]
+    flow_s = _suffix_sums(s)
     rho = spec.rho
     voltage = np.empty(spec.n + 1)
     voltage[0] = spec.base_voltage
@@ -91,8 +97,8 @@ def solve_linear(spec: FeederSpec, loads) -> FlowProfile:
     p, q = _split_pq(spec, s)
     return FlowProfile(
         voltage=voltage,
-        flow_p=np.cumsum(p[::-1])[::-1],
-        flow_q=np.cumsum(q[::-1])[::-1],
+        flow_p=_suffix_sums(p),
+        flow_q=_suffix_sums(q),
         flow_s=flow_s,
     )
 
@@ -100,61 +106,71 @@ def solve_linear(spec: FeederSpec, loads) -> FlowProfile:
 # A collapsing sweep can overflow to inf or nan on its way to the V^2 check,
 # which reports it as NonConvergenceError; numpy need not warn as well.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
-                    max_iter: int = 100) -> FlowProfile:
-    """Backward/forward sweep with quadratic loss terms.
+def _sweep(spec: FeederSpec, loads: np.ndarray, tol: float = 1e-10,
+           max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward/forward sweep with quadratic loss terms (Baran & Wu 1989),
+    one sample per row of ``loads`` (samples x N).
 
-    Backward pass rebuilds segment flows from the end using the previous
+    The backward pass rebuilds segment flows from the end using the previous
     iterate's voltages in the loss terms; the forward pass updates squared
-    voltages from the substation. Stops when the largest voltage change
-    falls below ``tol``. Raises NonConvergenceError when a squared voltage
-    goes nonpositive (physical collapse) or the iteration cap is hit.
+    voltages from the substation, node by node for all rows at once. A row
+    stops when its largest voltage change falls below ``tol``, so it gets
+    exactly what a sweep of that row alone gives. Returns (voltage, flow_p,
+    flow_q, iterations) per row. Raises NonConvergenceError when a row's
+    squared voltage goes nonpositive (physical collapse) or not finite, or
+    a row hits the iteration cap.
     """
-    s = _combined_loads(spec, loads)
-    p_load, q_load = _split_pq(spec, s)
-    n = spec.n
-    r = np.array([seg.r for seg in spec.segments])
-    x = np.array([seg.x for seg in spec.segments])
-
-    voltage = np.full(n + 1, spec.base_voltage)
-    flow_p = np.cumsum(p_load[::-1])[::-1]
-    flow_q = np.cumsum(q_load[::-1])[::-1]
+    p_load, q_load = _split_pq(spec, loads)
+    r, x = np.array([(seg.r, seg.x) for seg in spec.segments]).T
+    voltage = np.full((len(loads), spec.n + 1), spec.base_voltage)
+    flow_p, flow_q = _suffix_sums(p_load), _suffix_sums(q_load)
+    iterations = np.zeros(len(loads), dtype=np.int64)
+    live = np.arange(len(loads))  # the rows still sweeping
 
     for iteration in range(1, max_iter + 1):
-        sq = flow_p**2 + flow_q**2
-        vsq_send = voltage[:-1] ** 2
-        loss_p = r * sq / vsq_send
-        loss_q = x * sq / vsq_send
-
+        v = voltage[live]
+        sq = flow_p[live]**2 + flow_q[live]**2
+        vsq_send = v[:, :-1] ** 2
         # Balance at the receiving node: P_j = loss_j + p_{j+1} + P_{j+1},
         # so each segment's flow carries its own loss.
-        new_p = np.cumsum((p_load + loss_p)[::-1])[::-1]
-        new_q = np.cumsum((q_load + loss_q)[::-1])[::-1]
+        new_p = _suffix_sums(p_load[live] + r * sq / vsq_send)
+        new_q = _suffix_sums(q_load[live] + x * sq / vsq_send)
 
-        new_voltage = np.empty(n + 1)
-        new_voltage[0] = spec.base_voltage
-        for j in range(n):
-            vsq = new_voltage[j] ** 2
+        new_v = np.empty_like(v)
+        new_v[:, 0] = spec.base_voltage
+        for j in range(spec.n):
+            vsq = new_v[:, j] ** 2
             vv = (vsq
-                  - 2.0 * (r[j] * new_p[j] + x[j] * new_q[j])
-                  + (r[j]**2 + x[j]**2) * (new_p[j]**2 + new_q[j]**2) / vsq)
-            if not (vv > 0.0) or not math.isfinite(vv):
+                  - 2.0 * (r[j] * new_p[:, j] + x[j] * new_q[:, j])
+                  + (r[j]**2 + x[j]**2) * (new_p[:, j]**2 + new_q[:, j]**2) / vsq)
+            bad = ~((vv > 0.0) & (vv < np.inf))
+            if bad.any():
                 raise NonConvergenceError(
-                    f"voltage collapse at node {j + 1} (V^2 = {vv:.6g})")
-            new_voltage[j + 1] = math.sqrt(vv)
+                    f"voltage collapse at node {j + 1} (V^2 = {vv[bad.argmax()]:.6g})")
+            np.sqrt(vv, out=new_v[:, j + 1])
 
-        change = float(np.max(np.abs(new_voltage - voltage)))
-        voltage, flow_p, flow_q = new_voltage, new_p, new_q
-        if change < tol:
-            return FlowProfile(
-                voltage=voltage,
-                flow_p=flow_p,
-                flow_q=flow_q,
-                flow_s=flow_p + spec.alpha * flow_q,
-                iterations=iteration,
-            )
+        done = np.abs(new_v - v).max(axis=1) < tol
+        voltage[live], flow_p[live], flow_q[live] = new_v, new_p, new_q
+        iterations[live[done]] = iteration
+        live = live[~done]
+        if not len(live):
+            return voltage, flow_p, flow_q, iterations
 
     raise NonConvergenceError(f"no convergence in {max_iter} iterations")
+
+
+def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
+                    max_iter: int = 100) -> FlowProfile:
+    """The loss-keeping sweep (``_sweep``) for one realized load vector (kW)."""
+    s = _combined_loads(spec, loads)
+    voltage, flow_p, flow_q, iterations = _sweep(spec, s[None, :], tol, max_iter)
+    return FlowProfile(
+        voltage=voltage[0],
+        flow_p=flow_p[0],
+        flow_q=flow_q[0],
+        flow_s=flow_p[0] + spec.alpha * flow_q[0],
+        iterations=int(iterations[0]),
+    )
 
 
 def _batch_delta0(rho: np.ndarray, columns,
@@ -199,7 +215,7 @@ def max_drop(spec: FeederSpec, loads) -> DropResult:
     """
     s = _combined_loads(spec, loads)
     rho = spec.rho
-    flow = np.cumsum(s[::-1])[::-1]
+    flow = _suffix_sums(s)
     delta = np.zeros(spec.n + 1)
     for k in range(spec.n - 1, -1, -1):
         delta[k] = max(0.0, delta[k + 1] + rho[k] * flow[k])

@@ -656,36 +656,31 @@ def _grid_window(state: JointState, rows: np.ndarray, cols: np.ndarray, dens: np
     lat = state.lattice
     pc = state.pc
     cell = lat.s_step * lat.d_step
-    if len(rows):
-        g0, g1 = _span([(int(rows.min()), int(rows.max()) + 1)]
-                       + ([(state.pc_r0, state.pc_r0 + len(pc))] if pc is not None else []))
-        sums = np.bincount(rows - g0, dens, g1 - g0)
-        if pc is not None:
-            sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
-    elif pc is not None:  # the band alone: its sums span its rows, then its columns
-        g0 = state.pc_r0
-        sums = pc.sum(axis=1)
-    else:
+    row_spans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
+    col_spans = [(int(cols.min()), int(cols.max()) + 1)] if len(rows) else []
+    if pc is not None:
+        row_spans.append((state.pc_r0, state.pc_r0 + len(pc)))
+        col_spans.append((state.pc_c0, state.pc_c0 + pc.shape[1]))
+    if not row_spans:
         return (0, 0), (0, 0), 0.0
+    g0, g1 = _span(row_spans)
+    # bincount of no cells gives integers
+    sums = np.bincount(rows - g0, dens, g1 - g0).astype(float, copy=False)
+    if pc is not None:
+        sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
     sums *= cell
     lo, hi = _budget_window(sums, cut, below)
     outside = float(sums[:lo].sum() + sums[hi:].sum())
     if hi == lo:
         return (0, 0), (0, 0), outside
     w0, w1 = g0 + lo, g0 + hi
-    if len(rows):
-        q0, q1 = _span([(int(cols.min()), int(cols.max()) + 1)]
-                       + ([(state.pc_c0, state.pc_c0 + pc.shape[1])] if pc is not None else []))
-        inside = (rows >= w0) & (rows < w1)
-        # bincount of no weights gives integers
-        sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
-        if pc is not None:
-            a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
-            if b > a:
-                sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
-    else:
-        q0 = state.pc_c0
-        sums = pc[lo:hi].sum(axis=0)
+    q0, q1 = _span(col_spans)
+    inside = (rows >= w0) & (rows < w1)
+    sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
+    if pc is not None:
+        a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
+        if b > a:
+            sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
     sums *= cell
     lo, hi = _budget_window(sums, cut)
     outside += float(sums[:lo].sum() + sums[hi:].sum())

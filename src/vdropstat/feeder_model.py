@@ -425,14 +425,15 @@ def density_from_dict(obj, path: str = "load") -> LoadDensity:
     _require(family in _FAMILIES, f"{path}.family",
              f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
-    names = [f.name for f in fields(cls)]
-    extra = set(obj) - set(names) - {"family"}
+    extra = set(obj) - {f.name for f in fields(cls)} - {"family"}
     _require(not extra, path, f"unexpected fields {sorted(extra)}")
     kwargs = {}
-    for name in names:
+    for f in fields(cls):
+        name = f.name
         _require(name in obj, f"{path}.{name}", "missing")
         value = obj[name]
-        if name in ("edges", "masses"):
+        # str() reads the annotation alike as a string or as a type
+        if str(f.type) == "tuple[float, ...]":
             _require(isinstance(value, list), f"{path}.{name}", "expected a list")
             kwargs[name] = tuple(_as_float(v, f"{path}.{name}[{i}]") for i, v in enumerate(value))
         else:

@@ -2,26 +2,22 @@
 
 Sampling is counter-based: the uniform behind (sample i, bus j) is a hash
 of (seed, i, j) alone, so any sharding or batching of the sample range
-reproduces the identical stream bit for bit. Per sample the drop comes
-from the same backward recursion the deterministic solver uses; the
-randomness, not the recursion, is what this module adds.
+reproduces the identical stream bit for bit, whatever the thread count.
 
-The linear sampler streams: each batch of at most 2^15 samples walks the
-buses from the feeder end to the head, draws one bus's loads for the
-whole batch, and folds them at once into the running flow and drop, which
-are the batch's rows of the output. No samples x buses matrix is built,
-so the working set does not grow with the bus count. A draw runs in place
-on three vectors of the batch's length: the hash adds a per-bus constant
-to a ramp computed once per run and mixes it in place, and the inverse
-CDF selects its branches bit for bit in the same vectors. The batches run
-through ``mixed_dist.map_blocks``, the S-convolution's block map, on one
-thread per CPU (at most one per batch and four in all; none on one CPU).
-It allocates one vector set per thread on the calling thread, and a batch
-borrows a free set, so memory stays flat whatever the sample count.
-Because the draws are counter-based, the thread count and the batch order
-never change a value. The nonlinear sampler needs each sample's whole
-load vector and fills a samples x buses block of at most 2^21 values per
-batch, on the calling thread.
+Both samplers run one batch function. A batch draws one bus's loads for
+all its samples at once, in place: the hash adds a per-bus constant to a
+ramp computed once per run and mixes it, and the inverse CDF selects its
+branches bit for bit in the same vectors. A linear batch (at most 2^15
+samples) folds each bus's loads, from the feeder end to the head, into
+the running flow and drop, which are its rows of the output, so no
+samples x buses matrix is built. A nonlinear batch writes them into a
+samples x buses block of at most 2^16 values and solves it with one
+DistFlow sweep (``distflow._sweep``), which holds about a dozen arrays of
+the block's size. ``mixed_dist.map_blocks`` maps the batches, linear ones
+on one thread per CPU (at most one per batch and four in all; none on one
+CPU), nonlinear ones on the calling thread, each thread with one buffer
+set made on the calling thread. ``counter_uniforms`` and ``sample_load``
+are the same draw out of place; no sampler calls them.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distflow import _batch_delta0, solve_nonlinear
+from .distflow import _batch_delta0, _sweep
 from .feeder_model import FeederSpec, LoadDensity
 from .mixed_dist import DropDistribution, map_blocks, pool_threads
 
@@ -57,10 +53,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # GIL back and forth more often than they compute; 2^16 was not clearly
 # faster and doubles the vectors.
 _BATCH_SAMPLES = 1 << 15
-# Load values per nonlinear MC batch (16 MB of float64): bounds its
-# samples x buses block whatever the shard count. Draws are counter-based,
-# so no batch size ever changes the values.
-_BATCH_VALUES = 1 << 21
+# Load values per nonlinear MC batch (512 KB of float64): bounds its
+# samples x buses block, of which the sweep keeps about a dozen, whatever
+# the shard count. Draws are counter-based, so no batch size ever changes
+# the values.
+_BATCH_VALUES = 1 << 16
 # Points per chunk of the KS scan (512 KB of float64 per temporary).
 _KS_CHUNK = 1 << 16
 
@@ -198,53 +195,48 @@ def batch_plan(n_buses: int, config: McConfig) -> tuple[int, int]:
     return size, pool_threads(-(-config.samples // size))
 
 
-def _linear_mc(spec: FeederSpec, seed: int, size: int, threads: int,
-               samples: np.ndarray) -> None:
-    """Fill column-major ``samples`` with (head flow, drop), ``size`` per batch."""
-    n, rho = spec.n, spec.rho
-    total = len(samples)
+def _mc_batches(spec: FeederSpec, config: McConfig, samples: np.ndarray) -> None:
+    """Fill column-major ``samples`` with (head flow, drop), batch by batch."""
+    n, rho, seed, total = spec.n, spec.rho, config.seed, len(samples)
+    size, threads = batch_plan(n, config)
     ramp = _ramp(size, n)  # shared and read-only; a batch adds its start
 
     def batch(a: int, bufs) -> None:
-        """Samples a..b-1, the batch at ``a``: draw bus by bus into the
-        (bits, u, load) set ``bufs``, fold into their (flow, drop) rows."""
+        """Samples a..b-1, the batch at ``a``, drawn with the (bits, u) of
+        ``bufs`` into its loads: one vector, or a samples x buses block."""
         b = min(a + size, total)
-        bits, u, load = (x[:b - a] for x in bufs)
+        bits, u, loads = (x[:b - a] for x in bufs)
 
-        def columns():
-            for k in range(n - 1, -1, -1):
-                _uniforms_into(ramp[:b - a], _state0(seed, a, k, n), bits, u)
-                # the draw uses u and bits as scratch, and the fold then u
-                yield spec.loads[k].ppf(u, out=load, work=bits.view(np.int64))
+        def draw(k: int) -> np.ndarray:
+            # u and bits are the draw's scratch, and then u the linear fold's
+            _uniforms_into(ramp[:b - a], _state0(seed, a, k, n), bits, u)
+            return spec.loads[k].ppf(u, out=loads if loads.ndim == 1 else loads[:, k],
+                                     work=bits.view(np.int64))
 
-        _batch_delta0(rho, columns(), out=(samples[a:b, 1], samples[a:b, 0], u))
+        if not config.nonlinear:
+            _batch_delta0(rho, map(draw, range(n - 1, -1, -1)),
+                          out=(samples[a:b, 1], samples[a:b, 0], u))
+            return
+        for k in range(n):
+            draw(k)
+        voltage, flow_p, flow_q, _ = _sweep(spec, loads)
+        samples[a:b, 0] = flow_p[:, 0] + spec.alpha * flow_q[:, 0]
+        samples[a:b, 1] = spec.base_voltage - voltage.min(axis=1)
 
-    map_blocks(batch, range(0, total, size), threads,
-               lambda: (np.empty(size, dtype=np.uint64), np.empty(size), np.empty(size)))
+    def scratch():
+        loads = np.empty((size, n), order="F") if config.nonlinear else np.empty(size)
+        return np.empty(size, dtype=np.uint64), np.empty(size), loads
+
+    map_blocks(batch, range(0, total, size), threads, scratch)
 
 
 def run_mc(spec: FeederSpec, config: McConfig | None = None) -> EmpiricalDrop:
     """Draw drops for the whole feeder; sharding never changes the values."""
     config = config or McConfig()
-    n = spec.n
-    total = config.samples
-    size, threads = batch_plan(n, config)
     # rows of (head flow, drop); column-major, so that each column is one
-    # contiguous vector the linear fold can write in place
-    samples = np.empty((total, 2), order="F")
-    if not config.nonlinear:
-        _linear_mc(spec, config.seed, size, threads, samples)
-    else:
-        for a in range(0, total, size):
-            b = min(a + size, total)
-            loads = np.empty((b - a, n))
-            for k in range(n):
-                loads[:, k] = sample_load(
-                    spec.loads[k], counter_uniforms(config.seed, a, b - a, k, n))
-            for i in range(b - a):
-                profile = solve_nonlinear(spec, loads[i])
-                samples[a + i] = (float(profile.flow_s[0]),
-                                  spec.base_voltage - float(profile.voltage.min()))
+    # contiguous vector a batch can write in place
+    samples = np.empty((config.samples, 2), order="F")
+    _mc_batches(spec, config, samples)
     drops = samples[:, 1]
     return EmpiricalDrop(
         delta0=np.sort(drops),

@@ -254,6 +254,12 @@ def test_compare_passes_and_gates(tmp_path):
     assert names == ["ks_distance", "zero_atom_gap"]
     band = payload["stats"]["dkw_band"]  # reported beside the gate, not gating
     assert band["eps"] == pytest.approx(math.sqrt(math.log(40.0) / 40_000), rel=1e-12)
+    # the solve's config block is analyze's, plus the sample count
+    assert main(["analyze", str(CONFIG4), *CFG_FLAGS, "--skip-joint",
+                 "--out-dir", str(tmp_path / "an")]) == 0
+    config = dict(payload["config"])
+    assert config.pop("samples") == 20000
+    assert config == read_json(tmp_path / "an" / "summary.json")["config"]
     # same data, absurd threshold: the gate must trip with exit code 3
     out2 = tmp_path / "cmp2"
     args2 = ["compare", str(CONFIG4), *CFG_FLAGS, "--samples", "20000",

@@ -1,5 +1,7 @@
 """Deterministic chain flow: linear profile, drop recursion, loss terms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import point_spec, reference_spec, segment
 from vdropstat.distflow import (
     NonConvergenceError,
     _batch_delta0,
+    _sweep,
     max_drop,
     solve_linear,
     solve_nonlinear,
@@ -120,6 +123,77 @@ def test_nonlinear_divergence_raises():
     spec = point_spec([0.95], r=1.0)
     with np.errstate(over="ignore"), pytest.raises(NonConvergenceError):
         solve_nonlinear(spec, [0.95])
+
+
+def scalar_sweep(spec, loads, tol=1e-10, max_iter=100):
+    """The sweep one sample and one node at a time, in Python floats: the
+    reference of the vectorised sweep, which may round a square differently
+    in the last bit. Returns (voltage, flow_p, flow_q, iterations)."""
+    p_load = [float(s) / (1.0 + spec.alpha**2) for s in loads]
+    q_load = [spec.alpha * p for p in p_load]
+    n = spec.n
+    r = [seg.r for seg in spec.segments]
+    x = [seg.x for seg in spec.segments]
+    voltage = [spec.base_voltage] * (n + 1)
+    flow_p = list(np.cumsum(p_load[::-1])[::-1])
+    flow_q = list(np.cumsum(q_load[::-1])[::-1])
+    for iteration in range(1, max_iter + 1):
+        loss_p = [r[j] * (flow_p[j]**2 + flow_q[j]**2) / voltage[j]**2 for j in range(n)]
+        loss_q = [x[j] * (flow_p[j]**2 + flow_q[j]**2) / voltage[j]**2 for j in range(n)]
+        new_p, new_q = [0.0] * n, [0.0] * n
+        for j in range(n - 1, -1, -1):
+            new_p[j] = p_load[j] + loss_p[j] + (new_p[j + 1] if j + 1 < n else 0.0)
+            new_q[j] = q_load[j] + loss_q[j] + (new_q[j + 1] if j + 1 < n else 0.0)
+        new_v = [spec.base_voltage] + [0.0] * n
+        for j in range(n):
+            vsq = new_v[j]**2
+            vv = (vsq - 2.0 * (r[j] * new_p[j] + x[j] * new_q[j])
+                  + (r[j]**2 + x[j]**2) * (new_p[j]**2 + new_q[j]**2) / vsq)
+            if not 0.0 < vv < math.inf:
+                raise NonConvergenceError(f"voltage collapse at node {j + 1}")
+            new_v[j + 1] = math.sqrt(vv)
+        change = max(abs(a - b) for a, b in zip(new_v, voltage))
+        voltage, flow_p, flow_q = new_v, new_p, new_q
+        if change < tol:
+            return voltage, flow_p, flow_q, iteration
+    raise NonConvergenceError("no convergence")
+
+
+def test_sweep_rows_equal_the_one_row_solve():
+    # rows of different load scales stop at different iterations; each must
+    # keep its own last iterate, bit for bit what the one-row call gives
+    rng = np.random.default_rng(17)
+    for n, alpha in ((1, 0.0), (4, 0.5), (9, 0.2), (23, 1.0)):
+        r = rng.uniform(0.2, 1.0, size=n) * 0.01 / n
+        spec = FeederSpec(base_voltage=1.0, alpha=alpha,
+                          segments=tuple(segment(v, x=alpha * v) for v in r),
+                          loads=tuple(PointMass(location=0.0) for _ in r))
+        loads = rng.uniform(-3.0, 6.0, size=(40, n)) * rng.uniform(0.0, 1.5, size=(40, 1))
+        loads[0] = 0.0
+        voltage, flow_p, flow_q, iterations = _sweep(spec, loads)
+        assert len(set(iterations.tolist())) >= 3
+        for i in range(len(loads)):
+            one = solve_nonlinear(spec, loads[i])
+            assert type(one.iterations) is int
+            assert one.iterations == iterations[i]
+            for got, want in ((voltage[i], one.voltage), (flow_p[i], one.flow_p),
+                              (flow_q[i], one.flow_q)):
+                assert got.tobytes() == want.tobytes()
+            *ref, ref_iterations = scalar_sweep(spec, loads[i])
+            assert one.iterations == ref_iterations
+            for got, want in zip((one.voltage, one.flow_p, one.flow_q), ref):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_sweep_batch_with_one_collapsing_row_raises():
+    spec = point_spec([0.0], r=1.0)
+    loads = np.array([[0.0], [0.1], [0.95], [0.2]])
+    voltage, _, _, iterations = _sweep(spec, loads[[0, 1, 3]])
+    assert np.all(voltage > 0.5) and iterations.max() > 1
+    # the other rows stop converged while the collapsing one still sweeps
+    with np.errstate(over="ignore"), pytest.raises(NonConvergenceError,
+                                                   match="collapse at node 1"):
+        _sweep(spec, loads)
 
 
 def test_load_vector_validation():

@@ -3,16 +3,19 @@
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from helpers import CONFIG4, reference_load, segment, write_config
+from vdropstat import feeder_model
 from vdropstat.feeder_model import (
     FeederConfigError,
     FeederSpec,
     Gaussian,
     Histogram,
+    LoadDensity,
     PointMass,
     TwoSidedExponential,
     Uniform,
@@ -265,6 +268,28 @@ def test_density_from_dict_errors_carry_field_paths():
     with pytest.raises(FeederConfigError, match=r"load\.weight"):
         density_from_dict({"family": "two-sided-exponential",
                            "weight": 0.5, "rate_pos": 3.0, "rate_neg": 1.0})
+
+
+def test_density_from_dict_reads_list_fields_from_annotations(monkeypatch):
+    # a family the parser has never seen, its annotations types (this module
+    # does not postpone them), where Histogram's are strings
+    @dataclass(frozen=True)
+    class Steps(LoadDensity):
+        levels: tuple[float, ...]
+        scale: float
+
+        family = "steps"
+
+    monkeypatch.setitem(feeder_model._FAMILIES, "steps", Steps)
+    got = density_from_dict({"family": "steps", "levels": [1, 2.5], "scale": 3})
+    assert got == Steps(levels=(1.0, 2.5), scale=3.0)
+    with pytest.raises(FeederConfigError, match=r"load\.levels: expected a list"):
+        density_from_dict({"family": "steps", "levels": 1.0, "scale": 3})
+    with pytest.raises(FeederConfigError, match=r"load\.scale: expected a number"):
+        density_from_dict({"family": "steps", "levels": [1.0], "scale": [3]})
+    hist = density_from_dict({"family": "histogram", "edges": [0, 1, 3],
+                              "masses": [0.25, 0.75]})
+    assert hist == Histogram(edges=(0.0, 1.0, 3.0), masses=(0.25, 0.75))
 
 
 def test_feeder_from_dict_errors():

@@ -172,12 +172,13 @@ def test_nonlinear_batch_cap_keeps_draws_bitwise(monkeypatch):
     spec = reference_spec()  # 4 buses
     whole = run_mc(spec, McConfig(samples=101, seed=5, nonlinear=True))
     counts = []
-    draw = mc_oracle.counter_uniforms
-    monkeypatch.setattr(mc_oracle, "counter_uniforms",
-                        lambda *a: (counts.append(a[2]), draw(*a))[1])
+    draw = mc_oracle._uniforms_into  # the in-place core: one call per bus and batch
+    monkeypatch.setattr(mc_oracle, "_uniforms_into",
+                        lambda *a: (counts.append(len(a[0])), draw(*a))[1])
     monkeypatch.setattr(mc_oracle, "_BATCH_VALUES", 4 * 10)
     capped = run_mc(spec, McConfig(samples=101, seed=5, nonlinear=True))
     assert max(counts) == 10  # batches of 10 samples x 4 buses
+    assert len(counts) == 11 * 4
     assert np.array_equal(capped.samples, whole.samples)
     assert np.array_equal(capped.delta0, whole.delta0)
 
@@ -291,6 +292,21 @@ def test_linear_mc_memory_is_independent_of_bus_count():
         tracemalloc.stop()
     outputs = emp.samples.nbytes + emp.delta0.nbytes
     assert peak <= outputs + 4_000_000
+
+
+def test_nonlinear_mc_memory_is_bounded_by_the_batch_cap():
+    # the sweep keeps about a dozen arrays of its samples x buses block, and
+    # a block of 2^16 values is 512 KB; a batch of every sample (what a
+    # 2^21-value cap gave here) peaked at 16 MB
+    spec = parse_feeder(CONFIG4)
+    tracemalloc.start()
+    try:
+        emp = run_mc(spec, McConfig(samples=200_000, seed=3, nonlinear=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = emp.samples.nbytes + emp.delta0.nbytes
+    assert peak <= outputs + 8_400_000
 
 
 def test_drop_dominates_head_term():
