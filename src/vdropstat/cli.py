@@ -313,12 +313,19 @@ def cmd_sweep(spec: FeederSpec, args) -> int:
 
 
 def _add_dp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-s", type=int, default=2048,
-                   help="through-flow axis cells (default 2048)")
-    p.add_argument("--grid-delta", type=int, default=2048,
-                   help="drop axis cells (default 2048)")
-    p.add_argument("--tail-tol", type=float, default=1e-6,
-                   help="per-run truncation budget (default 1e-6)")
+    p.add_argument("--grid-s", type=int, default=DpConfig.grid_s,
+                   help="through-flow axis cells (default %(default)s)")
+    p.add_argument("--grid-delta", type=int, default=DpConfig.grid_delta,
+                   help="drop axis cells (default %(default)s)")
+    p.add_argument("--tail-tol", type=float, default=DpConfig.tail_tol,
+                   help="per-run truncation budget (default %(default)s)")
+
+
+def _add_mc_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=McConfig.samples,
+                   help="Monte Carlo samples (default %(default)s)")
+    p.add_argument("--shards", type=int, default=McConfig.shards,
+                   help="shard count, which never changes the values (default %(default)s)")
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -365,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo sampling of the drop")
     p.add_argument("config")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--shards", type=int, default=1,
-                   help="shard count (never changes the values)")
+    _add_mc_flags(p)
     p.add_argument("--nonlinear", action="store_true",
                    help="replay samples through the nonlinear solver")
     p.add_argument("--with-s0", action="store_true",
@@ -379,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="gate the deterministic law against MC")
     p.add_argument("config")
     _add_dp_flags(p)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--shards", type=int, default=1)
+    _add_mc_flags(p)
     p.add_argument("--ks-threshold", type=float, default=0.01)
     p.add_argument("--atom-threshold", type=float, default=0.005)
     _add_seed_flag(p)

@@ -173,28 +173,23 @@ def solve_nonlinear(spec: FeederSpec, loads, tol: float = 1e-10,
     )
 
 
-def _batch_delta0(rho: np.ndarray, columns,
-                  out=None) -> tuple[np.ndarray, np.ndarray]:
+def _batch_delta0(rho: np.ndarray, columns, out) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized drop recursion over a batch of samples, folded bus by bus.
 
     ``columns`` yields one load vector per bus (one value per sample) from
     the feeder end: bus N-1 first, bus 0 last. Each is added to the running
     flow in that order, the order of a reversed cumsum, and folded at once
-    into the running drop. Returns (delta0, head_flow). ``out``, if given,
-    is (delta, flow, step): float64 vectors of the batch's length that the
-    fold writes in place, the last one scratch, so a caller that reuses
-    them allocates nothing. ``max_drop`` keeps the per-node form of the
-    same recursion, whose intermediate drops ``deterministic`` reports.
+    into the running drop. Returns (delta0, head_flow). ``out`` is (delta,
+    flow, step): float64 vectors of the batch's length that the fold writes
+    in place, the last one scratch, so a caller that reuses them allocates
+    nothing. ``max_drop`` keeps the per-node form of the same recursion,
+    whose intermediate drops ``deterministic`` reports.
     """
-    delta, flow, step = out if out is not None else (None, None, None)
+    delta, flow, step = out
     first = True
     for k, col in zip(range(len(rho) - 1, -1, -1), columns, strict=True):
         if first:
             first = False
-            if out is None:
-                delta = np.empty(len(col))
-                flow = np.empty_like(delta)
-                step = np.empty_like(delta)
             # a copy, not zeros + col, so a head flow of -0.0 keeps its sign
             flow[...] = col
             delta.fill(0.0)

@@ -16,9 +16,10 @@ One stage is one step over both carriers:
   An atom times a point load is a new atom at s + x; an atom times a
   continuous load lands on the zero line when d == 0 and otherwise on the
   two straddled D rows.
-* shear: D becomes max(0, D + rho * S). Band mass pushed to D <= 0 joins
-  the zero line, and the zero line becomes the new hinge line: its S > 0
-  cells are the new diagonal. An atom's d becomes max(0, d + rho * s).
+* shear: D becomes max(0, D + rho * S), with the segment's rho =
+  r / base_voltage from ``FeederSpec.rho``. Band mass pushed to D <= 0
+  joins the zero line, and the zero line becomes the new hinge line: its
+  S > 0 cells are the new diagonal. An atom's d becomes max(0, d + rho * s).
 
 A stage first finds its budget window, once, on the state's band and the
 lifted diagonal: the D rows, then within them the S columns, that hold all
@@ -35,21 +36,23 @@ own column origin, so it moves along S with the through-flow from stage
 to stage and no stage holds the full d_cells x s_cells lattice.
 
 The S-convolution (``convolve_lines``) transforms only the window's cells,
-at a transform length set by the frame, writes each row's convolution
-straight back into its band row, shifted by the kernel's offset, and sums
-what falls off the lattice from one spill array. It cuts a band larger
-than one transform block into blocks of rows and transforms them on a
-thread pool (``pool_threads``: one thread per CPU, at most four) that
-lives for that one convolution. A row's transform and fold do not depend
-on its block or thread, and the spill sums, the lift and the shear stay on
-the calling thread, so the thread count never changes a value. The shear
-then forms each frame column's two-part move once, and copies the columns
-of each integer shift floor(rho * S / d_step), one range, with one slice
-into the next band, which spans the same columns.
+picks the transform length from their count and the kernel's, and takes
+the kernel's spectrum at that length from the kernel's cache, computing
+it there the first time. It writes each row's convolution straight back
+into its band row, shifted by the kernel's offset, and sums what falls
+off the lattice from one spill array. It cuts a band larger than one
+transform block into blocks of rows and transforms them on a thread pool
+(``pool_threads``: one thread per CPU, at most four) that lives for that
+one convolution. A row's transform and fold do not depend on its block or
+thread, and the spill sums, the lift and the shear stay on the calling
+thread, so the thread count never changes a value. The shear then forms
+each frame column's two-part move once, and copies the columns of each
+integer shift floor(rho * S / d_step), one range, with one slice into the
+next band, which spans the same columns.
 
-Each run has one workspace (``_Workspace``): the kernel of each distinct
-load, built once with one transform per transform length, the S cell
-centers and the shear's table of each distinct rho, and the arrays a
+Each run has one workspace (``_Workspace``), made on the run's lattice:
+the lattice's S cell centers, the kernel of each distinct load, built
+once, and the shear's table of each distinct rho, and the arrays a
 stage works in (the band, the transform blocks of each thread, a point
 load's shift buffers, the shear's blocks), which grow to the largest
 stage's and are reused by every later one. The states a stage returns own
@@ -78,18 +81,16 @@ try:
 except ImportError:  # not on every platform; stages then log no fault count
     resource = None
 
-from .feeder_model import FeederSpec, LineSegment, LoadDensity, PointMass
+from .feeder_model import FeederSpec, LoadDensity, PointMass
 from .mixed_dist import (
     DropDistribution,
     JointLattice,
     JointState,
     Scratch,
     convolve_lines,
-    line_spectrum,
     marginal_drop,
     pool_threads,
     text_target,
-    transform_len,
 )
 
 __all__ = [
@@ -291,7 +292,8 @@ class _Kernel:
     Continuous mass becomes weights at edge offsets k * h (k0 <= k <= k1),
     so grid (cell-center) values convolved with them land back on centers;
     ``fine`` is the fine law they were split from (atoms convolve against it
-    directly) and ``spectra`` their transforms, one per transform length.
+    directly) and ``spectra`` their transforms by transform length, which
+    ``convolve_lines`` fills as it first needs each.
     A point load has no weights and stays one exact ``shift``, split over
     the offsets k0 = floor(shift / h) and k1 = k0 + 1. Either way a cell's
     mass lands within offsets [k0, k1] of it.
@@ -573,49 +575,38 @@ class _PhaseClock:
 
 
 class _Workspace(Scratch):
-    """What one run keeps from stage to stage: the kernel cache, the run's
-    geometry and the stage scratch.
+    """What one run keeps from stage to stage: its lattice, the kernel
+    cache and the stage scratch.
 
-    The lattice is fixed within a run, so each distinct load's kernel is
-    built once, and each of its transforms once per transform length; the
-    S cell centers once, and the shear's table once per distinct rho. The
-    scratch arrays (the stage's band, the S-convolution's
-    block arrays, one set per thread, a point load's source rows and
-    weighted part, and the shear's block and moved rows) grow to the
-    largest stage's and every stage reuses them, so a stage maps no new
-    memory for them. A state never holds one of them: its ``pc``, ``line``
-    and atoms are new arrays.
+    The lattice is bound here, once per run, with its S cell centers, and
+    every kernel and shear table is built on it: each distinct load's
+    kernel once (its transforms are cached on it by ``convolve_lines``, one
+    per transform length), and the shear's table once per distinct rho.
+    The scratch arrays (the stage's band, the S-convolution's block arrays,
+    one set per thread, a point load's source rows and weighted part, and
+    the shear's block and moved rows) grow to the largest stage's and every
+    stage reuses them, so a stage maps no new memory for them. A state
+    never holds one of them: its ``pc``, ``line`` and atoms are new arrays.
     """
 
-    def __init__(self):
+    def __init__(self, lat: JointLattice):
         super().__init__()
+        self.lattice = lat
+        self.centers = lat.s_centers()
         self.kernels: dict[LoadDensity, _Kernel] = {}
         self.shear_tables: dict[float, _ShearTable] = {}
-        self.centers: np.ndarray | None = None
 
-    def kernel(self, load: LoadDensity, lat: JointLattice) -> _Kernel:
+    def kernel(self, load: LoadDensity) -> _Kernel:
         kernel = self.kernels.get(load)
         if kernel is None:
-            kernel = self.kernels[load] = _build_kernel(load, lat)
+            kernel = self.kernels[load] = _build_kernel(load, self.lattice)
         return kernel
 
-    def s_centers(self, lat: JointLattice) -> np.ndarray:
-        if self.centers is None:
-            self.centers = lat.s_centers()
-        return self.centers
-
-    def shear_table(self, rho: float, lat: JointLattice) -> _ShearTable:
+    def shear_table(self, rho: float) -> _ShearTable:
         table = self.shear_tables.get(rho)
         if table is None:
-            table = self.shear_tables[rho] = _build_shear_table(rho, self.s_centers(lat), lat)
+            table = self.shear_tables[rho] = _build_shear_table(rho, self.centers, self.lattice)
         return table
-
-    def spectrum(self, kernel: _Kernel, n_vals: int) -> np.ndarray:
-        """The transform of ``kernel``'s weights for lines of ``n_vals`` input cells."""
-        n_fft = transform_len(n_vals, len(kernel.weights))
-        if n_fft not in kernel.spectra:
-            kernel.spectra[n_fft] = line_spectrum(kernel.weights, n_vals)
-        return kernel.spectra[n_fft]
 
 
 def _minor_faults() -> int | None:
@@ -634,8 +625,7 @@ def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace
     """
     i0, i1 = (0, vals.shape[-1]) if cells is None else cells
     if kernel.weights is not None:
-        return convolve_lines(vals, kernel.weights, kernel.k0, ws.spectrum(kernel, i1 - i0),
-                              ws, (i0, i1))
+        return convolve_lines(vals, kernel.weights, kernel.k0, kernel.spectra, ws, (i0, i1))
     src = ws.array("shift_src", vals[..., i0:i1].shape)
     src[...] = vals[..., i0:i1]
     vals[...] = 0.0
@@ -704,11 +694,12 @@ def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
     dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
 
 
-def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
+def _lift_stage(state: JointState, load: LoadDensity, rho: float,
                 config: DpConfig, ws: _Workspace) -> Callable[[], tuple[JointState, StageLog]]:
     """The part of a stage that reads ``state``: the hinge line's split, the
     budget window, the band with the window lifted into it, and the atoms'
-    deposits.
+    deposits. ``rho`` is the drop coefficient of the stage's segment, and
+    ``state`` lies on the lattice of the run's workspace ``ws``.
 
     Returns the rest of the stage (convolve, shear, the new state and its
     log) as a function of no arguments. It keeps no reference to ``state``,
@@ -718,11 +709,10 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
     """
     faults = _minor_faults()
     clock = _PhaseClock()
-    lat = state.lattice
+    lat = ws.lattice
     h_s = lat.s_step
     cell = h_s * lat.d_step
-    rho = segment.rho
-    kernel = ws.kernel(load, lat)
+    kernel = ws.kernel(load)
     clock.lap("kernel")
     # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
     i0 = lat.hinge
@@ -740,7 +730,7 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         rows, cols, dens, spill = _NO_CELLS, _NO_CELLS, _EMPTY, 0.0
     else:
         z_vals[:i0] = line[:i0]
-        rows, cols, dens, spill = _lift_diag(line[i0:], state.slope, lat, ws.s_centers(lat))
+        rows, cols, dens, spill = _lift_diag(line[i0:], state.slope, lat, ws.centers)
         dropped = 0.0
     (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, end_cut, end_cut - dropped)
     cut += dropped
@@ -815,7 +805,7 @@ def _lift_stage(state: JointState, load: LoadDensity, segment: LineSegment,
         pc, pc_r0 = None, 0
         if r1 > r0 and e1 > e0:
             pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0,
-                                                      ws.shear_table(rho, lat), lat, ws)
+                                                      ws.shear_table(rho), lat, ws)
             spill += top
             z_vals[e0:e1] += zero_gain / h_s
         d = np.maximum(0.0, d + rho * s)
@@ -861,11 +851,12 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     """Propagate the full feeder and integrate out the through-flow."""
     config = config or DpConfig()
     t0 = time.perf_counter()
-    state = JointState.terminal(plan_lattice(spec, config), stage=spec.n)
+    ws = _Workspace(plan_lattice(spec, config))  # for this run only
+    state = JointState.terminal(ws.lattice, stage=spec.n)
     logs: list[StageLog] = []
-    ws = _Workspace()  # for this run only
+    rho = spec.rho.tolist()
     for j in range(spec.n - 1, -1, -1):
-        finish = _lift_stage(state, spec.loads[j], spec.segments[j], config, ws)
+        finish = _lift_stage(state, spec.loads[j], rho[j], config, ws)
         del state  # the workspace holds its band now: free it before the shear allocates the next
         state, log = finish()
         logs.append(log)

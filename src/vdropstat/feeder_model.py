@@ -2,8 +2,11 @@
 
 A feeder is a single radial chain. Bus 0 is the substation held at
 ``base_voltage``; buses 1..N carry stochastic loads. Segment k (0-based)
-connects bus k to bus k+1 and its voltage-drop coefficient is
-``rho = r / base_voltage`` in p.u. per kW of through-flow. Loads are
+connects bus k to bus k+1. A segment holds only its r and x; its
+voltage-drop coefficient ``rho = r / base_voltage`` (p.u. per kW of
+through-flow) is derived once, by ``FeederSpec``, into ``FeederSpec.rho``,
+which the linearized models read while the nonlinear sweep reads r, x
+and ``base_voltage``: both see one feeder. Loads are
 *combined* demands s = p + alpha*q in kW, with one homogeneous x/r ratio
 ``alpha`` for the whole feeder.
 """
@@ -452,27 +455,33 @@ def density_from_dict(obj, path: str = "load") -> LoadDensity:
 
 @dataclass(frozen=True)
 class LineSegment:
-    """One chain link: resistance r, reactance x (ohmic p.u.) and the
-    derived drop coefficient rho = r / base_voltage (p.u. per kW)."""
+    """One chain link: resistance r and reactance x (ohmic p.u.). Its drop
+    coefficient depends on the feeder's base voltage, so ``FeederSpec``
+    derives it."""
 
     r: float
     x: float
-    rho: float
 
     def __post_init__(self):
         _require(self.r > 0 and math.isfinite(self.r), "r", "must be > 0")
         _require(self.x >= 0 and math.isfinite(self.x), "x", "must be >= 0")
-        _require(self.rho > 0 and math.isfinite(self.rho), "rho", "must be > 0")
 
 
 @dataclass(frozen=True)
 class FeederSpec:
-    """Validated radial feeder: head voltage, x/r ratio, segments, loads."""
+    """Validated radial feeder: head voltage, x/r ratio, segments, loads.
+
+    ``rho`` is derived on construction: the read-only array of the
+    segments' drop coefficients r / base_voltage, which must be finite and
+    positive (a ratio can overflow or underflow where r and base_voltage
+    are each valid).
+    """
 
     base_voltage: float
     alpha: float
     segments: tuple[LineSegment, ...] = field(default_factory=tuple)
     loads: tuple[LoadDensity, ...] = field(default_factory=tuple)
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require(self.base_voltage > 0 and math.isfinite(self.base_voltage),
@@ -484,6 +493,7 @@ class FeederSpec:
             "loads",
             f"expected {len(self.segments)} load entries to match segments, got {len(self.loads)}",
         )
+        rho = [seg.r / self.base_voltage for seg in self.segments]
         for k, seg in enumerate(self.segments):
             ratio = seg.x / seg.r
             _require(
@@ -491,14 +501,15 @@ class FeederSpec:
                 f"segments[{k}].x",
                 f"x/r = {ratio!r} does not match feeder alpha = {self.alpha!r}",
             )
+            _require(0.0 < rho[k] < math.inf, f"segments[{k}].r",
+                     f"r / base_voltage = {rho[k]!r} is not a finite positive number")
+        rho = np.array(rho)
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def n(self) -> int:
         return len(self.segments)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return np.array([seg.rho for seg in self.segments])
 
     def load_means(self) -> np.ndarray:
         return np.array([d.moments()[0] for d in self.loads])
@@ -528,10 +539,8 @@ def feeder_from_dict(obj) -> FeederSpec:
         _require("x" in raw, f"{path}.x", "missing")
         r = _as_float(raw["r"], f"{path}.r")
         x = _as_float(raw["x"], f"{path}.x")
-        _require(r > 0, f"{path}.r", "must be > 0")
-        _require(x >= 0, f"{path}.x", "must be >= 0")
         try:
-            segments.append(LineSegment(r=r, x=x, rho=r / v0))
+            segments.append(LineSegment(r=r, x=x))
         except FeederConfigError as err:
             raise FeederConfigError(f"{path}.{err.path}", str(err).split(": ", 1)[-1]) from None
 

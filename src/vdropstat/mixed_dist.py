@@ -51,9 +51,7 @@ __all__ = [
     "map_blocks",
     "Scratch",
     "convolve_lines",
-    "line_spectrum",
     "next_fast_len",
-    "transform_len",
     "marginal_drop",
     "text_target",
     "write_density_csv",
@@ -191,9 +189,6 @@ class MixedDensity1D:
     def total_mass(self) -> float:
         return self.grid_mass() + self.atom_mass()
 
-    def n_atoms(self) -> int:
-        return len(self.atom_locs)
-
 
 # ---------------------------------------------------------------------------
 # threads
@@ -273,21 +268,6 @@ def next_fast_len(n: int) -> int:
     return _SMOOTH_LENGTHS[bisect_left(_SMOOTH_LENGTHS, n)]
 
 
-def transform_len(n_vals: int, n_weights: int) -> int:
-    """Transform length of the linear convolution of ``n_vals`` cells with
-    ``n_weights`` weights."""
-    return next_fast_len(n_vals + n_weights - 1)
-
-
-def line_spectrum(weights: np.ndarray, n_vals: int) -> np.ndarray:
-    """Transform of ``weights`` sized for lines of ``n_vals`` cells.
-
-    Computed once per kernel and handed to ``convolve_lines``, which then
-    transforms only the lines.
-    """
-    return rfft(weights, transform_len(n_vals, len(weights)))
-
-
 class Scratch:
     """Named arrays kept from call to call, so that repeated work of a similar
     size maps no new memory.
@@ -310,7 +290,7 @@ class Scratch:
 
 
 def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
-                   spectrum: np.ndarray | None = None,
+                   spectra: dict[int, np.ndarray] | None = None,
                    scratch: Scratch | None = None,
                    cells: tuple[int, int] | None = None) -> float:
     """Convolve ``vals`` with ``weights`` along the last axis, folded back in place.
@@ -322,17 +302,21 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
     on the line's cell i0 + t + k0 and overwrites it; cells of the line that
     no output cell reaches become zero. Returns the value sum of the output
     cells that land outside the line. A single line with fewer than 4096
-    output cells is summed directly. Everything else is transformed as
-    blocks of rows, reusing ``spectrum`` (from ``line_spectrum`` for n_vals
-    input cells) when given: each block is zero-padded, transformed
-    (``numpy.fft.rfft`` into the block's coefficient array), multiplied by
-    the spectrum, transformed back (``numpy.fft.irfft`` into its inverse
-    array) and clipped of its transform dust. A block holds at most
-    _FFT_BLOCK_CELLS transform cells shared out among ``pool_threads()``,
-    and the blocks run through ``map_blocks`` on at most one thread per
-    block, so a band that fits one block runs on the calling thread. Each
-    thread's block arrays come from ``scratch`` (a fresh one when None).
-    Every row comes out bitwise the same whatever the block or thread.
+    output cells is summed directly and transforms nothing. Everything else
+    is transformed at the length n_fft = ``next_fast_len(n_out)``, against
+    the weights' spectrum ``spectra[n_fft]``: ``spectra`` is the caller's
+    cache of the weights' transforms by length, and a missing entry is
+    computed here, on the calling thread, and stored in it (a call without
+    ``spectra`` keeps it for that call only). The lines go as blocks of
+    rows: each block is zero-padded, transformed (``numpy.fft.rfft`` into
+    the block's coefficient array), multiplied by the spectrum, transformed
+    back (``numpy.fft.irfft`` into its inverse array) and clipped of its
+    transform dust. A block holds at most _FFT_BLOCK_CELLS transform cells
+    shared out among ``pool_threads()``, and the blocks run through
+    ``map_blocks`` on at most one thread per block, so a band that fits one
+    block runs on the calling thread. Each thread's block arrays come from
+    ``scratch`` (a fresh one when None). Every row comes out bitwise the
+    same whatever the block or thread.
 
     A block writes its kept cells straight into its rows of ``vals`` and
     copies the rest into one spill array of all rows, whose two parts are
@@ -369,9 +353,12 @@ def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
     if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
         fold(0, np.convolve(vals[i0:i1], weights)[np.newaxis])
     else:
-        n_fft = transform_len(n_vals, len(weights))
+        n_fft = next_fast_len(n_out)
+        if spectra is None:
+            spectra = {}
+        spectrum = spectra.get(n_fft)
         if spectrum is None:
-            spectrum = line_spectrum(weights, n_vals)
+            spectrum = spectra[n_fft] = rfft(weights, n_fft)
         if scratch is None:
             scratch = Scratch()
         step = min(max(_FFT_BLOCK_CELLS // pool_threads() // n_fft, 1), n_rows)

@@ -18,8 +18,8 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIG4 = REPO / "configs" / "feeder4.json"
 
 
-def segment(r, x=0.0, v0=V0):
-    return LineSegment(r=r, x=x, rho=r / v0)
+def segment(r, x=0.0):
+    return LineSegment(r=r, x=x)
 
 
 def reference_load():
@@ -74,8 +74,9 @@ def single_point_config(tmp_path, location=2.0, r=1e-3):
 
 def transform_threads(monkeypatch):
     """Patch ``rfft``, the forward transform of each block of lines in
-    ``convolve_lines`` (and of a kernel in ``line_spectrum``, on the caller),
-    to collect the ids of the threads that call it; returns the set."""
+    ``convolve_lines`` (and of a kernel's weights, on the caller, when its
+    spectrum is not cached yet), to collect the ids of the threads that call
+    it; returns the set."""
     seen = set()
     rfft = mixed_dist.rfft
     monkeypatch.setattr(mixed_dist, "rfft", lambda *a, **k: (

@@ -73,7 +73,7 @@ def test_criterion_3_atomic_specs_collapse_to_point():
         rep = _record(f"atomic-{i}", run(spec, cfg))
         det = max_drop(spec, locs)
         d = rep.drop.density
-        assert d.n_atoms() == 1
+        assert len(d.atom_locs) == 1
         assert d.grid is None or d.grid.mass() < 1e-12
         assert abs(d.atom_locs[0] - det.delta0) <= rep.lattice.d_step
     assert time.perf_counter() - t0 < 10.0

@@ -9,7 +9,9 @@ import pytest
 from helpers import CONFIG4, reference_spec, single_point_config, write_config
 from vdropstat import cli, mixed_dist
 from vdropstat.cli import _sweep_spec, main
+from vdropstat.dp_engine import DpConfig
 from vdropstat.feeder_model import FeederConfigError, PointMass
+from vdropstat.mc_oracle import McConfig
 
 
 CFG_FLAGS = ["--grid-s", "256", "--grid-delta", "256"]
@@ -18,6 +20,19 @@ CFG_FLAGS = ["--grid-s", "256", "--grid-delta", "256"]
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def test_parser_defaults_are_the_records_defaults():
+    # --grid-s, --grid-delta, --tail-tol, --samples and --shards have one owner
+    parser = cli.build_parser()
+    dp, mc = DpConfig(), McConfig()
+    for argv in (["analyze"], ["compare"], ["sweep", "--parameter", "bus-count", "--values", "1"]):
+        args = parser.parse_args([argv[0], str(CONFIG4), *argv[1:]])
+        assert (args.grid_s, args.grid_delta, args.tail_tol) == (
+            dp.grid_s, dp.grid_delta, dp.tail_tol)
+    for command in ("mc", "compare"):
+        args = parser.parse_args([command, str(CONFIG4)])
+        assert (args.samples, args.shards) == (mc.samples, mc.shards)
 
 
 def test_validate_ok(capsys):
@@ -392,7 +407,8 @@ def test_sweep_spec_transforms():
     spec = reference_spec()
     wide = _sweep_spec(spec, "bus-count", 6)
     assert wide.n == 6
-    assert wide.segments[4].rho == spec.segments[0].rho
+    assert wide.segments[4] is spec.segments[0]
+    assert wide.rho[4] == spec.rho[0]
     assert wide.loads[5] is spec.loads[1]
 
     flat = _sweep_spec(spec, "load-mean-scale", 0.0)

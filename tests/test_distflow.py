@@ -62,11 +62,17 @@ def test_monotone_loads_make_drop_linear():
         assert drop.delta0 == pytest.approx(float(np.dot(spec.rho, flow)), abs=1e-15)
 
 
+def _fold_vectors(samples):
+    """The (delta, flow, step) vectors ``_batch_delta0`` folds into."""
+    return tuple(np.empty(samples) for _ in range(3))
+
+
 def test_batch_recursion_matches_scalar():
     rng = np.random.default_rng(3)
     spec = point_spec(rng.uniform(-2, 4, size=5))
     loads = rng.uniform(-4, 6, size=(64, 5))
-    delta0, head = _batch_delta0(spec.rho, loads.T[::-1])  # columns from bus N-1
+    # columns from bus N-1
+    delta0, head = _batch_delta0(spec.rho, loads.T[::-1], _fold_vectors(64))
     for i in range(64):
         one = max_drop(spec, loads[i])
         assert delta0[i] == one.delta0
@@ -87,12 +93,13 @@ def test_batch_recursion_matches_matrix_form():
         rho = rng.uniform(1e-4, 5e-3, size=n)
         loads = rng.uniform(-4, 6, size=(257, n))
         loads[:3] = -0.0  # the head flow keeps the sign of zero
-        got = _batch_delta0(rho, (loads[:, k] for k in range(n - 1, -1, -1)))
+        got = _batch_delta0(rho, (loads[:, k] for k in range(n - 1, -1, -1)),
+                            _fold_vectors(257))
         want = matrix_form(rho, loads)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
     with pytest.raises(ValueError):
-        _batch_delta0(np.ones(3), loads.T[:2])
+        _batch_delta0(np.ones(3), loads.T[:2], _fold_vectors(257))
 
 
 def test_nonlinear_converges_near_linear():

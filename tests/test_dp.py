@@ -41,7 +41,8 @@ from vdropstat.feeder_model import (
     Uniform,
     parse_feeder,
 )
-from vdropstat.mixed_dist import JointLattice, JointState, convolve_lines, line_spectrum
+from vdropstat.mc_oracle import McConfig, run_mc
+from vdropstat.mixed_dist import JointLattice, JointState, convolve_lines
 
 
 CFG = DpConfig(grid_s=256, grid_delta=256)
@@ -53,8 +54,8 @@ def _terminal(spec, config):
 
 def _step(state, spec, j, config):
     """Apply bus j's stage alone, with a workspace of its own."""
-    return dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config,
-                                 dp_engine._Workspace())()[0]
+    return dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config,
+                                 dp_engine._Workspace(state.lattice))()[0]
 
 
 def test_config_validation():
@@ -125,7 +126,7 @@ def test_four_bus_point_mass_matches_recursion_exactly():
     rep = run(spec, DpConfig(grid_s=64, grid_delta=64))
     det = max_drop(spec, [2.0, 2.0, 2.0, 2.0])
     d = rep.drop.density
-    assert d.n_atoms() == 1
+    assert len(d.atom_locs) == 1
     assert d.atom_locs[0] == det.delta0 == 0.020
 
 
@@ -137,7 +138,7 @@ def test_degenerate_specs_stay_atomic():
         rep = run(spec, cfg)
         det = max_drop(spec, locs)
         d = rep.drop.density
-        assert d.n_atoms() == 1
+        assert len(d.atom_locs) == 1
         assert d.grid is None or d.grid.mass() < 1e-12
         assert abs(d.atom_locs[0] - det.delta0) <= rep.lattice.d_step
 
@@ -149,7 +150,7 @@ def test_state_valid_after_every_stage():
         st = _step(st, spec, j, CFG)
         st.validate()
         assert st.stage == j
-    assert st.slope == spec.segments[0].rho
+    assert st.slope == spec.rho[0]
 
 
 def test_mixed_atomic_and_continuous_loads():
@@ -502,14 +503,15 @@ def test_band_limited_convolution_equals_full_canvas():
         direct = np.array([np.convolve(row, weights)[5:5 + cols] for row in canvas[r0:r1]])
         full = canvas.copy()
         band = canvas[r0:r1].copy()
+        spectra = {}
         convolve_lines(full, weights, -5)
-        convolve_lines(band, weights, -5)
+        convolve_lines(band, weights, -5, spectra)
         assert not full[:r0].any() and not full[r1:].any()
         assert np.array_equal(full[r0:r1], band)
         assert np.abs(band - direct).max() <= 1e-12 * direct.max()
-        # a line of the band matches the 1D call with the kernel's cached transform
+        # a line of the band matches the 1D call with the band's cached transform
         one = canvas[r0].copy()
-        convolve_lines(one, weights, -5, line_spectrum(weights, cols))
+        convolve_lines(one, weights, -5, spectra)
         assert np.abs(one - direct[0]).max() <= 1e-12 * direct.max()
 
 
@@ -806,12 +808,27 @@ def test_state_regression(name):
     assert _digest(run(spec, config).state) == STATE_REGRESSION[name]
 
 
+def test_base_voltage_enters_only_through_rho():
+    # a feeder at V0 = 2 with every r doubled has the V0 = 1 feeder's rho bit
+    # for bit, so the DP and the linear MC, which read only rho, see one feeder
+    rng = np.random.default_rng(21)
+    r = rng.uniform(1e-4, 5e-3, size=8)
+    loads = (reference_load(), Gaussian(mean=1.0, std=0.5), PointMass(location=0.5),
+             Uniform(lo=-1.0, hi=3.0)) * 2
+    unit = FeederSpec(1.0, 0.0, tuple(segment(v) for v in r), loads)
+    double = FeederSpec(2.0, 0.0, tuple(segment(2.0 * v) for v in r), loads)
+    assert double.rho.tobytes() == unit.rho.tobytes()
+    assert _digest(run(double, CFG).state) == _digest(run(unit, CFG).state)
+    mc = McConfig(samples=20_000, seed=3)
+    assert run_mc(double, mc).samples.tobytes() == run_mc(unit, mc).samples.tobytes()
+
+
 def _stages(spec, config):
     """Yield (state stepped, its stage log, next state) over a whole run."""
     state = _terminal(spec, config)
-    ws = dp_engine._Workspace()
+    ws = dp_engine._Workspace(state.lattice)
     for j in range(spec.n - 1, -1, -1):
-        new, log = dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config, ws)()
+        new, log = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
         yield state, log, new
         state = new
 
@@ -989,13 +1006,13 @@ def test_stage_holds_no_full_canvas():
     # tenth of one 1024^2 canvas (8.4 MB)
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
-    ws = dp_engine._Workspace()
-    state, _ = dp_engine._lift_stage(_terminal(spec, config), spec.loads[63],
-                                     spec.segments[63], config, ws)()
+    state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
+    state, _ = dp_engine._lift_stage(state, spec.loads[63], spec.rho[63], config, ws)()
     lat = state.lattice
     tracemalloc.start()
     try:
-        new, log = dp_engine._lift_stage(state, spec.loads[62], spec.segments[62], config, ws)()
+        new, log = dp_engine._lift_stage(state, spec.loads[62], spec.rho[62], config, ws)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1031,14 +1048,14 @@ def _warm_step(spec, load, config):
     one workspace; returns (the second result, its log, its tracemalloc
     peak, the bytes of the frame it sheared: the window's rows by the frame's
     columns)."""
-    ws = dp_engine._Workspace()
     state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
     for j in range(spec.n - 1, 0, -1):
-        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.segments[j], config, ws)()
-    first, _ = dp_engine._lift_stage(state, load, spec.segments[0], config, ws)()
+        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
+    first, _ = dp_engine._lift_stage(state, load, spec.rho[0], config, ws)()
     tracemalloc.start()
     try:
-        again, log = dp_engine._lift_stage(state, load, spec.segments[0], config, ws)()
+        again, log = dp_engine._lift_stage(state, load, spec.rho[0], config, ws)()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

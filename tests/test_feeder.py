@@ -308,6 +308,29 @@ def test_feeder_from_dict_errors():
         feeder_from_dict(bad)
 
 
+def test_segment_errors_carry_field_paths():
+    base = json.loads(CONFIG4.read_text())
+    for field, value, message in (("r", 0.0, "must be > 0"), ("x", -1.0, "must be >= 0")):
+        bad = json.loads(json.dumps(base))
+        bad["segments"][1][field] = value
+        with pytest.raises(FeederConfigError) as err:
+            feeder_from_dict(bad)
+        assert str(err.value) == f"segments[1].{field}: {message}"
+
+
+def test_rho_is_derived_from_base_voltage():
+    obj = json.loads(CONFIG4.read_text())
+    obj["base_voltage"] = 2.0
+    spec = feeder_from_dict(obj)
+    assert spec.rho.tolist() == [seg["r"] / 2.0 for seg in obj["segments"]]
+    assert not spec.rho.flags.writeable
+    # a ratio of valid r and base voltage that underflows or overflows is refused
+    for v0, r in ((1e300, 1e-300), (1e-300, 1e10)):
+        with pytest.raises(FeederConfigError, match=r"segments\[0\]\.r: r / base_voltage"):
+            FeederSpec(base_voltage=v0, alpha=0.0, segments=(segment(r),),
+                       loads=(PointMass(location=1.0),))
+
+
 def test_parse_feeder_missing_file(tmp_path):
     with pytest.raises(FeederConfigError, match="cannot read"):
         parse_feeder(tmp_path / "missing.json")

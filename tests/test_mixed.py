@@ -18,7 +18,6 @@ from vdropstat.mixed_dist import (
     JointState,
     MixedDensity1D,
     convolve_lines,
-    line_spectrum,
     marginal_drop,
     write_density_csv,
 )
@@ -105,13 +104,37 @@ def test_convolve_lines_is_bitwise_scipys_transforms(rows, cells, width, n_fft):
     rng = np.random.default_rng(rows)
     weights = rng.random(width)
     n_out = cells + width - 1
-    assert mixed_dist.transform_len(cells, width) == n_fft
+    assert mixed_dist.next_fast_len(n_out) == n_fft
     band = np.zeros((rows, n_out))
     band[:, :cells] = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
     full = irfft(rfft(band[:, :cells], n_fft, axis=-1) * rfft(weights, n_fft), n_fft, axis=-1)
     expected = np.clip(full[:, :n_out], 0.0, None) + 0.0
     assert convolve_lines(band, weights, 0, cells=(0, cells)) == 0.0  # every output cell stays
     assert band.tobytes() == expected.tobytes()
+
+
+def test_convolve_lines_caches_the_weights_transform_by_length(monkeypatch):
+    weight_calls = []
+    transform = mixed_dist.rfft
+    monkeypatch.setattr(mixed_dist, "rfft", lambda a, *args, **kw: (
+        weight_calls.append(a.ndim == 1), transform(a, *args, **kw))[1])
+    rng = np.random.default_rng(8)
+    weights = rng.random(45)
+    spectra = {}
+    # a line of 344 output cells is summed directly: no transform is made
+    convolve_lines(rng.random(300), weights, -7, spectra)
+    assert spectra == {} and weight_calls == []
+    band = rng.random((5, 300))
+    first = band.copy()
+    spill = convolve_lines(first, weights, -7, spectra)
+    n_fft = next_fast_len(300 + 45 - 1, real=True)
+    assert list(spectra) == [n_fft]
+    assert spectra[n_fft].tobytes() == rfft(weights, n_fft).tobytes()
+    assert sum(weight_calls) == 1
+    again = band.copy()
+    assert convolve_lines(again, weights, -7, spectra) == spill
+    assert again.tobytes() == first.tobytes()
+    assert sum(weight_calls) == 1 and list(spectra) == [n_fft]  # the weights, transformed once
 
 
 def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
@@ -121,9 +144,9 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     weights = rng.random(45)
     k0 = -7  # output cells spill off both ends
     whole = band.copy()
-    spill = convolve_lines(whole, weights, k0)  # one block at the default size
+    spectra = {}  # the weights' transform, cached by the first call
+    spill = convolve_lines(whole, weights, k0, spectra)  # one block at the default size
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
-    spectrum = line_spectrum(weights, 300)
     seen = transform_threads(monkeypatch)
     for threads in (1, 2, 4):
         monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
@@ -133,7 +156,7 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
             monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * threads * n_fft)
             seen.clear()
             got = band.copy()
-            assert convolve_lines(got, weights, k0, spectrum) == spill
+            assert convolve_lines(got, weights, k0, spectra) == spill
             assert got.tobytes() == whole.tobytes()
             # one thread transforms on the caller, more on the pool alone
             assert (seen == {threading.get_ident()}) == (threads == 1)
@@ -170,14 +193,14 @@ def _fold_last(dest, src, k0):
     return float(src[..., :lo].sum() + src[..., hi:].sum())
 
 
-def _assert_fold_matches_oracle(vals, weights, k0, spectrum=None, cells=None):
+def _assert_fold_matches_oracle(vals, weights, k0, cells=None):
     # the oracle convolves the input cells alone and folds the output onto
     # the line from the first input cell on
     i0, i1 = (0, vals.shape[-1]) if cells is None else cells
     want = np.zeros_like(vals)
     want_spill = _fold_last(want, _full_convolution(vals[..., i0:i1], weights), i0 + k0)
     got = vals.copy()
-    spill = convolve_lines(got, weights, k0, spectrum, None, cells)
+    spill = convolve_lines(got, weights, k0, None, None, cells)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
     assert spill.hex() == want_spill.hex()
 
@@ -210,7 +233,7 @@ def test_fold_into_the_band_matches_the_full_output(case):
     rng = np.random.default_rng(len(case))
     vals = rng.random(cells if lines is None else (lines, cells))
     vals[..., :cells // 4] = 0.0  # an empty stretch, as bands have
-    _assert_fold_matches_oracle(vals, rng.random(width), k0, None, *window)
+    _assert_fold_matches_oracle(vals, rng.random(width), k0, *window)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -232,7 +255,7 @@ def test_fold_of_several_blocks_matches_the_full_output(monkeypatch, threads):
                             int(rng.integers(1, 4)) * threads * n_fft)
         weights = rng.random(width)
         vals = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
-        _assert_fold_matches_oracle(vals, weights, k0, line_spectrum(weights, cells))
+        _assert_fold_matches_oracle(vals, weights, k0)
     # the same with a window of input cells, transformed at its own length
     rng = np.random.default_rng(10 + threads)
     for _ in range(40):
@@ -248,7 +271,7 @@ def test_fold_of_several_blocks_matches_the_full_output(monkeypatch, threads):
                             int(rng.integers(1, 4)) * threads * n_fft)
         weights = rng.random(width)
         vals = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
-        _assert_fold_matches_oracle(vals, weights, k0, line_spectrum(weights, i1 - i0), (i0, i1))
+        _assert_fold_matches_oracle(vals, weights, k0, (i0, i1))
 
 
 def test_fold_reuses_scratch_of_any_earlier_shape():
@@ -300,7 +323,7 @@ def test_atoms_merge_within_half_cell():
     d = MixedDensity1D(grid=g,
                        atom_locs=np.array([0.50, 0.52, 0.80]),
                        atom_masses=np.array([0.1, 0.3, 0.2]))
-    assert d.n_atoms() == 2
+    assert len(d.atom_locs) == 2
     # mass-weighted merge location
     assert d.atom_locs[0] == pytest.approx((0.5 * 0.1 + 0.52 * 0.3) / 0.4)
     assert d.atom_masses.tolist() == [0.4, 0.2]
