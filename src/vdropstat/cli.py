@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 config or usage error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import secrets
@@ -30,7 +31,7 @@ from .feeder_model import (
     TwoSidedExponential,
     parse_feeder,
 )
-from .mc_oracle import McConfig, batch_plan, compare, run_mc
+from .mc_oracle import REFERENCE_QUANTILES, McConfig, batch_plan, compare, run_mc
 from .mixed_dist import write_density_csv
 
 EXIT_OK = 0
@@ -338,8 +339,10 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_quantile_flag(p: argparse.ArgumentParser) -> None:
+    # main() fills in REFERENCE_QUANTILES: an "append" default would keep them
     p.add_argument("--quantile", type=float, action="append", default=None,
-                   help="quantile level to report (repeatable; default 0.5 0.9 0.99)")
+                   help="quantile level to report (repeatable; default "
+                        f"{' '.join(map(str, REFERENCE_QUANTILES))})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     _add_dp_flags(p)
     _add_mc_flags(p)
-    p.add_argument("--ks-threshold", type=float, default=0.01)
-    p.add_argument("--atom-threshold", type=float, default=0.005)
+    gates = inspect.signature(compare).parameters
+    p.add_argument("--ks-threshold", type=float, default=gates["ks_threshold"].default,
+                   help="KS distance gate (default %(default)s)")
+    p.add_argument("--atom-threshold", type=float, default=gates["atom_threshold"].default,
+                   help="zero-atom gap gate (default %(default)s)")
     _add_seed_flag(p)
     _add_out_flag(p)
 
@@ -415,7 +421,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "quantile", None) is None and hasattr(args, "quantile"):
-        args.quantile = [0.5, 0.9, 0.99]
+        args.quantile = list(REFERENCE_QUANTILES)
     for q in getattr(args, "quantile", None) or []:
         if not 0.0 <= q <= 1.0:
             return _fail(f"quantile level {q!r} outside [0, 1]")

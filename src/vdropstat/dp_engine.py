@@ -35,29 +35,38 @@ exact deposits, which are never cut. The band is held as a frame with its
 own column origin, so it moves along S with the through-flow from stage
 to stage and no stage holds the full d_cells x s_cells lattice.
 
-The S-convolution (``convolve_lines``) transforms only the window's cells,
-picks the transform length from their count and the kernel's, and takes
-the kernel's spectrum at that length from the kernel's cache, computing
-it there the first time. It writes each row's convolution straight back
-into its band row, shifted by the kernel's offset, and sums what falls
-off the lattice from one spill array. It cuts a band larger than one
-transform block into blocks of rows and transforms them on a thread pool
+The S-convolution (``convolve_lines``) reads its source, the state's
+band, straight over the window, and writes its destination, the
+workspace's band, which is held S-major (one row per S column), so the
+shear reads it as it stands. The window's rows go in row groups of
+_GROUP_ROWS rows, and each group is transformed only over the columns
+between its first and last window column with mass in its rows (the
+others are exact zeros), at its own length; adjacent groups share one
+transform call when that costs no more than two calls. The groups depend
+on the band alone. A call fills its blocks of rows from the state's band,
+adds the lifted diagonal's cells that lie in them, transforms them
+against the kernel's spectrum at that length (a short one kept in the
+kernel's cache the first time) and folds each block, transposed,
+into its lines of the workspace's band, shifted by the kernel's offset;
+what falls off the lattice is summed per line and added up group by
+group. A point load's two-cell split shifts the lines the same way,
+without transforms. The blocks of a big band run on a thread pool
 (``pool_threads``: one thread per CPU, at most four) that lives for that
-one convolution. A row's transform and fold do not depend on its block or
-thread, and the spill sums, the lift and the shear stay on the calling
-thread, so the thread count never changes a value. The shear then forms
-each frame column's two-part move once, and copies the columns of each
-integer shift floor(rho * S / d_step), one range, with one slice into the
-next band, which spans the same columns.
+one convolution. A line's result depends on its group's call alone, and
+the spill sums, the window and the shear stay on the calling thread, so
+the thread count never changes a value. The shear then forms each frame
+column's two-part move once, and copies the columns of each integer
+shift floor(rho * S / d_step), one range, with one slice into the next
+band, which spans the same columns and is written S-major too: the
+state's ``pc`` is its transpose.
 
 Each run has one workspace (``_Workspace``), made on the run's lattice:
 the lattice's S cell centers, the kernel of each distinct load, built
 once, and the shear's table of each distinct rho, and the arrays a
-stage works in (the band, the transform blocks of each thread, a point
-load's shift buffers, the shear's blocks), which grow to the largest
-stage's and are reused by every later one. The states a stage returns own
-their arrays. A stage reads its state only up to the lift (``_lift_stage``),
-which copies the state's band into the workspace's, so ``run`` lets each
+stage works in (the band, the transform blocks of each thread, the
+shear's block), which grow to the largest stage's and are reused by every
+later one. The states a stage returns own their arrays. A stage reads its
+state only up to the S-convolution (``_lift_stage``), so ``run`` lets each
 state go there and the shear never holds the stepped band beside the new
 one. Atoms stay exact and the zero line stays off the 2D grid, so
 point-mass feeders and the zero-drop probability suffer no
@@ -104,7 +113,7 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0)
-_NO_CELLS = np.empty(0, dtype=int)
+_NO_BAND = np.empty((0, 0))
 
 
 class MassLossError(RuntimeError):
@@ -289,19 +298,20 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
 class _Kernel:
     """One bus load, prepared for lattice work.
 
-    Continuous mass becomes weights at edge offsets k * h (k0 <= k <= k1),
-    so grid (cell-center) values convolved with them land back on centers;
-    ``fine`` is the fine law they were split from (atoms convolve against it
-    directly) and ``spectra`` their transforms by transform length, which
-    ``convolve_lines`` fills as it first needs each.
-    A point load has no weights and stays one exact ``shift``, split over
-    the offsets k0 = floor(shift / h) and k1 = k0 + 1. Either way a cell's
-    mass lands within offsets [k0, k1] of it.
+    Its mass becomes weights at edge offsets k * h (k0 <= k <= k1), so grid
+    (cell-center) values convolved with them land back on centers, and
+    ``spectra`` holds their short transforms by transform length, which
+    ``convolve_lines`` fills as it first needs each. A continuous load's
+    weights are split from ``fine``, its fine law (atoms convolve against
+    it directly). A point load has no fine law: it stays one exact
+    ``shift``, and its weights split that shift over the offsets k0 =
+    floor(shift / h) and k1 = k0 + 1. Either way a cell's mass lands within
+    offsets [k0, k1] of it.
     """
 
     k0: int
     k1: int
-    weights: np.ndarray | None
+    weights: np.ndarray
     fine: tuple[np.ndarray, np.ndarray] | None
     shift: float
     tail: float
@@ -340,8 +350,10 @@ def _split_onto(positions: np.ndarray, masses: np.ndarray) -> tuple[int, np.ndar
 
 def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
     if isinstance(load, PointMass):
-        k0 = math.floor(load.location / lat.s_step)
-        return _Kernel(k0, k0 + 1, None, None, float(load.location), 0.0)
+        cells = load.location / lat.s_step
+        k0 = math.floor(cells)
+        return _Kernel(k0, k0 + 1, np.array([1.0 - (cells - k0), cells - k0]), None,
+                       float(load.location), 0.0)
     mid, masses = _fine_law(load, lat.s_step, lat.stage_tail_budget / 2)
     k0, w = _split_onto(mid / lat.s_step, masses)
     return _Kernel(k0, k0 + len(w) - 1, w, (mid, masses), 0.0,
@@ -349,33 +361,8 @@ def _build_kernel(load: LoadDensity, lat: JointLattice) -> _Kernel:
 
 
 # ---------------------------------------------------------------------------
-# array helpers (value-sum spills; callers convert to mass)
+# stage helpers
 # ---------------------------------------------------------------------------
-
-
-def _shift_last(dest: np.ndarray, src: np.ndarray, cells: float, scratch: Scratch,
-                at: int = 0) -> float:
-    """dest += src shifted by a real number of cells, split over the two
-    straddled integer shifts, each weighted product formed in ``scratch``.
-    Unshifted, src cell i sits on dest cell at + i. Returns the value sum
-    that lands off dest."""
-    base = math.floor(cells)
-    frac = cells - base
-    n, m = src.shape[-1], dest.shape[-1]
-    total = float(src.sum())
-    spill = 0.0
-    for w, sh in ((1.0 - frac, base), (frac, base + 1)):
-        if w <= 0.0:
-            continue
-        d0 = at + sh  # dest cell of src cell 0
-        s0, s1 = max(0, -d0), min(n, m - d0)
-        if s1 <= s0:
-            spill += w * total
-            continue
-        part = src[..., s0:s1]
-        dest[..., d0 + s0:d0 + s1] += np.multiply(part, w, out=scratch.array("shift_w", part.shape))
-        spill += w * (total - float(part.sum()))
-    return spill
 
 
 def _analytic_cells(fine: tuple[np.ndarray, np.ndarray], shift: float, mass: float,
@@ -409,14 +396,16 @@ def _span(spans: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _lift_diag(diag: np.ndarray, slope: float, lat: JointLattice,
-               centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+               centers: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], float]:
     """Splat the diagonal line density onto 2D cells at D = slope * S.
 
     ``diag`` is the hinge line's S > 0 side, its cells from ``lat.hinge`` on,
     and ``centers`` the lattice's S cell centers.
     Two-row linear split; rows below 0 clamp to row 0 (drop under half a
     cell), rows above the top are clipped and returned as lost mass.
-    Returns (rows, cols, densities, lost mass), lower split rows first.
+    Returns (the split's two parts, the lower rows first, each as (rows,
+    cols, densities) with no cell twice and rows and columns ascending; the
+    lost mass).
     """
     mass = diag * lat.s_step
     cols = np.nonzero(mass > 0.0)[0]
@@ -436,8 +425,7 @@ def _lift_diag(diag: np.ndarray, slope: float, lat: JointLattice,
             spill += float(contrib[over].sum()) * lat.s_step * lat.d_step
         keep = ~over & (contrib > 0.0)
         parts.append((rows[keep], cols[keep], contrib[keep]))
-    rows, cols, contrib = (np.concatenate(p) for p in zip(*parts))
-    return rows, cols, contrib, spill
+    return parts, spill
 
 
 _SHEAR_BLOCK_CELLS = 1 << 17  # cells per S-major block in the shear (1 MB)
@@ -479,27 +467,28 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
                   scratch: Scratch) -> tuple[np.ndarray | None, int, np.ndarray, float]:
     """Shear D -> D + rho * S with clipping at zero, on a frame of the lattice.
 
-    ``band`` holds grid rows [r0, r0 + len(band)) of the lattice columns
-    [c0, c0 + band.shape[1]), its frame; ``table`` says where rho moves each
-    column. The frame is transposed to S-major, in blocks of about
-    _SHEAR_BLOCK_CELLS cells, which keeps both transposes in cache. In a
-    block each column x forms its two-part move once, y = stay * x with
-    y[1:] += frac * x (its rows from floor shift on), and the columns of
-    each floor shift, one range, copy their y into the rows [r0 + min shift,
-    r1 + max shift] of the new band as one slice; the new band spans the
-    same columns. Rows pushed below zero feed the zero line of their
-    column; rows pushed past the top are lost. Both are summed per integer
-    shift, over the columns that move some part by it.
+    ``band`` holds, S-major, grid rows [r0, r0 + band.shape[1]) of the
+    lattice columns [c0, c0 + len(band)), its frame: band[i, j] is lattice
+    cell (r0 + j, c0 + i). ``table`` says where rho moves each column. The
+    frame goes in blocks of about _SHEAR_BLOCK_CELLS cells, which keeps the
+    block's work in cache. In a block each column x forms its two-part move
+    once, y = stay * x with y[1:] += frac * x (its rows from floor shift
+    on; x is scaled in place, so the shear uses ``band`` up), and the
+    columns of each floor shift, one range, copy their y as one slice into
+    their rows of the new band, which is held S-major too and spans the
+    same columns; its other cells keep the zeros it was made with. Rows
+    pushed below zero feed the zero line of their column; rows pushed past
+    the top are lost. Both are summed per integer shift, over the columns
+    that move some part by it.
 
-    Returns (the new band, or None when none of its rows lies on the grid;
-    its first row; per-column mass clipped to the zero line, over the
-    frame's columns; mass lost over the top). Only negative-S columns can
-    feed the zero line. A block's columns, their moves y and their moved
-    rows are arrays of ``scratch`` (the columns in the moved rows' array,
-    which they leave before it is filled); the new band is a new array.
+    Returns (the new band, the transpose of a new S-major array, or None
+    when none of its rows lies on the grid; its first row; per-column mass
+    clipped to the zero line, over the frame's columns; mass lost over the
+    top). Only negative-S columns can feed the zero line. A block's moves y
+    are an array of ``scratch``.
     """
     m_d = lat.d_cells
-    n_b, n_c = band.shape
+    n_c, n_b = band.shape
     r1 = r0 + n_b
     cell = lat.s_step * lat.d_step
     zero_gain = np.zeros(n_c)
@@ -510,13 +499,12 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
     first, f0 = table.first, table.lo  # lattice columns from first[v - f0] on shift v or more
     out_r0 = max(r0 + int(base[0]), 0)
     out_r1 = min(r1 + int(base[-1]) + 1, m_d)
-    out = np.zeros((max(out_r1 - out_r0, 0), n_c))
+    out = np.zeros((n_c, max(out_r1 - out_r0, 0)))  # the new band, S-major
     width = max(_SHEAR_BLOCK_CELLS // max(n_b, 1), 16)
     for b0 in range(0, n_c, width):
         b1 = min(b0 + width, n_c)
         sh0, sh1 = int(base[b0]), int(base[b1 - 1])
-        x = scratch.array("shear_moved", (b1 - b0, n_b))  # x[i] is frame column b0 + i
-        x[...] = band[:, b0:b1].T
+        x = band[b0:b1]  # x[i] is frame column b0 + i
         # x[cuts[t]:cuts[t + 1]] are the columns at floor shift sh0 - 1 + t
         cuts = [0, 0, *(v - c0 - b0 for v in first[sh0 + 1 - f0:sh1 + 1 - f0]), b1 - b0, b1 - b0]
         # the rows a shift sh pushes off the grid, for the stay part of the
@@ -534,9 +522,7 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
                 zero_gain[b0 + a:b0 + b] += w * src[:, :lo].sum(axis=1)
             if hi < n_b:
                 top += float(np.dot(w, src[:, hi:].sum(axis=1)))
-        o0 = max(r0 + sh0, 0)
-        o1 = min(r1 + sh1 + 1, m_d)
-        if o1 <= o0:  # a block can land wholly below zero or over the top
+        if min(r1 + sh1 + 1, m_d) <= max(r0 + sh0, 0):  # the block lands wholly off the grid
             continue
         # y = stay * x, y[1:] += frac * x: row j of y lands floor shift + j rows on
         y = scratch.array("shear_block", (b1 - b0, n_b + 1))
@@ -544,16 +530,14 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
         y[:, n_b] = 0.0
         x *= frac[b0:b1]
         y[:, 1:] += x
-        moved = scratch.array("shear_moved", (b1 - b0, o1 - o0))
-        moved[...] = 0.0
         for sh, a, b in zip(range(sh0, sh1 + 1), cuts[1:], cuts[2:]):
-            # y rows [j0, j1) land on the grid, on moved rows from o0 on
+            # y rows [j0, j1) land on the grid, on the new band's rows from out_r0 on
             j0 = -sh - r0 if sh < -r0 else 0
             j1 = m_d - sh - r0 if sh > m_d - r1 - 1 else n_b + 1
             if b > a and j1 > j0:
-                moved[a:b, r0 - o0 + sh + j0:r0 - o0 + sh + j1] = y[a:b, j0:j1]
-        out[o0 - out_r0:o1 - out_r0, b0:b1] = moved.T
-    return (out if len(out) else None), out_r0, zero_gain * cell, top * cell
+                o = r0 - out_r0 + sh
+                out[b0 + a:b0 + b, o + j0:o + j1] = y[a:b, j0:j1]
+    return (out.T if out.shape[1] else None), out_r0, zero_gain * cell, top * cell
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +564,12 @@ class _Workspace(Scratch):
 
     The lattice is bound here, once per run, with its S cell centers, and
     every kernel and shear table is built on it: each distinct load's
-    kernel once (its transforms are cached on it by ``convolve_lines``, one
-    per transform length), and the shear's table once per distinct rho.
-    The scratch arrays (the stage's band, the S-convolution's block arrays,
-    one set per thread, a point load's source rows and weighted part, and
-    the shear's block and moved rows) grow to the largest stage's and every
-    stage reuses them, so a stage maps no new memory for them. A state
+    kernel once (its short transforms are cached on it by
+    ``convolve_lines``, one per transform length), and the shear's table
+    once per distinct rho. The scratch arrays (the stage's band, held
+    S-major, the S-convolution's block arrays, one set per thread, and the
+    shear's block) grow to the largest stage's and every stage reuses them,
+    so a stage maps no new memory for them. A state
     never holds one of them: its ``pc``, ``line`` and atoms are new arrays.
     """
 
@@ -614,98 +598,106 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _convolve_grid(vals: np.ndarray, kernel: _Kernel, h_s: float, ws: _Workspace,
-                   cells: tuple[int, int] | None = None) -> float:
-    """Convolve ``vals`` along S with the load in place; returns the clipped value sum.
-
-    ``vals`` is a block of band rows (2D) whose input cells are ``cells``,
-    or the zero line (1D, all cells). A continuous load's convolution of the
-    input cells is folded straight into ``vals``; a point load shifts them
-    by its location. Either way every other cell of ``vals`` is overwritten.
-    """
-    i0, i1 = (0, vals.shape[-1]) if cells is None else cells
-    if kernel.weights is not None:
-        return convolve_lines(vals, kernel.weights, kernel.k0, kernel.spectra, ws, (i0, i1))
-    src = ws.array("shift_src", vals[..., i0:i1].shape)
-    src[...] = vals[..., i0:i1]
-    vals[...] = 0.0
-    return _shift_last(vals, src, kernel.shift / h_s, ws, i0)
+_GROUP_ROWS = 32  # rows per row group of a stage's budget window
 
 
-def _grid_window(state: JointState, rows: np.ndarray, cols: np.ndarray, dens: np.ndarray,
-                 cut: float, below: float) -> tuple[tuple[int, int], tuple[int, int], float]:
-    """The budget window of a stage's grid: the state's band plus the lifted
-    diagonal's cells (rows, cols, dens).
+def _cut(parts, rows: tuple[int, int], cols: tuple[int, int]):
+    """The lifted diagonal's ``parts`` cut to the rows [r0, r1) and the
+    columns [c0, c1); a part already inside them comes back as it is."""
+    (r0, r1), (c0, c1) = rows, cols
+    for part in parts:
+        rs, cs, _ = part
+        if len(rs) and (rs[0] < r0 or rs[-1] >= r1 or cs[0] < c0 or cs[-1] >= c1):
+            keep = (rs >= r0) & (rs < r1) & (cs >= c0) & (cs < c1)
+            part = tuple(x[keep] for x in part)
+        yield part
+
+
+def _grid_window(state: JointState, parts, row_sums: np.ndarray, cut: float,
+                 below: float) -> tuple[tuple[int, int], tuple[int, int], float, list]:
+    """The budget window of a stage's grid, the state's band (whose row sums
+    are ``row_sums``) plus the lifted diagonal's ``parts``, and its row groups.
 
     First the D rows that leave under ``below`` below them and at most
     ``cut`` above (``_budget_window``), then, summed over those rows, the S
-    columns that leave under ``cut`` below and at most ``cut`` above.
-    Returns the rows [w0, w1), the columns [v0, v1) and the mass outside the
-    window; both ranges are empty when no grid mass is left.
+    columns that leave under ``cut`` below and at most ``cut`` above. The
+    window's rows go in groups of _GROUP_ROWS from its first row on, and a
+    group's columns run from its first to its last window column that holds
+    mass in its rows. One pass over the band's window rows sums each
+    group's columns; the window's column sums add those up.
+    Returns the rows [w0, w1), the columns [v0, v1), the mass outside the
+    window and the groups (a, b, c0, c1), rows [a, b) over columns [c0, c1)
+    (c1 == c0 when they hold no mass), tiling [w0, w1); both ranges are
+    empty and there are no groups when no grid mass is left.
     """
     lat = state.lattice
     pc = state.pc
     cell = lat.s_step * lat.d_step
-    row_spans = [(int(rows.min()), int(rows.max()) + 1)] if len(rows) else []
-    col_spans = [(int(cols.min()), int(cols.max()) + 1)] if len(rows) else []
+    row_spans = [(int(rows[0]), int(rows[-1]) + 1) for rows, _, _ in parts if len(rows)]
+    col_spans = [(int(cols[0]), int(cols[-1]) + 1) for _, cols, _ in parts if len(cols)]
     if pc is not None:
         row_spans.append((state.pc_r0, state.pc_r0 + len(pc)))
         col_spans.append((state.pc_c0, state.pc_c0 + pc.shape[1]))
     if not row_spans:
-        return (0, 0), (0, 0), 0.0
+        return (0, 0), (0, 0), 0.0, []
     g0, g1 = _span(row_spans)
-    # bincount of no cells gives integers
-    sums = np.bincount(rows - g0, dens, g1 - g0).astype(float, copy=False)
-    if pc is not None:
-        sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += pc.sum(axis=1)
-    sums *= cell
+    if parts:
+        sums = np.zeros(g1 - g0)
+        for rows, _, dens in parts:
+            sums += np.bincount(rows - g0, dens, g1 - g0)
+        if pc is not None:
+            sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += row_sums
+        sums *= cell
+    else:  # the band's rows alone
+        sums = row_sums * cell
     lo, hi = _budget_window(sums, cut, below)
     outside = float(sums[:lo].sum() + sums[hi:].sum())
     if hi == lo:
-        return (0, 0), (0, 0), outside
+        return (0, 0), (0, 0), outside, []
     w0, w1 = g0 + lo, g0 + hi
     q0, q1 = _span(col_spans)
-    inside = (rows >= w0) & (rows < w1)
-    sums = np.bincount(cols[inside] - q0, dens[inside], q1 - q0).astype(float, copy=False)
+    starts = range(w0, w1, _GROUP_ROWS)
+    if parts:
+        group_sums = np.zeros((len(starts), q1 - q0))
     if pc is not None:
-        a, b = max(w0 - state.pc_r0, 0), min(w1 - state.pc_r0, len(pc))
-        if b > a:
-            sums[state.pc_c0 - q0:state.pc_c0 - q0 + pc.shape[1]] += pc[a:b].sum(axis=0)
-    sums *= cell
+        a, b = max(w0, state.pc_r0), min(w1, state.pc_r0 + len(pc))
+        if b > a:  # the groups that hold pc rows, each over its rows among [a, b)
+            ga = (a - w0) // _GROUP_ROWS
+            cuts = [0, *range(w0 + (ga + 1) * _GROUP_ROWS - a, b - a, _GROUP_ROWS)]
+            band_sums = np.add.reduceat(pc[a - state.pc_r0:b - state.pc_r0], cuts, axis=0)
+            if parts:
+                c = state.pc_c0 - q0
+                group_sums[ga:ga + len(cuts), c:c + pc.shape[1]] = band_sums
+            else:  # the band's rows and columns are the window's
+                group_sums = band_sums
+    for rows, cols, dens in _cut(parts, (w0, w1), (q0, q1)):  # no (group, column) twice
+        group_sums[(rows - w0) // _GROUP_ROWS, cols - q0] += dens
+    sums = group_sums.sum(axis=0) * cell
     lo, hi = _budget_window(sums, cut)
     outside += float(sums[:lo].sum() + sums[hi:].sum())
     if hi == lo:
-        return (0, 0), (0, 0), outside
-    return (w0, w1), (q0 + lo, q0 + hi), outside
-
-
-def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
-    """Fill ``dest`` with ``src`` placed with its first cell on dest[r, c],
-    cut to ``dest``, and zeros everywhere else."""
-    a0, a1 = max(r, 0), min(r + len(src), len(dest))
-    b0, b1 = max(c, 0), min(c + src.shape[1], dest.shape[1])
-    if a1 <= a0 or b1 <= b0:
-        dest[...] = 0.0
-        return
-    dest[:a0] = 0.0
-    dest[a1:] = 0.0
-    dest[a0:a1, :b0] = 0.0
-    dest[a0:a1, b1:] = 0.0
-    dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
+        return (0, 0), (0, 0), outside, []
+    held = group_sums[:, lo:hi] > 0.0
+    c0s = (q0 + lo + held.argmax(axis=1)).tolist()
+    c1s = (q0 + hi - held[:, ::-1].argmax(axis=1)).tolist()
+    groups = [(t, min(t + _GROUP_ROWS, w1), c0, c1 if any_ else c0)
+              for t, c0, c1, any_ in zip(starts, c0s, c1s, held.any(axis=1).tolist())]
+    return (w0, w1), (q0 + lo, q0 + hi), outside, groups
 
 
 def _lift_stage(state: JointState, load: LoadDensity, rho: float,
                 config: DpConfig, ws: _Workspace) -> Callable[[], tuple[JointState, StageLog]]:
     """The part of a stage that reads ``state``: the hinge line's split, the
-    budget window, the band with the window lifted into it, and the atoms'
-    deposits. ``rho`` is the drop coefficient of the stage's segment, and
-    ``state`` lies on the lattice of the run's workspace ``ws``.
+    budget window and its row groups, and the S-convolution of the window
+    straight from the state's band into the workspace's band, of the zero
+    line and of the atoms. ``rho`` is the drop coefficient of the stage's
+    segment, and ``state`` lies on the lattice of the run's workspace ``ws``.
 
-    Returns the rest of the stage (convolve, shear, the new state and its
-    log) as a function of no arguments. It keeps no reference to ``state``,
-    whose band the workspace's band now holds a copy of, so a caller that
-    lets ``state`` go before calling it frees that band before the shear
-    allocates the next one.
+    Returns the rest of the stage (shear, the new state and its log) as a
+    function of no arguments. It keeps no reference to ``state``, whose
+    band the convolution has read, so a caller that lets ``state`` go
+    before calling it frees that band before the shear allocates the next
+    one.
     """
     faults = _minor_faults()
     clock = _PhaseClock()
@@ -716,10 +708,12 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
     clock.lap("kernel")
     # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
     i0 = lat.hinge
-    z_vals = np.zeros(lat.s_cells)
     line = _EMPTY if state.line is None else state.line
-    masses = {"grid": state.pc_mass(), "zero": float(line[:i0].sum() * h_s),
-              "diag": float(line[i0:].sum() * h_s), "atoms": float(state.atom_mass.sum())}
+    pc = state.pc
+    row_sums = _EMPTY if pc is None else pc.sum(axis=1)
+    masses = {"grid": float(row_sums.sum()) * h_s * lat.d_step,
+              "zero": float(line[:i0].sum() * h_s), "diag": float(line[i0:].sum() * h_s),
+              "atoms": float(state.atom_mass.sum())}
 
     # ---- the budget window of the grid: the state's band and the lifted
     # diagonal. A line under b/8 is dust: it is cut whole, and its mass comes
@@ -727,12 +721,13 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
     end_cut = lat.stage_tail_budget / 8
     dropped = masses["zero"] + masses["diag"]
     if dropped < end_cut:
-        rows, cols, dens, spill = _NO_CELLS, _NO_CELLS, _EMPTY, 0.0
+        parts, spill, zero_side = [], 0.0, _EMPTY
     else:
-        z_vals[:i0] = line[:i0]
-        rows, cols, dens, spill = _lift_diag(line[i0:], state.slope, lat, ws.centers)
+        parts, spill = _lift_diag(line[i0:], state.slope, lat, ws.centers)
+        zero_side = line[:i0]
         dropped = 0.0
-    (w0, w1), (v0, v1), cut = _grid_window(state, rows, cols, dens, end_cut, end_cut - dropped)
+    (w0, w1), (v0, v1), cut, groups = _grid_window(state, parts, row_sums, end_cut,
+                                                   end_cut - dropped)
     cut += dropped
     # the load's tail, cut from the mass the kernel convolves: the grid in the
     # window and the zero line (atoms lose theirs with their deposits' clip)
@@ -748,7 +743,7 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
             frame.append((f0, f1))
     s, d, m = state.atom_s, state.atom_d, state.atom_mass
     deposits = []
-    if kernel.weights is not None:
+    if kernel.fine is not None:
         for sa, da, ma in zip(s, d, m):
             a0, vals, clipped = _analytic_cells(kernel.fine, sa, ma, lat)
             spill += clipped
@@ -760,67 +755,66 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
                           if row < lat.d_cells]
                 frame.append((a0, a0 + len(vals)))
         s = d = m = _EMPTY
+    else:
+        s = s + kernel.shift
     r0, r1 = _span(spans)
     e0, e1 = _span(frame)
-    c0, c1 = _span(frame + [(v0, v1)] if w1 > w0 else frame)
-    band = ws.array("band", (r1 - r0, c1 - c0))
-    if w1 > w0:  # the window's cells; the rest of its rows the convolution overwrites
-        band[:w0 - r0] = 0.0
-        band[w1 - r0:] = 0.0
-        window = band[w0 - r0:w1 - r0, v0 - c0:v1 - c0]
-        if state.pc is not None:
-            _place(window, state.pc, state.pc_r0 - w0, state.pc_c0 - v0)
-        else:
-            window[...] = 0.0
-        if len(rows):
-            keep = (rows >= w0) & (rows < w1) & (cols >= v0) & (cols < v1)
-            np.add.at(window, (rows[keep] - w0, cols[keep] - v0), dens[keep])
+    band = ws.array("band", (e1 - e0, r1 - r0))  # S-major: band[i, j] is cell (r0 + j, e0 + i)
+    if w1 > w0:  # the convolution writes the window's rows whole
+        if w0 > r0:
+            band[:, :w0 - r0] = 0.0
+        if w1 < r1:
+            band[:, w1 - r0:] = 0.0
+        # the lifted diagonal's window cells, on the window's rows and the frame
+        lift = [(rows - w0, cols - e0, dens) for rows, cols, dens in _cut(parts, (w0, w1), (v0, v1))]
     else:
         band[...] = 0.0
     stage, lost_before = state.stage - 1, state.lost_mass
     clock.lap("lift")
 
-    def finish() -> tuple[JointState, StageLog]:
-        nonlocal spill, s, d
-        # ---- convolve: the window (into the frame), the zero line, the atoms ----
-        if w1 > w0:
-            spill += _convolve_grid(band[w0 - r0:w1 - r0], kernel, h_s, ws,
-                                    (v0 - c0, v1 - c0)) * cell
-        if z_vals.any():
-            spill += _convolve_grid(z_vals, kernel, h_s, ws) * h_s
-        if kernel.weights is None:
-            s = s + kernel.shift
-        for da, a0, vals in deposits:
-            if da == 0.0:
-                z_vals[a0:a0 + len(vals)] += vals / h_s
-                continue
-            for row, w in _row_weights(da, lat):
-                if row >= lat.d_cells:
-                    spill += w * float(vals.sum())
-                else:
-                    band[row - r0, a0 - c0:a0 - c0 + len(vals)] += (w / cell) * vals
-        clock.lap("convolve")
+    # ---- convolve: the window (into the frame), the zero line, the atoms ----
+    if w1 > w0:
+        spill += convolve_lines(
+            _NO_BAND if pc is None else pc, band[:, w0 - r0:w1 - r0], kernel.weights, kernel.k0,
+            kernel.spectra, ws, [(a - w0, b - w0, c0 - e0, c1 - e0) for a, b, c0, c1 in groups],
+            (state.pc_r0 - w0, state.pc_c0 - e0), lift) * cell
+    z_vals = np.zeros(lat.s_cells)
+    held = np.flatnonzero(zero_side)
+    if len(held):
+        spill += convolve_lines(zero_side, z_vals, kernel.weights, kernel.k0, kernel.spectra, ws,
+                                [(0, 1, int(held[0]), int(held[-1]) + 1)]) * h_s
+    for da, a0, vals in deposits:
+        if da == 0.0:
+            z_vals[a0:a0 + len(vals)] += vals / h_s
+            continue
+        for row, w in _row_weights(da, lat):
+            if row >= lat.d_cells:
+                spill += w * float(vals.sum())
+            else:
+                band[a0 - e0:a0 - e0 + len(vals), row - r0] += (w / cell) * vals
+    clock.lap("convolve")
 
+    def finish() -> tuple[JointState, StageLog]:
+        nonlocal spill
         # ---- shear the frame ----
-        pc, pc_r0 = None, 0
+        new_pc, new_r0 = None, 0
         if r1 > r0 and e1 > e0:
-            pc, pc_r0, zero_gain, top = _shear_canvas(band[:, e0 - c0:e1 - c0], r0, e0,
-                                                      ws.shear_table(rho), lat, ws)
+            new_pc, new_r0, zero_gain, top = _shear_canvas(band, r0, e0, ws.shear_table(rho),
+                                                           lat, ws)
             spill += top
             z_vals[e0:e1] += zero_gain / h_s
-        d = np.maximum(0.0, d + rho * s)
         clock.lap("shear")
 
         new_state = JointState(
             stage=stage,
             slope=rho,
             lattice=lat,
-            pc=pc,
-            pc_r0=pc_r0,
+            pc=new_pc,
+            pc_r0=new_r0,
             pc_c0=e0,
             line=z_vals if z_vals.any() else None,
             atom_s=s,
-            atom_d=d,
+            atom_d=np.maximum(0.0, d + rho * s),
             atom_mass=m,
             lost_mass=lost_before + tail_loss + spill + cut,
         )

@@ -42,6 +42,7 @@ __all__ = [
     "batch_plan",
     "ks_distance",
     "compare",
+    "REFERENCE_QUANTILES",
 ]
 
 _U64 = np.uint64
@@ -315,6 +316,8 @@ class CompareReport:
 
 
 _DKW_ALPHA = 0.05
+# the quantile levels ``compare`` reports, and the CLI's by default
+REFERENCE_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def compare(drop: DropDistribution, emp: EmpiricalDrop,
@@ -350,7 +353,7 @@ def compare(drop: DropDistribution, emp: EmpiricalDrop,
         },
         "quantiles": {
             str(p): {"deterministic": drop.quantile(p), "mc": emp.quantile(p)}
-            for p in (0.5, 0.9, 0.99)
+            for p in REFERENCE_QUANTILES
         },
         "dkw_band": {"alpha": _DKW_ALPHA,
                      "eps": math.sqrt(math.log(2.0 / _DKW_ALPHA) / (2.0 * emp.n))},

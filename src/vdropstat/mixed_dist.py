@@ -62,6 +62,16 @@ __all__ = [
 _NEG_REJECT = 1e-12
 # Direct summation below this output size, transform-based above.
 _FFT_THRESHOLD = 4096
+# The longest transform whose weights' spectrum the caller's cache keeps. A
+# band's row groups each take their own length, and a long spectrum kept
+# for the rest of a run is a small block that stays in the middle of the
+# heap, between a stage's band and the next one: feeder4 2048^2 then peaked
+# 25-45 MB higher in the benchmark. A long spectrum costs little next to the
+# transforms of a call; short ones recur from stage to stage of a long chain.
+_CACHED_FFT_LEN = 1024
+# Transform cells that one more call to the transforms is worth: adjacent
+# row groups share a call unless that costs more than this beyond the two.
+_CALL_CELLS = 1 << 12
 # Transform cells per block of lines on one thread (4 MB arrays), shared
 # out among a pool's threads, so that the arrays in flight stay the same
 # whatever the thread count. A line's result does not depend on the block
@@ -289,105 +299,207 @@ class Scratch:
         return buf[:size].reshape(shape)
 
 
-def convolve_lines(vals: np.ndarray, weights: np.ndarray, k0: int,
+def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
+    """Fill ``dest`` with ``src`` placed with its first cell on dest[r, c],
+    cut to ``dest``, and zeros everywhere else."""
+    a0, a1 = max(r, 0), min(r + len(src), len(dest))
+    b0, b1 = max(c, 0), min(c + src.shape[1], dest.shape[1])
+    if a1 <= a0 or b1 <= b0:
+        dest[...] = 0.0
+        return
+    if a0 or a1 < len(dest):
+        dest[:a0] = 0.0
+        dest[a1:] = 0.0
+    if b0 or b1 < dest.shape[1]:
+        dest[a0:a1, :b0] = 0.0
+        dest[a0:a1, b1:] = 0.0
+    dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
+
+
+def _calls(groups, line_cells) -> list[tuple[int, int, int, int, int]]:
+    """The calls that transform the row groups (a, b, i0, i1) that hold
+    input cells: (a, b, i0, i1, cells per line), as ``line_cells(i1 - i0)``
+    gives them. A group joins the call before it when that call's lines end
+    where the group's begin and the joint call, over both cell ranges,
+    costs no more cells than the two apart plus _CALL_CELLS."""
+    calls = []
+    for a, b, i0, i1 in groups:
+        if i1 <= i0:
+            continue
+        n = line_cells(i1 - i0)
+        if calls:
+            pa, pb, p0, p1, pn = calls[-1]
+            u0, u1 = min(p0, i0), max(p1, i1)
+            un = pn if (u0, u1) == (p0, p1) else line_cells(u1 - u0)
+            if pb == a and (b - pa) * un <= (pb - pa) * pn + (b - a) * n + _CALL_CELLS:
+                calls[-1] = (pa, b, u0, u1, un)
+                continue
+        calls.append((a, b, i0, i1, n))
+    return calls
+
+
+def convolve_lines(src: np.ndarray, dest: np.ndarray, weights: np.ndarray, k0: int,
                    spectra: dict[int, np.ndarray] | None = None,
                    scratch: Scratch | None = None,
-                   cells: tuple[int, int] | None = None) -> float:
-    """Convolve ``vals`` with ``weights`` along the last axis, folded back in place.
+                   groups=None, at: tuple[int, int] = (0, 0), lift=()) -> float:
+    """Convolve lines of ``src`` with ``weights`` into ``dest``; returns the
+    value sum of the output cells that land off ``dest``.
 
-    ``vals`` is one line (1D) or a band of lines (2D, one per row), and
-    ``cells`` = (i0, i1) the input cells of every line (all of them when
-    None). Cell t of the full linear convolution of a line's input cells
-    (n_vals = i1 - i0 cells, so n_vals + len(weights) - 1 output cells) lands
-    on the line's cell i0 + t + k0 and overwrites it; cells of the line that
-    no output cell reaches become zero. Returns the value sum of the output
-    cells that land outside the line. A single line with fewer than 4096
-    output cells is summed directly and transforms nothing. Everything else
-    is transformed at the length n_fft = ``next_fast_len(n_out)``, against
-    the weights' spectrum ``spectra[n_fft]``: ``spectra`` is the caller's
-    cache of the weights' transforms by length, and a missing entry is
-    computed here, on the calling thread, and stored in it (a call without
-    ``spectra`` keeps it for that call only). The lines go as blocks of
-    rows: each block is zero-padded, transformed (``numpy.fft.rfft`` into
-    the block's coefficient array), multiplied by the spectrum, transformed
-    back (``numpy.fft.irfft`` into its inverse array) and clipped of its
-    transform dust. A block holds at most _FFT_BLOCK_CELLS transform cells
-    shared out among ``pool_threads()``, and the blocks run through
-    ``map_blocks`` on at most one thread per block, so a band that fits one
-    block runs on the calling thread. Each thread's block arrays come from
-    ``scratch`` (a fresh one when None). Every row comes out bitwise the
-    same whatever the block or thread.
+    ``src`` is one line (1D) or a band of lines (2D, one per row): src cell
+    (r, c) is input cell c + at[1] of line r + at[0], and input cells that
+    ``src`` does not hold are zero. ``lift`` adds to them: parts (lines,
+    cells, values), each in nondecreasing lines, holding no cell twice, its
+    cells inside their lines' input cells. ``dest`` is one line (1D) or a
+    band held S-major (2D): dest[j, i] is cell j of line i, so ``band.T``
+    writes a band's lines back into its rows. ``groups`` tiles the lines of
+    ``dest`` in order with row groups (a, b, i0, i1): lines [a, b) whose
+    input cells are [i0, i1), all others zero (none when i1 <= i0); one
+    group of every line over the cells ``src`` holds when None.
 
-    A block writes its kept cells straight into its rows of ``vals`` and
-    copies the rest into one spill array of all rows, whose two parts are
-    summed once every block is done. Each part is a strided view, like the
-    out-of-line columns of a whole rows x n_out output, so the sum runs in
-    the same order as over those columns.
+    Cell t of the full linear convolution of a line's input cells (n_vals =
+    i1 - i0 of them, so n_out = n_vals + len(weights) - 1 output cells) lands
+    on dest cell i0 + t + k0 of the line and overwrites it; dest cells that
+    no output cell reaches become zero, as do the lines of a group with no
+    input cells. Weights of at most two cells (a point load's split) shift
+    the lines directly, and a single line with fewer than 4096 output cells
+    is summed directly. Everything else is transformed, one call per group,
+    except that adjacent groups share a call when that costs no more than
+    two calls (``_calls``). A call transforms at n_fft = ``next_fast_len``
+    of its n_out, against the weights' spectrum at n_fft: ``spectra`` is the
+    caller's cache of the weights' transforms by length, and a missing one
+    is computed here, on the calling thread, and stored in it when n_fft is
+    at most _CACHED_FFT_LEN (longer ones, and all of them without
+    ``spectra``, serve this call only).
+
+    A call's lines go as blocks of rows. A block fills its lines' input
+    cells into its zero-padded array, transforms it (``numpy.fft.rfft``
+    into the block's coefficient array), multiplies by the spectrum,
+    transforms back (``numpy.fft.irfft`` into its inverse array), clips its
+    transform dust and copies the kept cells, transposed, into ``dest``.
+    _FFT_BLOCK_CELLS transform cells are shared out among ``pool_threads()``:
+    calls that fit one share in all run as one block each on the calling
+    thread; otherwise a call is cut into blocks of at most a share, the
+    blocks of every call run through one ``map_blocks``, and each thread
+    holds a whole share's arrays, so the arrays in flight come to one block
+    whatever the thread count. Each thread's block arrays come from
+    ``scratch`` (a fresh one when None). A line comes out bitwise the same
+    whatever its block or thread: only the groups decide its call.
+
+    A block sums each line's two spills (the output cells off either end of
+    ``dest``) into a lines x 2 array, and the spill returned adds up each
+    call's lines in call order.
     """
-    lines = vals if vals.ndim == 2 else vals[np.newaxis]
-    n_rows, n_line = lines.shape
-    i0, i1 = (0, n_line) if cells is None else cells
-    n_vals = i1 - i0
-    k0 += i0  # output cell t lands on line cell t + k0
-    n_out = n_vals + len(weights) - 1
-    lo, hi = max(0, -k0), min(n_out, n_line - k0)  # output cells [lo, hi) stay on the line
-    whole = hi <= lo  # no output cell stays: the whole output spills, summed as one array
-    if whole:
-        lo = hi = n_out
-    d0 = 0 if whole else k0 + lo
-    d1 = d0 + hi - lo
-    n_tail = n_out - hi
-    # one spare column keeps both parts of a partial spill strided views
-    spill = np.empty((n_rows, lo + n_tail + (not whole)))
+    band = src if src.ndim == 2 else src[np.newaxis]
+    out = dest if dest.ndim == 2 else dest[:, np.newaxis]
+    n_dest, n_lines = out.shape
+    n_w = len(weights)
+    r_at, c_at = at
+    lift = [part for part in lift if len(part[0])]
+    if groups is None:
+        groups = [(0, n_lines, c_at, c_at + band.shape[1])]
+    for a, b, i0, i1 in groups:
+        if i1 <= i0:
+            out[:, a:b] = 0.0
+    taps = n_w <= 2
+    summed = taps or (src.ndim == 1 and groups[0][3] - groups[0][2] + n_w - 1 < _FFT_THRESHOLD)
+    calls = _calls(groups, lambda n: n + n_w - 1 if summed else next_fast_len(n + n_w - 1))
+    if not calls:
+        return 0.0
+    if not summed:  # the weights' spectra of this call, kept in ``spectra`` when short
+        cache, spectra = spectra, {}
+        for *_, n in calls:
+            if n not in spectra:
+                spectrum = None if cache is None else cache.get(n)
+                if spectrum is None:
+                    spectrum = rfft(weights, n)
+                    if cache is not None and n <= _CACHED_FFT_LEN:
+                        cache[n] = spectrum
+                spectra[n] = spectrum
+    if scratch is None:
+        scratch = Scratch()
+    # transform cells that fit one thread's share of a block run as one
+    # block per call on the calling thread; more are cut into blocks of at
+    # most a share, and each thread holds a whole share: one block in all
+    call_cells = [(b - a) * n for a, b, *_, n in calls]
+    threads = pool_threads()
+    share = _FFT_BLOCK_CELLS // threads
+    if sum(call_cells) <= share:
+        threads, share = 1, max(call_cells)
+    tasks, jobs = [], []
+    for a, b, i0, i1, n in calls:
+        step = min(max(share // n, 1), b - a)
+        n_out = i1 - i0 + n_w - 1
+        d = i0 + k0  # output cell t lands on dest cell d + t: cells [lo, hi) stay on it
+        lo, hi = max(0, -d), min(n_out, n_dest - d)
+        jobs.append((b, i0, i1 - i0, n_out, n, step, d, lo, hi))
+        tasks += [(len(jobs) - 1, s) for s in range(a, b, step)]
+    cells = max(share, *(n * step for *_, n, step, _, _, _ in jobs))
+    coef_cells = max(cells // 2 + 1, *((n // 2 + 1) * step for *_, n, step, _, _, _ in jobs))
+    spills = np.zeros((n_lines, 2))
+    ids = itertools.count()
 
-    def fold(a, full):
-        """Write the output rows ``full`` of lines a, a + 1, ... into them and the spill."""
-        k = len(full)
-        rows = lines[a:a + k]
-        rows[:, :d0] = 0.0
-        np.add(full[:, lo:hi], 0.0, out=rows[:, d0:d1])  # as a sum into zeros: -0.0 becomes 0.0
-        rows[:, d1:] = 0.0
-        spill[a:a + k, :lo] = full[:, :lo]
-        spill[a:a + k, lo:lo + n_tail] = full[:, hi:]
+    def block_set():
+        # input lines (zero-padded on the transform path), coefficients and
+        # inverse of one thread, and the (n_fft, n_vals) its pad is zero for
+        i = next(ids)
+        return [scratch.array(("padded", i), (cells,)),
+                None if summed else scratch.array(("coef", i), (coef_cells,), complex),
+                scratch.array(("inverse", i), (cells,)), None]
 
-    if vals.ndim == 1 and n_out < _FFT_THRESHOLD:
-        fold(0, np.convolve(vals[i0:i1], weights)[np.newaxis])
-    else:
-        n_fft = next_fast_len(n_out)
-        if spectra is None:
-            spectra = {}
-        spectrum = spectra.get(n_fft)
-        if spectrum is None:
-            spectrum = spectra[n_fft] = rfft(weights, n_fft)
-        if scratch is None:
-            scratch = Scratch()
-        step = min(max(_FFT_BLOCK_CELLS // pool_threads() // n_fft, 1), n_rows)
-        ids = itertools.count()
-
-        def block_set():
-            # zero-padded lines, coefficients, inverse of one thread
-            i = next(ids)
-            padded = scratch.array(("padded", i), (step, n_fft))
-            padded[:, n_vals:] = 0.0  # the pad columns stay zero for this call
-            return (padded, scratch.array(("coef", i), (step, n_fft // 2 + 1), complex),
-                    scratch.array(("inverse", i), (step, n_fft)))
-
-        def block(a, bufs):
-            padded, coef, inverse = bufs
-            k = min(step, n_rows - a)
-            padded[:k, :n_vals] = lines[a:a + k, i0:i1]
-            rfft(padded[:k], axis=-1, out=coef[:k])
-            coef[:k] *= spectrum
-            irfft(coef[:k], n_fft, axis=-1, out=inverse[:k])
-            full = inverse[:k, :n_out]
+    def block(task, bufs):
+        j, a = task
+        b, i0, n_vals, n_out, n, step, d, lo, hi = jobs[j]
+        k = min(step, b - a)
+        if summed:
+            x = bufs[0][:k * n_vals].reshape(k, n_vals)
+        else:
+            padded = bufs[0][:step * n].reshape(step, n)
+            if bufs[3] != (n, n_vals):
+                padded[:, n_vals:] = 0.0
+                bufs[3] = (n, n_vals)
+            x = padded[:k, :n_vals]
+        _place(x, band, r_at - a, c_at - i0)
+        for rows, cols, vals in lift:
+            s, e = rows.searchsorted((a, a + k))
+            if e > s:
+                x[rows[s:e] - a, cols[s:e] - i0] += vals[s:e]
+        if taps:
+            full = bufs[2][:k * n_out].reshape(k, n_out)
+            np.multiply(x, weights[0], out=full[:, :n_vals])
+            if n_w == 2:
+                full[:, n_vals] = 0.0
+                x *= weights[1]
+                full[:, 1:] += x
+        elif summed:
+            full = np.convolve(x[0], weights)[np.newaxis]
+        else:
+            coef = bufs[1][:k * (n // 2 + 1)].reshape(k, n // 2 + 1)
+            rfft(padded[:k], axis=-1, out=coef)
+            coef *= spectra[n]
+            full = bufs[2][:k * n].reshape(k, n)
+            irfft(coef, n, axis=-1, out=full)
+            full = full[:, :n_out]
             np.maximum(full, 0.0, out=full)
-            fold(a, full)
+        lines = out[:, a:a + k]
+        if hi <= lo:
+            lines[...] = 0.0
+            np.add.reduce(full, axis=1, out=spills[a:a + k, 0])
+            return
+        if d + lo > 0:
+            lines[:d + lo] = 0.0
+        lines[d + lo:d + hi] = full[:, lo:hi].T
+        if d + hi < n_dest:
+            lines[d + hi:] = 0.0
+        if lo:
+            np.add.reduce(full[:, :lo], axis=1, out=spills[a:a + k, 0])
+        if hi < n_out:
+            np.add.reduce(full[:, hi:], axis=1, out=spills[a:a + k, 1])
 
-        starts = range(0, n_rows, step)
-        map_blocks(block, starts, pool_threads(len(starts)), block_set)
-    if whole:
-        return float(spill.sum())
-    return float(spill[:, :lo].sum() + spill[:, lo:lo + n_tail].sum())
+    map_blocks(block, tasks, min(threads, len(tasks)), block_set)
+    spill = 0.0
+    for a, b, *_ in calls:
+        spill += float(spills[a:b].sum())
+    return spill
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +577,9 @@ class JointState:
 
     ``pc`` is the 2D density on a frame of the lattice: cell (i, j) of
     ``pc`` is lattice cell (``pc_r0 + i``, ``pc_c0 + j``), the frame lies
-    within the lattice, and the cells outside it hold no mass. ``line`` is
+    within the lattice, and the cells outside it hold no mass. Any memory
+    layout will do; the engine's states hold it S-major (``pc.T`` is
+    C-contiguous), as its shear writes it. ``line`` is
     the hinge line density over all the S cells, its mass at
     D = max(0, slope * S). Each is None while it holds no mass. ``slope``
     is the drop coefficient of the most recently applied segment.
@@ -509,7 +623,8 @@ class JointState:
     def pc_mass(self) -> float:
         if self.pc is None:
             return 0.0
-        return float(self.pc.sum()) * self.lattice.s_step * self.lattice.d_step
+        # row sums first, as a stage sums the band it steps
+        return float(self.pc.sum(axis=1).sum()) * self.lattice.s_step * self.lattice.d_step
 
     def hinge_sides(self) -> tuple[Grid1D, Grid1D]:
         """The line cut at S = 0: (zero side on D = 0, diagonal on D = slope * S).

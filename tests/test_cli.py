@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand against real configs."""
 
+import inspect
 import json
 import math
 
@@ -11,7 +12,7 @@ from vdropstat import cli, mixed_dist
 from vdropstat.cli import _sweep_spec, main
 from vdropstat.dp_engine import DpConfig
 from vdropstat.feeder_model import FeederConfigError, PointMass
-from vdropstat.mc_oracle import McConfig
+from vdropstat.mc_oracle import McConfig, compare
 
 
 CFG_FLAGS = ["--grid-s", "256", "--grid-delta", "256"]
@@ -33,6 +34,11 @@ def test_parser_defaults_are_the_records_defaults():
     for command in ("mc", "compare"):
         args = parser.parse_args([command, str(CONFIG4)])
         assert (args.samples, args.shards) == (mc.samples, mc.shards)
+    # --ks-threshold and --atom-threshold are compare's gates
+    gates = inspect.signature(compare).parameters
+    args = parser.parse_args(["compare", str(CONFIG4)])
+    assert (args.ks_threshold, args.atom_threshold) == (
+        gates["ks_threshold"].default, gates["atom_threshold"].default)
 
 
 def test_validate_ok(capsys):

@@ -349,7 +349,7 @@ def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
         frames += [(c_lo, c_hi), (max(c_lo - 3, 0), min(c_hi + 2, lat.s_cells))]
     for c0, c1 in frames:
         band, o0, zero_gain, top = dp_engine._shear_canvas(
-            canvas[r0:r1, c0:c1], r0, c0, _table(rho, lat), lat, mixed_dist.Scratch())
+            canvas[r0:r1, c0:c1].T.copy(), r0, c0, _table(rho, lat), lat, mixed_dist.Scratch())
         assert zero_gain.shape == (c1 - c0,)
         if band is not None:
             # the new band spans the frame's columns and the rows the shear reaches
@@ -397,7 +397,7 @@ def test_shear_column_blocks_match_per_column_loop(monkeypatch, s_base, rho):
 
 def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
-    band = np.ones((2, 4))  # rows 3 and 4 of the S < 0 columns 2-5, pushed far below zero
+    band = np.ones((4, 2))  # S-major: rows 3 and 4 of the S < 0 columns 2-5, pushed far below zero
     out, _, zero_gain, top = dp_engine._shear_canvas(band, 3, 2, _table(5.0, lat), lat,
                                                      mixed_dist.Scratch())
     assert out is None and top == 0.0
@@ -475,7 +475,7 @@ def test_shear_equals_per_shift_shear_bitwise(monkeypatch, block_cells):
         band = rng.random((r1 - r0, c1 - c0))
         band[:, rng.random(c1 - c0) < 0.2] = 0.0  # some empty columns
         table = _table(rho, lat)
-        got = dp_engine._shear_canvas(band, r0, c0, table, lat, mixed_dist.Scratch())
+        got = dp_engine._shear_canvas(band.T.copy(), r0, c0, table, lat, mixed_dist.Scratch())
         want = _shear_per_shift(band, r0, c0, rho, lat, mixed_dist.Scratch())
         assert got[1] == want[1]
         assert (got[0] is None) == (want[0] is None)
@@ -504,14 +504,14 @@ def test_band_limited_convolution_equals_full_canvas():
         full = canvas.copy()
         band = canvas[r0:r1].copy()
         spectra = {}
-        convolve_lines(full, weights, -5)
-        convolve_lines(band, weights, -5, spectra)
+        convolve_lines(full, full.T, weights, -5)
+        convolve_lines(band, band.T, weights, -5, spectra)
         assert not full[:r0].any() and not full[r1:].any()
         assert np.array_equal(full[r0:r1], band)
         assert np.abs(band - direct).max() <= 1e-12 * direct.max()
         # a line of the band matches the 1D call with the band's cached transform
         one = canvas[r0].copy()
-        convolve_lines(one, weights, -5, spectra)
+        convolve_lines(one, one, weights, -5, spectra)
         assert np.abs(one - direct[0]).max() <= 1e-12 * direct.max()
 
 
@@ -670,7 +670,9 @@ def _feeder4_chain(n):
 # window in a moving S frame (recorded once UNTRIMMED_LAWS held it within
 # tail_tol of the law before any window); the engine must reproduce them to
 # rounding. The two chains were recorded again, under the same guard, when a
-# stage began to cut a hinge line under b/8 whole. Loads run
+# stage began to cut a hinge line under b/8 whole, and feeder4-512,
+# chain64-256 and zero-atoms when the window's rows went in row groups, each
+# transformed at its own length (KS under 6e-16 from the laws before). Loads run
 # substation first, so the last load is applied first. The entries cover
 # every carrier x kernel pairing:
 LAW_REGRESSION_SPECS = {
@@ -692,13 +694,13 @@ LAW_REGRESSION_SPECS = {
 }
 LAW_REGRESSION = {
     "feeder4-512": dict(
-        mean=0.020716508835596642, std=0.016501205504753133, atom0=0.05402042674140501,
-        q=(0.01749524132661306, 0.04277736057303384, 0.0730310871826891),
-        lost=8.591430295993641e-07),
+        mean=0.02071650883559665, std=0.01650120550475315, atom0=0.054020426741404975,
+        q=(0.017495241326613075, 0.042777360573033905, 0.07303108718268979),
+        lost=8.591430293662248e-07),
     "chain64-256": dict(
-        mean=4.184488825053508, std=0.9775689801130016, atom0=3.0624810256078886e-13,
-        q=(4.1448764566362675, 5.458125733123062, 6.636735194121027),
-        lost=6.999063167903689e-07),
+        mean=4.184488825053508, std=0.9775689801129999, atom0=3.0624810256082223e-13,
+        q=(4.144876456636268, 5.458125733123063, 6.636735194121036),
+        lost=6.99906316902269e-07),
     "chain256-256": dict(
         mean=66.09095142018496, std=9.835897459364363, atom0=0.0,
         q=(66.00200747409453, 78.76828641080493, 89.3002585791629),
@@ -712,9 +714,9 @@ LAW_REGRESSION = {
         q=(0.005472719788215262, 0.015074517219437812, 0.028911086408950046),
         lost=3.8721907333220507e-07),
     "zero-atoms": dict(
-        mean=0.010316285203065339, std=0.009607428792463159, atom0=0.08818679502888153,
-        q=(0.007914765170461082, 0.022839361876993657, 0.04357828080921812),
-        lost=4.2320371029207966e-07),
+        mean=0.010316285203065333, std=0.009607428792463155, atom0=0.08818679502888153,
+        q=(0.007914765170461083, 0.022839361876993675, 0.04357828080921836),
+        lost=4.2320371023974107e-07),
     "free-atoms": dict(
         mean=0.012000003514378615, std=0.0031679752271617755, atom0=1.1454787061389506e-05,
         q=(0.011225899095822193, 0.01605528785801346, 0.022959341292791695),
@@ -740,7 +742,8 @@ def test_law_regression(name):
 
 # Final joint states recorded from the engine that steps each stage on its 2D
 # budget window in a moving S frame (the two chains: and cuts a hinge line
-# under b/8 whole). A state must match them bit for bit: pc
+# under b/8 whole), in row groups each transformed at its own length. A
+# state must match them bit for bit: pc
 # padded to the lattice at its frame, the two sides of the hinge line (each
 # over all S cells), the (s, d, m) atom rows and lost_mass. The point-only
 # chains end on a zero-line atom, a diagonal atom, a free atom, an atom whose
@@ -760,22 +763,22 @@ STATE_REGRESSION_SPECS = {
 # name: sha1[:16] of (pc padded to the lattice or "none", zero side, diagonal
 # side, atoms), lost_mass.hex()
 STATE_REGRESSION = {
-    "feeder4-512": ("e3e51ba23e52469e", "8cbad854a5603ddf", "3f924b12072fa312",
-                    "da39a3ee5e6b4b0d", "0x1.cd3fb807ec5e1p-21"),
-    "chain64-256": ("ef4b5c177b449cf6", "2243b41f44c4a852", "807f5004e5400b4c",
-                    "da39a3ee5e6b4b0d", "0x1.77c26446fb93cp-21"),
+    "feeder4-512": ("08534f536ffec7e4", "d499a5a89e5246c5", "ac3862d33d9d2b9d",
+                    "da39a3ee5e6b4b0d", "0x1.cd3fb805d2c8fp-21"),
+    "chain64-256": ("96cfbc5c314ef6f1", "b20711ded284b269", "807f5004e5400b4c",
+                    "da39a3ee5e6b4b0d", "0x1.77c26447fd99fp-21"),
     "chain256-256": ("c25d5154423f9525", "807f5004e5400b4c", "807f5004e5400b4c",
-                     "da39a3ee5e6b4b0d", "0x1.57932a1264846p-21"),
+                     "da39a3ee5e6b4b0d", "0x1.57932a1264847p-21"),
     "ref-pm3": ("eee3cd2b495a9966", "82b0ddaca74c9249", "807f5004e5400b4c",
                 "da39a3ee5e6b4b0d", "0x1.75478db000000p-22"),
     "pm3-ref": ("1feaa53476b587a9", "d4ec99991a335efb", "8bd8704c0e100058",
                 "da39a3ee5e6b4b0d", "0x1.9fc5f7e97a8a2p-22"),
-    "zero-atoms": ("e423c1caa46f525e", "762f8a828659b1fa", "651d15f60c9f380e",
-                   "da39a3ee5e6b4b0d", "0x1.c669599fe4942p-22"),
+    "zero-atoms": ("2c3789cbcdb3fc14", "bb0302120c49057d", "e9c3e112cd26312f",
+                   "da39a3ee5e6b4b0d", "0x1.c669599ef335ap-22"),
     "free-atoms": ("4a182b9df9b76add", "8c4efd4133322e89", "807f5004e5400b4c",
                    "da39a3ee5e6b4b0d", "0x1.d3cd4e2000000p-23"),
-    "families": ("105d66b1bfeec22c", "28961529846470ab", "52d4a166f887c9fa",
-                 "da39a3ee5e6b4b0d", "0x1.7401f5de51113p-22"),
+    "families": ("55e5391ff0a3b2f7", "03782d00fd18d0e7", "9b8bb5b2322b838f",
+                 "da39a3ee5e6b4b0d", "0x1.7401f5ddd48e1p-22"),
     "point-zero": ("none", "67e8f7491703620a", "67e8f7491703620a",
                    "59e3b2c5def90dff", "0x0.0p+0"),
     "point-diag": ("none", "67e8f7491703620a", "67e8f7491703620a",
@@ -887,10 +890,10 @@ def test_stage_cuts_a_dust_line_whole(monkeypatch):
     # is lifted as before
     spec, config = LAW_REGRESSION_SPECS["chain256-256"]()
     lifts, lines = [], []
-    lift, convolve = dp_engine._lift_diag, dp_engine._convolve_grid
+    lift, convolve = dp_engine._lift_diag, dp_engine.convolve_lines
     monkeypatch.setattr(dp_engine, "_lift_diag", lambda *a: (lifts.append(a), lift(*a))[1])
-    monkeypatch.setattr(dp_engine, "_convolve_grid", lambda vals, *a: (
-        lines.append(vals.ndim == 1), convolve(vals, *a))[1])
+    monkeypatch.setattr(dp_engine, "convolve_lines", lambda src, *a: (
+        lines.append(src.ndim == 1), convolve(src, *a))[1])
     skipped = cut = kept = 0
     for state, log, _ in _stages(spec, config):
         line = log.masses["zero"] + log.masses["diag"]
@@ -1065,13 +1068,44 @@ def _warm_step(spec, load, config):
 
 def test_warm_workspace_steps_a_stage_in_its_own_arrays():
     # once the workspace holds a stage's band, transform blocks and shear
-    # blocks, stepping that stage again allocates its new band and less than
-    # half a window besides (a fresh band and a full rows x n_out convolution
-    # output per stage came to over four bands more)
+    # blocks, stepping that stage again allocates its new band and under an
+    # eighth of a window besides: the window's group sums, each line's two
+    # spills and the shear's per-column sums (a fresh band and a full rows x
+    # n_out convolution output per stage came to over four bands more)
     spec = reference_spec(n=52)
     again, _, peak, window = _warm_step(spec, spec.loads[0], DpConfig(grid_s=512, grid_delta=512))
     assert window > 1 << 20
-    assert peak < again.pc.nbytes + window // 2
+    assert peak < again.pc.nbytes + window // 8
+
+
+def test_warm_big_stage_copies_no_band_and_keeps_no_spill_array():
+    # feeder4's last stage at 1024^2: 674 window rows, whose outputs run
+    # hundreds of cells past the lattice at each end. The convolution reads
+    # the stepped band where it lies and sums each line's spill as its block
+    # folds, so up to the shear the stage allocates under an eighth of a
+    # window (a copy of the band, or a rows x spill array, is over a third),
+    # and the shear its new band and as little besides
+    spec = parse_feeder(CONFIG4)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
+    for j in range(spec.n - 1, 0, -1):
+        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
+    first, log = dp_engine._lift_stage(state, spec.loads[0], spec.rho[0], config, ws)()
+    window = 8 * (log.rows[1] - log.rows[0]) * state.pc.shape[1]
+    tracemalloc.start()
+    try:
+        finish = dp_engine._lift_stage(state, spec.loads[0], spec.rho[0], config, ws)
+        convolve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        again, log = finish()
+        shear_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _digest(again) == _digest(first)
+    assert log.rows[1] - log.rows[0] > 600 and log.boundary_spill > 0.0
+    assert convolve_peak < window // 8
+    assert shear_peak < again.pc.nbytes + window // 8
 
 
 def test_warm_workspace_shifts_a_point_load_in_place():
@@ -1120,6 +1154,64 @@ def test_state_regression_on_threads(monkeypatch, name):
         assert _digest(rep.state) == STATE_REGRESSION[name]
         if name in ("feeder4-512", "chain64-256", "families"):  # bands of many rows
             assert seen - {threading.get_ident()}
+
+
+# feeder4 at 1024^2 before the window's rows went in row groups: its drop
+# law's CDF at 25 drops from 0 to 0.12
+FEEDER4_1024_CDF = (
+    0.05406986316899894, 0.16239237968812778, 0.2948558104228288, 0.4338653970539278,
+    0.5627245926320459, 0.6723776030695449, 0.7603048559251934, 0.8278879502500874,
+    0.8782317249326786, 0.914870484186069, 0.9410504513328928, 0.9594988317585968,
+    0.9723511602444601, 0.9812251546594624, 0.9873072628191284, 0.9914504779786757,
+    0.9942593169040818, 0.9961551581761376, 0.9974307273830331, 0.9982862078317734,
+    0.9988586751012501, 0.9992408950305617, 0.9994956521051536, 0.9996652004442625,
+    0.9997778776479227)
+
+
+def test_row_groups_transform_fewer_cells_than_their_window(monkeypatch):
+    # at 1024^2 feeder4's last three stages step bands of many row groups;
+    # each group is transformed only over the columns its rows occupy, so a
+    # stage transforms fewer cells than its window's rows at the transform
+    # length of the whole window
+    spec = parse_feeder(CONFIG4)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    windows, cells = [], []
+    grid_window, rfft = dp_engine._grid_window, mixed_dist.rfft
+    monkeypatch.setattr(dp_engine, "_grid_window", lambda *a: (
+        windows.append(grid_window(*a)), windows[-1])[1])
+    monkeypatch.setattr(mixed_dist, "rfft", lambda a, *args, **kw: (
+        cells.append(a.size if a.ndim == 2 else 0), rfft(a, *args, **kw))[1])
+    state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
+    width = len(ws.kernel(spec.loads[0]).weights)  # every feeder4 bus has this load
+    big = 0
+    for j in range(spec.n - 1, -1, -1):
+        windows.clear()
+        cells.clear()
+        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
+        (w0, w1), (v0, v1), _, groups = windows[0]
+        if len(groups) > 4:
+            big += 1
+            assert sum(cells) < (w1 - w0) * mixed_dist.next_fast_len(v1 - v0 + width - 1)
+    assert big == 3
+
+
+def test_row_groups_keep_the_state_whatever_the_threads(monkeypatch):
+    # the groups and their transform calls depend on the band alone: the
+    # final state is the same on 1, 2 and 4 threads, in default blocks and in
+    # blocks of 4096 cells, and the law within KS 1e-12 of the one before
+    # row groups
+    spec = parse_feeder(CONFIG4)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    rep = run(spec, config)
+    want = _digest(rep.state)
+    got = rep.drop.cdf(np.linspace(0.0, 0.12, len(FEEDER4_1024_CDF)))
+    assert np.abs(got - np.array(FEEDER4_1024_CDF)).max() <= 1e-12
+    blocks = (mixed_dist._FFT_BLOCK_CELLS, 1 << 12)
+    for threads in (1, 2, 4):
+        for block_cells in blocks:
+            _on_threads(monkeypatch, threads, block_cells)
+            assert _digest(run(spec, config).state) == want
 
 
 def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):

@@ -61,7 +61,7 @@ def test_convolve_uniforms_gives_triangle():
     h = 1.0 / 512
     tri = np.zeros(1023)
     tri[:512] = 1.0
-    assert convolve_lines(tri, np.ones(512), 0) == 0.0  # U + U fits the 1023 cells
+    assert convolve_lines(tri, tri, np.ones(512), 0) == 0.0  # U + U fits the 1023 cells
     tri *= h  # density of U + U
     centers = (np.arange(len(tri)) + 1.0) * h
     assert tri.sum() * h == pytest.approx(1.0, abs=1e-12)
@@ -82,7 +82,7 @@ def test_convolve_fft_path_matches_direct():
     vb /= vb.sum() * h
     big = np.zeros(5999)
     big[:3000] = va
-    assert convolve_lines(big, vb, 0) < 1e-9  # 8998 output cells: transform path
+    assert convolve_lines(big, big, vb, 0) < 1e-9  # 8998 output cells: transform path
     big *= h
     direct = np.convolve(va, vb) * h
     assert np.abs(big - direct).max() < 1e-9
@@ -109,7 +109,8 @@ def test_convolve_lines_is_bitwise_scipys_transforms(rows, cells, width, n_fft):
     band[:, :cells] = rng.random((rows, cells)) * (rng.random(cells) < 0.8)
     full = irfft(rfft(band[:, :cells], n_fft, axis=-1) * rfft(weights, n_fft), n_fft, axis=-1)
     expected = np.clip(full[:, :n_out], 0.0, None) + 0.0
-    assert convolve_lines(band, weights, 0, cells=(0, cells)) == 0.0  # every output cell stays
+    # every output cell stays
+    assert convolve_lines(band, band.T, weights, 0, groups=[(0, rows, 0, cells)]) == 0.0
     assert band.tobytes() == expected.tobytes()
 
 
@@ -122,17 +123,18 @@ def test_convolve_lines_caches_the_weights_transform_by_length(monkeypatch):
     weights = rng.random(45)
     spectra = {}
     # a line of 344 output cells is summed directly: no transform is made
-    convolve_lines(rng.random(300), weights, -7, spectra)
+    line = rng.random(300)
+    convolve_lines(line, line, weights, -7, spectra)
     assert spectra == {} and weight_calls == []
     band = rng.random((5, 300))
     first = band.copy()
-    spill = convolve_lines(first, weights, -7, spectra)
+    spill = convolve_lines(first, first.T, weights, -7, spectra)
     n_fft = next_fast_len(300 + 45 - 1, real=True)
     assert list(spectra) == [n_fft]
     assert spectra[n_fft].tobytes() == rfft(weights, n_fft).tobytes()
     assert sum(weight_calls) == 1
     again = band.copy()
-    assert convolve_lines(again, weights, -7, spectra) == spill
+    assert convolve_lines(again, again.T, weights, -7, spectra) == spill
     assert again.tobytes() == first.tobytes()
     assert sum(weight_calls) == 1 and list(spectra) == [n_fft]  # the weights, transformed once
 
@@ -145,7 +147,7 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     k0 = -7  # output cells spill off both ends
     whole = band.copy()
     spectra = {}  # the weights' transform, cached by the first call
-    spill = convolve_lines(whole, weights, k0, spectra)  # one block at the default size
+    spill = convolve_lines(whole, whole.T, weights, k0, spectra)  # one block at the default size
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
     seen = transform_threads(monkeypatch)
     for threads in (1, 2, 4):
@@ -156,7 +158,7 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
             monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * threads * n_fft)
             seen.clear()
             got = band.copy()
-            assert convolve_lines(got, weights, k0, spectra) == spill
+            assert convolve_lines(got, got.T, weights, k0, spectra) == spill
             assert got.tobytes() == whole.tobytes()
             # one thread transforms on the caller, more on the pool alone
             assert (seen == {threading.get_ident()}) == (threads == 1)
@@ -164,15 +166,22 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     # a lone line on the transform path comes out as a band's row does
     line = rng.random(5000)
     row = line[np.newaxis].copy()
-    assert convolve_lines(line, weights, k0) == convolve_lines(row, weights, k0)
+    assert convolve_lines(line, line, weights, k0) == convolve_lines(row, row.T, weights, k0)
     assert line.tobytes() == row[0].tobytes()
 
 
 def _full_convolution(vals, weights):
-    """The rows x n_out output ``convolve_lines`` returned before it folded
-    into the band: each line's full convolution, clipped of transform dust
-    on the transform path. Kept as the fold's oracle."""
+    """Each line's full convolution, as ``convolve_lines`` forms it before
+    it folds it into its destination: shifted sums for weights of at most
+    two cells, summed directly for a short single line, and otherwise
+    transformed and clipped of transform dust. Kept as the fold's oracle."""
     n_out = vals.shape[-1] + len(weights) - 1
+    if len(weights) <= 2:
+        full = np.zeros(vals.shape[:-1] + (n_out,))
+        full[..., :vals.shape[-1]] = vals * weights[0]
+        if len(weights) == 2:
+            full[..., 1:] += vals * weights[1]
+        return full
     if vals.ndim == 1 and n_out < 4096:
         return np.convolve(vals, weights)
     n_fft = next_fast_len(n_out, real=True)
@@ -181,16 +190,20 @@ def _full_convolution(vals, weights):
 
 
 def _fold_last(dest, src, k0):
-    """dest[..., t + k0] += src[..., t]; returns the out-of-range value sum.
-    The fold the engine ran on that output; kept with it as the oracle."""
+    """dest[..., t + k0] += src[..., t]; returns the out-of-range value sum:
+    each line's cells off the low end and off the high end, summed as a
+    lines x 2 array. The fold the engine runs on that output; kept with it
+    as the oracle."""
     n = dest.shape[-1]
     width = src.shape[-1]
+    lines = src.reshape(-1, width)
     lo = max(0, -k0)
     hi = min(width, n - k0)
     if hi <= lo:
-        return float(src.sum())
-    dest[..., k0 + lo:k0 + hi] += src[..., lo:hi]
-    return float(src[..., :lo].sum() + src[..., hi:].sum())
+        lo = hi = width
+    else:
+        dest[..., k0 + lo:k0 + hi] += src[..., lo:hi]
+    return float(np.column_stack((lines[:, :lo].sum(axis=1), lines[:, hi:].sum(axis=1))).sum())
 
 
 def _assert_fold_matches_oracle(vals, weights, k0, cells=None):
@@ -200,7 +213,8 @@ def _assert_fold_matches_oracle(vals, weights, k0, cells=None):
     want = np.zeros_like(vals)
     want_spill = _fold_last(want, _full_convolution(vals[..., i0:i1], weights), i0 + k0)
     got = vals.copy()
-    spill = convolve_lines(got, weights, k0, None, None, cells)
+    groups = [(0, 1 if vals.ndim == 1 else len(vals), i0, i1)]
+    spill = convolve_lines(got, got if vals.ndim == 1 else got.T, weights, k0, None, None, groups)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
     assert spill.hex() == want_spill.hex()
 
@@ -279,13 +293,13 @@ def test_fold_reuses_scratch_of_any_earlier_shape():
     rng = np.random.default_rng(9)
     scratch = mixed_dist.Scratch()
     big = rng.random((50, 700))
-    convolve_lines(big, rng.random(90), -20, None, scratch)
+    convolve_lines(big, big.T, rng.random(90), -20, None, scratch)
     vals = rng.random((7, 300))
     weights = rng.random(45)
     want = vals.copy()
-    spill = convolve_lines(want, weights, -7)
+    spill = convolve_lines(want, want.T, weights, -7)
     got = vals.copy()
-    assert convolve_lines(got, weights, -7, None, scratch) == spill
+    assert convolve_lines(got, got.T, weights, -7, None, scratch) == spill
     assert got.tobytes() == want.tobytes()
 
 
