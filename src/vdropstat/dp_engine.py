@@ -43,8 +43,9 @@ _GROUP_ROWS rows, and each group is transformed only over the columns
 between its first and last window column with mass in its rows (the
 others are exact zeros), at its own length; adjacent groups share one
 transform call when that costs no more than two calls. The groups depend
-on the band alone. A call fills its blocks of rows from the state's band,
-adds the lifted diagonal's cells that lie in them, transforms them
+on the band alone. A call fills its blocks of rows through the stage's
+``_window_fill``, which places the state's band and adds the lifted
+diagonal's cells that lie in them, transforms them
 against the kernel's spectrum at that length (a short one kept in the
 kernel's cache the first time) and folds each block, transposed,
 into its lines of the workspace's band, shifted by the kernel's offset;
@@ -685,6 +686,43 @@ def _grid_window(state: JointState, parts, row_sums: np.ndarray, cut: float,
     return (w0, w1), (q0 + lo, q0 + hi), outside, groups
 
 
+def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
+    """Fill ``dest`` with ``src`` placed with its first cell on dest[r, c],
+    cut to ``dest``, and zeros everywhere else."""
+    a0, a1 = max(r, 0), min(r + len(src), len(dest))
+    b0, b1 = max(c, 0), min(c + src.shape[1], dest.shape[1])
+    if a1 <= a0 or b1 <= b0:
+        dest[...] = 0.0
+        return
+    if a0 or a1 < len(dest):
+        dest[:a0] = 0.0
+        dest[a1:] = 0.0
+    if b0 or b1 < dest.shape[1]:
+        dest[a0:a1, :b0] = 0.0
+        dest[a0:a1, b1:] = 0.0
+    dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
+
+
+def _window_fill(pc: np.ndarray, at: tuple[int, int], lift):
+    """The ``fill(x, a, i0)`` through which ``convolve_lines`` reads a
+    stage's window: band ``pc`` with its cell (0, 0) on window row at[0]
+    and frame column at[1], zero elsewhere, plus the lifted diagonal's
+    cells ``lift``, parts (rows, cols, densities) on the window's rows and
+    the frame's columns as ``_lift_diag`` and ``_cut`` leave them: rows
+    ascending and no cell twice, so each block finds its rows by bisection
+    and adds its cells without ``np.add.at``."""
+    r_at, c_at = at
+    lift = [part for part in lift if len(part[0])]
+
+    def fill(x, a, i0):
+        _place(x, pc, r_at - a, c_at - i0)
+        for rows, cols, vals in lift:
+            s, e = rows.searchsorted((a, a + len(x)))
+            if e > s:
+                x[rows[s:e] - a, cols[s:e] - i0] += vals[s:e]
+    return fill
+
+
 def _lift_stage(state: JointState, load: LoadDensity, rho: float,
                 config: DpConfig, ws: _Workspace) -> Callable[[], tuple[JointState, StageLog]]:
     """The part of a stage that reads ``state``: the hinge line's split, the
@@ -765,8 +803,11 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
             band[:, :w0 - r0] = 0.0
         if w1 < r1:
             band[:, w1 - r0:] = 0.0
-        # the lifted diagonal's window cells, on the window's rows and the frame
-        lift = [(rows - w0, cols - e0, dens) for rows, cols, dens in _cut(parts, (w0, w1), (v0, v1))]
+        # the window's input: the state's band and the lifted diagonal's
+        # window cells, on the window's rows and the frame's columns
+        fill = _window_fill(_NO_BAND if pc is None else pc, (state.pc_r0 - w0, state.pc_c0 - e0),
+                            [(rows - w0, cols - e0, dens)
+                             for rows, cols, dens in _cut(parts, (w0, w1), (v0, v1))])
     else:
         band[...] = 0.0
     stage, lost_before = state.stage - 1, state.lost_mass
@@ -775,9 +816,8 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
     # ---- convolve: the window (into the frame), the zero line, the atoms ----
     if w1 > w0:
         spill += convolve_lines(
-            _NO_BAND if pc is None else pc, band[:, w0 - r0:w1 - r0], kernel.weights, kernel.k0,
-            kernel.spectra, ws, [(a - w0, b - w0, c0 - e0, c1 - e0) for a, b, c0, c1 in groups],
-            (state.pc_r0 - w0, state.pc_c0 - e0), lift) * cell
+            fill, band[:, w0 - r0:w1 - r0], kernel.weights, kernel.k0, kernel.spectra, ws,
+            [(a - w0, b - w0, c0 - e0, c1 - e0) for a, b, c0, c1 in groups]) * cell
     z_vals = np.zeros(lat.s_cells)
     held = np.flatnonzero(zero_side)
     if len(held):

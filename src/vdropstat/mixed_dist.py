@@ -67,7 +67,9 @@ _FFT_THRESHOLD = 4096
 # for the rest of a run is a small block that stays in the middle of the
 # heap, between a stage's band and the next one: feeder4 2048^2 then peaked
 # 25-45 MB higher in the benchmark. A long spectrum costs little next to the
-# transforms of a call; short ones recur from stage to stage of a long chain.
+# transforms of a call; short ones recur from stage to stage of a long chain:
+# a chain256-256 solve needs 255 spectra of 23 lengths, and computes 23 in
+# 0.5 ms with the cache against 255 in 3.8 ms (2% of the solve) without.
 _CACHED_FFT_LEN = 1024
 # Transform cells that one more call to the transforms is worth: adjacent
 # row groups share a call unless that costs more than this beyond the two.
@@ -299,23 +301,6 @@ class Scratch:
         return buf[:size].reshape(shape)
 
 
-def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
-    """Fill ``dest`` with ``src`` placed with its first cell on dest[r, c],
-    cut to ``dest``, and zeros everywhere else."""
-    a0, a1 = max(r, 0), min(r + len(src), len(dest))
-    b0, b1 = max(c, 0), min(c + src.shape[1], dest.shape[1])
-    if a1 <= a0 or b1 <= b0:
-        dest[...] = 0.0
-        return
-    if a0 or a1 < len(dest):
-        dest[:a0] = 0.0
-        dest[a1:] = 0.0
-    if b0 or b1 < dest.shape[1]:
-        dest[a0:a1, :b0] = 0.0
-        dest[a0:a1, b1:] = 0.0
-    dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
-
-
 def _calls(groups, line_cells) -> list[tuple[int, int, int, int, int]]:
     """The calls that transform the row groups (a, b, i0, i1) that hold
     input cells: (a, b, i0, i1, cells per line), as ``line_cells(i1 - i0)``
@@ -338,73 +323,125 @@ def _calls(groups, line_cells) -> list[tuple[int, int, int, int, int]]:
     return calls
 
 
-def convolve_lines(src: np.ndarray, dest: np.ndarray, weights: np.ndarray, k0: int,
+def _direct(x: np.ndarray, weights: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """The full convolutions of the lines of ``x`` with ``weights``, summed
+    directly: weights of at most two cells as shifted products written into
+    ``full`` (``x`` is scaled in place), others as the ``np.convolve`` of
+    the one line of ``x``."""
+    if len(weights) > 2:
+        return np.convolve(x[0], weights)[np.newaxis]
+    n_vals = x.shape[1]
+    np.multiply(x, weights[0], out=full[:, :n_vals])
+    if len(weights) == 2:
+        full[:, n_vals] = 0.0
+        x *= weights[1]
+        full[:, 1:] += x
+    return full
+
+
+def _fold(lines: np.ndarray, full: np.ndarray, d: int, spills: np.ndarray) -> None:
+    """Write the output lines ``full``, one per row, into ``lines``, one per
+    column: output cell t on cell d + t, and zeros where no output cell
+    lands. Each line's output cells off the low and the high end of
+    ``lines`` are summed into its row of ``spills``."""
+    n_dest, n_out = len(lines), full.shape[1]
+    lo, hi = max(0, -d), min(n_out, n_dest - d)  # output cells [lo, hi) stay
+    if hi <= lo:
+        lines[...] = 0.0
+        np.add.reduce(full, axis=1, out=spills[:, 0])
+        return
+    if d + lo > 0:
+        lines[:d + lo] = 0.0
+    lines[d + lo:d + hi] = full[:, lo:hi].T
+    if d + hi < n_dest:
+        lines[d + hi:] = 0.0
+    if lo:
+        np.add.reduce(full[:, :lo], axis=1, out=spills[:, 0])
+    if hi < n_out:
+        np.add.reduce(full[:, hi:], axis=1, out=spills[:, 1])
+
+
+def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
                    spectra: dict[int, np.ndarray] | None = None,
-                   scratch: Scratch | None = None,
-                   groups=None, at: tuple[int, int] = (0, 0), lift=()) -> float:
+                   scratch: Scratch | None = None, groups=None) -> float:
     """Convolve lines of ``src`` with ``weights`` into ``dest``; returns the
     value sum of the output cells that land off ``dest``.
 
-    ``src`` is one line (1D) or a band of lines (2D, one per row): src cell
-    (r, c) is input cell c + at[1] of line r + at[0], and input cells that
-    ``src`` does not hold are zero. ``lift`` adds to them: parts (lines,
-    cells, values), each in nondecreasing lines, holding no cell twice, its
-    cells inside their lines' input cells. ``dest`` is one line (1D) or a
-    band held S-major (2D): dest[j, i] is cell j of line i, so ``band.T``
-    writes a band's lines back into its rows. ``groups`` tiles the lines of
-    ``dest`` in order with row groups (a, b, i0, i1): lines [a, b) whose
-    input cells are [i0, i1), all others zero (none when i1 <= i0); one
-    group of every line over the cells ``src`` holds when None.
+    ``src`` holds the lines' input cells: one line (1D) or a band of lines
+    (2D, src[r, c] is cell c of line r), or it is a function ``fill(x, a,
+    i0)`` that overwrites every cell of the 2D array ``x`` with the input
+    cells [i0, i0 + x.shape[1]) of the lines [a, a + len(x)), one line per
+    row. ``dest`` is one line (1D) or a band held S-major (2D): dest[j, i]
+    is cell j of line i, so ``band.T`` writes a band's lines back into its
+    rows. ``groups`` tiles the lines of ``dest`` in order with row groups
+    (a, b, i0, i1): lines [a, b) whose input cells are [i0, i1), all others
+    zero (none when i1 <= i0); an array ``src`` holds every cell they name.
+    When None, which needs an array ``src``, every line is one group over
+    all the cells ``src`` holds.
 
     Cell t of the full linear convolution of a line's input cells (n_vals =
     i1 - i0 of them, so n_out = n_vals + len(weights) - 1 output cells) lands
     on dest cell i0 + t + k0 of the line and overwrites it; dest cells that
     no output cell reaches become zero, as do the lines of a group with no
-    input cells. Weights of at most two cells (a point load's split) shift
-    the lines directly, and a single line with fewer than 4096 output cells
-    is summed directly. Everything else is transformed, one call per group,
-    except that adjacent groups share a call when that costs no more than
-    two calls (``_calls``). A call transforms at n_fft = ``next_fast_len``
-    of its n_out, against the weights' spectrum at n_fft: ``spectra`` is the
-    caller's cache of the weights' transforms by length, and a missing one
-    is computed here, on the calling thread, and stored in it when n_fft is
-    at most _CACHED_FFT_LEN (longer ones, and all of them without
-    ``spectra``, serve this call only).
+    input cells. Each line's output cells off either end of ``dest`` are
+    summed per line, and the spill returned adds up each call's lines in
+    call order.
+
+    Weights of at most two cells (a point load's split) shift the lines
+    directly, and a single line (1D ``dest``) with fewer than 4096 output
+    cells is summed directly; a single line that is summed runs on the
+    calling thread with no blocks. Everything else is transformed, one call
+    per group, except that adjacent groups share a call when that costs no
+    more than two calls (``_calls``). A call transforms at n_fft =
+    ``next_fast_len`` of its n_out, against the weights' spectrum at n_fft:
+    ``spectra`` is the caller's cache of the weights' transforms by length,
+    and a missing one is computed here, on the calling thread, and stored in
+    it when n_fft is at most _CACHED_FFT_LEN (longer ones, and all of them
+    without ``spectra``, serve this call only).
 
     A call's lines go as blocks of rows. A block fills its lines' input
     cells into its zero-padded array, transforms it (``numpy.fft.rfft``
     into the block's coefficient array), multiplies by the spectrum,
     transforms back (``numpy.fft.irfft`` into its inverse array), clips its
-    transform dust and copies the kept cells, transposed, into ``dest``.
-    _FFT_BLOCK_CELLS transform cells are shared out among ``pool_threads()``:
-    calls that fit one share in all run as one block each on the calling
-    thread; otherwise a call is cut into blocks of at most a share, the
-    blocks of every call run through one ``map_blocks``, and each thread
-    holds a whole share's arrays, so the arrays in flight come to one block
-    whatever the thread count. Each thread's block arrays come from
-    ``scratch`` (a fresh one when None). A line comes out bitwise the same
-    whatever its block or thread: only the groups decide its call.
-
-    A block sums each line's two spills (the output cells off either end of
-    ``dest``) into a lines x 2 array, and the spill returned adds up each
-    call's lines in call order.
+    transform dust and folds the output, transposed, into ``dest``
+    (``_fold``). _FFT_BLOCK_CELLS transform cells are shared out among
+    ``pool_threads()``: calls that fit one share in all run as one block
+    each on the calling thread; otherwise a call is cut into blocks of at
+    most a share, the blocks of every call run through one ``map_blocks``,
+    and each thread holds a whole share's arrays, so the arrays in flight
+    come to one block whatever the thread count. Each thread's block arrays
+    come from ``scratch`` (a fresh one when None); a thread zeroes the pad
+    of a row of its padded array only when the row was last padded for
+    another n_fft or n_vals, or not yet in this call. A line comes out
+    bitwise the same whatever its block or thread: only the groups decide
+    its call.
     """
-    band = src if src.ndim == 2 else src[np.newaxis]
     out = dest if dest.ndim == 2 else dest[:, np.newaxis]
     n_dest, n_lines = out.shape
     n_w = len(weights)
-    r_at, c_at = at
-    lift = [part for part in lift if len(part[0])]
-    if groups is None:
-        groups = [(0, n_lines, c_at, c_at + band.shape[1])]
+    fill = src
+    if not callable(src):
+        band = src if src.ndim == 2 else src[np.newaxis]
+        if groups is None:
+            groups = [(0, n_lines, 0, band.shape[1])]
+
+        def fill(x, a, i0):
+            x[...] = band[a:a + len(x), i0:i0 + x.shape[1]]
     for a, b, i0, i1 in groups:
         if i1 <= i0:
             out[:, a:b] = 0.0
-    taps = n_w <= 2
-    summed = taps or (src.ndim == 1 and groups[0][3] - groups[0][2] + n_w - 1 < _FFT_THRESHOLD)
+    line = dest.ndim == 1
+    summed = n_w <= 2 or (line and groups[0][3] - groups[0][2] + n_w - 1 < _FFT_THRESHOLD)
     calls = _calls(groups, lambda n: n + n_w - 1 if summed else next_fast_len(n + n_w - 1))
     if not calls:
         return 0.0
+    spills = np.zeros((n_lines, 2))
+    if summed and line:  # one line, summed on the calling thread
+        (_, _, i0, i1, n_out), = calls
+        x = np.empty((1, i1 - i0))
+        fill(x, 0, i0)
+        _fold(out, _direct(x, weights, np.empty((1, n_out))), i0 + k0, spills)
+        return float(spills.sum())
     if not summed:  # the weights' spectra of this call, kept in ``spectra`` when short
         cache, spectra = spectra, {}
         for *_, n in calls:
@@ -428,72 +465,46 @@ def convolve_lines(src: np.ndarray, dest: np.ndarray, weights: np.ndarray, k0: i
     tasks, jobs = [], []
     for a, b, i0, i1, n in calls:
         step = min(max(share // n, 1), b - a)
-        n_out = i1 - i0 + n_w - 1
-        d = i0 + k0  # output cell t lands on dest cell d + t: cells [lo, hi) stay on it
-        lo, hi = max(0, -d), min(n_out, n_dest - d)
-        jobs.append((b, i0, i1 - i0, n_out, n, step, d, lo, hi))
+        jobs.append((b, i0, i1 - i0, n, step))
         tasks += [(len(jobs) - 1, s) for s in range(a, b, step)]
-    cells = max(share, *(n * step for *_, n, step, _, _, _ in jobs))
-    coef_cells = max(cells // 2 + 1, *((n // 2 + 1) * step for *_, n, step, _, _, _ in jobs))
-    spills = np.zeros((n_lines, 2))
+    cells = max(share, *(n * step for *_, n, step in jobs))
+    coef_cells = max(cells // 2 + 1, *((n // 2 + 1) * step for *_, n, step in jobs))
     ids = itertools.count()
 
     def block_set():
         # input lines (zero-padded on the transform path), coefficients and
-        # inverse of one thread, and the (n_fft, n_vals) its pad is zero for
+        # inverse of one thread, and (n_fft, n_vals, rows): its padded
+        # array's first rows, whose pad is zero for that n_fft and n_vals
         i = next(ids)
         return [scratch.array(("padded", i), (cells,)),
                 None if summed else scratch.array(("coef", i), (coef_cells,), complex),
-                scratch.array(("inverse", i), (cells,)), None]
+                scratch.array(("inverse", i), (cells,)), (0, 0, 0)]
 
     def block(task, bufs):
         j, a = task
-        b, i0, n_vals, n_out, n, step, d, lo, hi = jobs[j]
+        b, i0, n_vals, n, step = jobs[j]
         k = min(step, b - a)
         if summed:
             x = bufs[0][:k * n_vals].reshape(k, n_vals)
+            fill(x, a, i0)
+            full = _direct(x, weights, bufs[2][:k * n].reshape(k, n))
         else:
-            padded = bufs[0][:step * n].reshape(step, n)
-            if bufs[3] != (n, n_vals):
-                padded[:, n_vals:] = 0.0
-                bufs[3] = (n, n_vals)
-            x = padded[:k, :n_vals]
-        _place(x, band, r_at - a, c_at - i0)
-        for rows, cols, vals in lift:
-            s, e = rows.searchsorted((a, a + k))
-            if e > s:
-                x[rows[s:e] - a, cols[s:e] - i0] += vals[s:e]
-        if taps:
-            full = bufs[2][:k * n_out].reshape(k, n_out)
-            np.multiply(x, weights[0], out=full[:, :n_vals])
-            if n_w == 2:
-                full[:, n_vals] = 0.0
-                x *= weights[1]
-                full[:, 1:] += x
-        elif summed:
-            full = np.convolve(x[0], weights)[np.newaxis]
-        else:
+            padded = bufs[0][:k * n].reshape(k, n)
+            n_fft, vals, rows = bufs[3]
+            if (n_fft, vals) != (n, n_vals):
+                rows = 0
+            if k > rows:
+                padded[rows:, n_vals:] = 0.0
+                bufs[3] = (n, n_vals, k)
+            fill(padded[:, :n_vals], a, i0)
             coef = bufs[1][:k * (n // 2 + 1)].reshape(k, n // 2 + 1)
-            rfft(padded[:k], axis=-1, out=coef)
+            rfft(padded, axis=-1, out=coef)
             coef *= spectra[n]
             full = bufs[2][:k * n].reshape(k, n)
             irfft(coef, n, axis=-1, out=full)
-            full = full[:, :n_out]
+            full = full[:, :n_vals + n_w - 1]
             np.maximum(full, 0.0, out=full)
-        lines = out[:, a:a + k]
-        if hi <= lo:
-            lines[...] = 0.0
-            np.add.reduce(full, axis=1, out=spills[a:a + k, 0])
-            return
-        if d + lo > 0:
-            lines[:d + lo] = 0.0
-        lines[d + lo:d + hi] = full[:, lo:hi].T
-        if d + hi < n_dest:
-            lines[d + hi:] = 0.0
-        if lo:
-            np.add.reduce(full[:, :lo], axis=1, out=spills[a:a + k, 0])
-        if hi < n_out:
-            np.add.reduce(full[:, hi:], axis=1, out=spills[a:a + k, 1])
+        _fold(out[:, a:a + k], full, i0 + k0, spills[a:a + k])
 
     map_blocks(block, tasks, min(threads, len(tasks)), block_set)
     spill = 0.0

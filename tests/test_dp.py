@@ -892,8 +892,8 @@ def test_stage_cuts_a_dust_line_whole(monkeypatch):
     lifts, lines = [], []
     lift, convolve = dp_engine._lift_diag, dp_engine.convolve_lines
     monkeypatch.setattr(dp_engine, "_lift_diag", lambda *a: (lifts.append(a), lift(*a))[1])
-    monkeypatch.setattr(dp_engine, "convolve_lines", lambda src, *a: (
-        lines.append(src.ndim == 1), convolve(src, *a))[1])
+    monkeypatch.setattr(dp_engine, "convolve_lines", lambda src, dest, *a: (
+        lines.append(dest.ndim == 1), convolve(src, dest, *a))[1])
     skipped = cut = kept = 0
     for state, log, _ in _stages(spec, config):
         line = log.masses["zero"] + log.masses["diag"]

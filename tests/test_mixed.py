@@ -303,6 +303,33 @@ def test_fold_reuses_scratch_of_any_earlier_shape():
     assert got.tobytes() == want.tobytes()
 
 
+class _GarbageScratch(mixed_dist.Scratch):
+    """Scratch whose arrays hold NaN whenever they are handed out."""
+
+    def array(self, name, shape, dtype=float):
+        out = super().array(name, shape, dtype)
+        out[...] = np.nan
+        return out
+
+
+def test_row_groups_of_one_width_pad_every_row_they_transform():
+    # two calls of one transform length, 32 rows and then 64, on one
+    # thread's arrays: the rows past the first call's must be padded too
+    rng = np.random.default_rng(12)
+    band = rng.random((128, 300))
+    weights = rng.random(45)
+    groups = [(0, 32, 0, 300), (32, 64, 0, 0), (64, 128, 0, 300)]
+    got = np.empty((300, 128))
+    spill = convolve_lines(band, got, weights, -7, None, _GarbageScratch(), groups)
+    want = np.zeros((300, 128))
+    want_spill = 0.0
+    for a, b, i0, i1 in groups:
+        if i1 > i0:
+            want_spill += convolve_lines(band[a:b].copy(), want[:, a:b], weights, -7)
+    assert got.tobytes() == want.tobytes()
+    assert spill == want_spill
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_map_blocks_allocates_on_the_caller(threads):
     # the scratch sets are made on the calling thread, one per thread, so no
