@@ -192,25 +192,40 @@ class DpReport:
 # ---------------------------------------------------------------------------
 
 
-def _budget_window(sums: np.ndarray, cut: float, below: float | None = None) -> tuple[int, int]:
+def _budget_window(sums: np.ndarray, cut: float, below: float | None = None,
+                   cum: np.ndarray | None = None) -> tuple[int, int]:
     """Cells [lo, hi) of ``sums`` that leave under ``below`` (``cut`` when
     None) below lo and at most ``cut`` from hi on; lo == hi when all of them
-    hold under their sum."""
-    cum = np.cumsum(sums)
-    lo = int(np.searchsorted(cum, cut if below is None else below))
-    return lo, max(lo, int(np.searchsorted(cum, cum[-1] - cut)) + 1)
+    hold under their sum. ``cum``, when given, is the cumulative sum of
+    ``sums``, which is then not read."""
+    if cum is None:
+        cum = sums.cumsum()
+    lo = int(cum.searchsorted(cut if below is None else below))
+    return lo, max(lo, int(cum.searchsorted(cum[-1] - cut)) + 1)
 
 
 def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLattice:
     """Size one shared (S, D) lattice for a whole run.
 
-    A coarse convolution sweep over the suffix-sum laws (cell width
-    doubling whenever the law outgrows 16384 cells) yields per-stage
+    A coarse convolution sweep over the suffix-sum laws yields per-stage
     quantile windows at the stage budget. The S domain is their union,
     padded and snapped so S = 0 is a cell edge; the D top bounds the drop
     by sum_j rho_j * max(0, hi_j), which the recursion cannot exceed
     outside the logged tail events. The windows and the margins reserved
     beyond them are recorded on the lattice.
+
+    The sweep's cell h is picked once, from the loads' exact moments
+    (``LoadDensity.moments``): h = max(support / 256, spread / (4 grid_s)),
+    where support is the widest load's support and spread is the range of
+    the suffix sums' means (the empty suffix's 0 included) plus 12 standard
+    deviations of the whole chain's sum, about the S extent that the
+    lattice's grid_s cells will cover. A quarter of a lattice cell is
+    resolution enough: the windows set only the lattice's extent and d_max,
+    not where any mass sits, and each end lands within one h of the true
+    quantile before a pad of three cells of support / 256. A short feeder,
+    whose loads' support sets h, keeps its lattice bit for bit, while a long
+    chain's laws stay under about 4 grid_s cells instead of growing with
+    every bus. The cell doubles if a law still outgrows 16384 cells.
     """
     config = config or DpConfig()
     n = spec.n
@@ -220,7 +235,11 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
 
     scale = max(max(hi - lo for lo, hi in sup),
                 max(abs(b) for pair in sup for b in pair), 1e-9)
-    h = scale / 256.0
+    pad = 3.0 * (scale / 256.0)
+    means, stds = np.array([d.moments() for d in spec.loads]).T
+    suffix = np.cumsum(np.concatenate(([0.0], means[::-1])))  # from the empty suffix on
+    spread = float(np.ptp(suffix)) + 12.0 * math.sqrt(float(np.dot(stds, stds)))
+    h = max(scale / 256.0, spread / (4.0 * config.grid_s))
     masses = np.array([1.0])
     origin = 0  # masses[i] sits at (origin + i) * h
     s_lo = np.empty(n)
@@ -237,13 +256,14 @@ def plan_lattice(spec: FeederSpec, config: DpConfig | None = None) -> JointLatti
         k0, w = splits[load, h]
         masses = np.convolve(masses, w)
         origin += k0
-        w0, w1 = _budget_window(masses, budget)
-        s_lo[j] = (origin + w0 - 1) * h - 3.0 * h
-        s_hi[j] = (origin + w1) * h + 3.0 * h
+        cum = np.cumsum(masses)
+        w0, w1 = _budget_window(masses, budget, cum=cum)
+        s_lo[j] = (origin + w0 - 1) * h - pad
+        s_hi[j] = (origin + w1) * h + pad
         # track the moving bulk at constant resolution: trim tails far below
         # the budget (coarsening h instead would freeze the drift of laws
         # whose per-stage mean shift is smaller than a cell)
-        t0, t1 = _budget_window(masses, 1e-3 * budget)
+        t0, t1 = _budget_window(masses, 1e-3 * budget, cum=cum)
         t1 = max(t1, t0 + 2)
         if t0 > 0 or t1 < len(masses):
             masses = masses[t0:t1]
@@ -625,7 +645,9 @@ def _grid_window(state: JointState, parts, row_sums: np.ndarray, cut: float,
     window's rows go in groups of _GROUP_ROWS from its first row on, and a
     group's columns run from its first to its last window column that holds
     mass in its rows. One pass over the band's window rows sums each
-    group's columns; the window's column sums add those up.
+    group's columns; the window's column sums add those up. Both ends of
+    the column window hold mass (a positive cut stops at a cell that
+    holds some), so a window of one group spans all its columns.
     Returns the rows [w0, w1), the columns [v0, v1), the mass outside the
     window and the groups (a, b, c0, c1), rows [a, b) over columns [c0, c1)
     (c1 == c0 when they hold no mass), tiling [w0, w1); both ranges are
@@ -634,29 +656,32 @@ def _grid_window(state: JointState, parts, row_sums: np.ndarray, cut: float,
     lat = state.lattice
     pc = state.pc
     cell = lat.s_step * lat.d_step
-    row_spans = [(int(rows[0]), int(rows[-1]) + 1) for rows, _, _ in parts if len(rows)]
-    col_spans = [(int(cols[0]), int(cols[-1]) + 1) for _, cols, _ in parts if len(cols)]
-    if pc is not None:
-        row_spans.append((state.pc_r0, state.pc_r0 + len(pc)))
-        col_spans.append((state.pc_c0, state.pc_c0 + pc.shape[1]))
-    if not row_spans:
-        return (0, 0), (0, 0), 0.0, []
-    g0, g1 = _span(row_spans)
+    parts = [part for part in parts if len(part[0])]
     if parts:
+        g0 = min(int(rows[0]) for rows, _, _ in parts)
+        g1 = max(int(rows[-1]) + 1 for rows, _, _ in parts)
+        q0 = min(int(cols[0]) for _, cols, _ in parts)
+        q1 = max(int(cols[-1]) + 1 for _, cols, _ in parts)
+        if pc is not None:
+            g0, g1 = min(g0, state.pc_r0), max(g1, state.pc_r0 + len(pc))
+            q0, q1 = min(q0, state.pc_c0), max(q1, state.pc_c0 + pc.shape[1])
         sums = np.zeros(g1 - g0)
         for rows, _, dens in parts:
             sums += np.bincount(rows - g0, dens, g1 - g0)
         if pc is not None:
             sums[state.pc_r0 - g0:state.pc_r0 - g0 + len(pc)] += row_sums
         sums *= cell
-    else:  # the band's rows alone
+    elif pc is not None:  # the band's rows alone
+        g0, q0 = state.pc_r0, state.pc_c0
+        q1 = q0 + pc.shape[1]
         sums = row_sums * cell
+    else:
+        return (0, 0), (0, 0), 0.0, []
     lo, hi = _budget_window(sums, cut, below)
-    outside = float(sums[:lo].sum() + sums[hi:].sum())
+    outside = float(np.add.reduce(sums[:lo]) + np.add.reduce(sums[hi:]))
     if hi == lo:
         return (0, 0), (0, 0), outside, []
     w0, w1 = g0 + lo, g0 + hi
-    q0, q1 = _span(col_spans)
     starts = range(w0, w1, _GROUP_ROWS)
     if parts:
         group_sums = np.zeros((len(starts), q1 - q0))
@@ -673,17 +698,20 @@ def _grid_window(state: JointState, parts, row_sums: np.ndarray, cut: float,
                 group_sums = band_sums
     for rows, cols, dens in _cut(parts, (w0, w1), (q0, q1)):  # no (group, column) twice
         group_sums[(rows - w0) // _GROUP_ROWS, cols - q0] += dens
-    sums = group_sums.sum(axis=0) * cell
+    sums = np.add.reduce(group_sums, axis=0) * cell
     lo, hi = _budget_window(sums, cut)
-    outside += float(sums[:lo].sum() + sums[hi:].sum())
+    outside += float(np.add.reduce(sums[:lo]) + np.add.reduce(sums[hi:]))
     if hi == lo:
         return (0, 0), (0, 0), outside, []
+    v0, v1 = q0 + lo, q0 + hi
+    if len(starts) == 1:
+        return (w0, w1), (v0, v1), outside, [(w0, w1, v0, v1)]
     held = group_sums[:, lo:hi] > 0.0
-    c0s = (q0 + lo + held.argmax(axis=1)).tolist()
-    c1s = (q0 + hi - held[:, ::-1].argmax(axis=1)).tolist()
+    c0s = (v0 + held.argmax(axis=1)).tolist()
+    c1s = (v1 - held[:, ::-1].argmax(axis=1)).tolist()
     groups = [(t, min(t + _GROUP_ROWS, w1), c0, c1 if any_ else c0)
               for t, c0, c1, any_ in zip(starts, c0s, c1s, held.any(axis=1).tolist())]
-    return (w0, w1), (q0 + lo, q0 + hi), outside, groups
+    return (w0, w1), (v0, v1), outside, groups
 
 
 def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
@@ -746,12 +774,13 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
     clock.lap("kernel")
     # the hinge line cut at S = 0: cells [0, i0) lie on the zero line, the rest on the diagonal
     i0 = lat.hinge
-    line = _EMPTY if state.line is None else state.line
+    line = state.line
     pc = state.pc
     row_sums = _EMPTY if pc is None else pc.sum(axis=1)
-    masses = {"grid": float(row_sums.sum()) * h_s * lat.d_step,
-              "zero": float(line[:i0].sum() * h_s), "diag": float(line[i0:].sum() * h_s),
+    masses = {"grid": float(row_sums.sum()) * h_s * lat.d_step, "zero": 0.0, "diag": 0.0,
               "atoms": float(state.atom_mass.sum())}
+    if line is not None:
+        masses["zero"], masses["diag"] = float(line[:i0].sum() * h_s), float(line[i0:].sum() * h_s)
 
     # ---- the budget window of the grid: the state's band and the lifted
     # diagonal. A line under b/8 is dust: it is cut whole, and its mass comes
@@ -854,7 +883,7 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
             pc_c0=e0,
             line=z_vals if z_vals.any() else None,
             atom_s=s,
-            atom_d=np.maximum(0.0, d + rho * s),
+            atom_d=np.maximum(0.0, d + rho * s) if len(s) else s,
             atom_mass=m,
             lost_mass=lost_before + tail_loss + spill + cut,
         )

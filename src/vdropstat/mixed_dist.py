@@ -454,36 +454,10 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
                 spectra[n] = spectrum
     if scratch is None:
         scratch = Scratch()
-    # transform cells that fit one thread's share of a block run as one
-    # block per call on the calling thread; more are cut into blocks of at
-    # most a share, and each thread holds a whole share: one block in all
-    call_cells = [(b - a) * n for a, b, *_, n in calls]
-    threads = pool_threads()
-    share = _FFT_BLOCK_CELLS // threads
-    if sum(call_cells) <= share:
-        threads, share = 1, max(call_cells)
-    tasks, jobs = [], []
-    for a, b, i0, i1, n in calls:
-        step = min(max(share // n, 1), b - a)
-        jobs.append((b, i0, i1 - i0, n, step))
-        tasks += [(len(jobs) - 1, s) for s in range(a, b, step)]
-    cells = max(share, *(n * step for *_, n, step in jobs))
-    coef_cells = max(cells // 2 + 1, *((n // 2 + 1) * step for *_, n, step in jobs))
-    ids = itertools.count()
 
-    def block_set():
-        # input lines (zero-padded on the transform path), coefficients and
-        # inverse of one thread, and (n_fft, n_vals, rows): its padded
-        # array's first rows, whose pad is zero for that n_fft and n_vals
-        i = next(ids)
-        return [scratch.array(("padded", i), (cells,)),
-                None if summed else scratch.array(("coef", i), (coef_cells,), complex),
-                scratch.array(("inverse", i), (cells,)), (0, 0, 0)]
-
-    def block(task, bufs):
-        j, a = task
-        b, i0, n_vals, n, step = jobs[j]
-        k = min(step, b - a)
+    def block(a, k, i0, n_vals, n, bufs):
+        # the lines [a, a + k) of one call, over their input cells [i0, i0 +
+        # n_vals), at n cells per line
         if summed:
             x = bufs[0][:k * n_vals].reshape(k, n_vals)
             fill(x, a, i0)
@@ -506,7 +480,35 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
             np.maximum(full, 0.0, out=full)
         _fold(out[:, a:a + k], full, i0 + k0, spills[a:a + k])
 
-    map_blocks(block, tasks, min(threads, len(tasks)), block_set)
+    def block_set(cells, coef_cells, i=0):
+        # input lines (zero-padded on the transform path), coefficients and
+        # inverse of one thread, and (n_fft, n_vals, rows): its padded
+        # array's first rows, whose pad is zero for that n_fft and n_vals
+        return [scratch.array(("padded", i), (cells,)),
+                None if summed else scratch.array(("coef", i), (coef_cells,), complex),
+                scratch.array(("inverse", i), (cells,)), (0, 0, 0)]
+
+    call_cells = [(b - a) * n for a, b, *_, n in calls]
+    if sum(call_cells) <= _FFT_BLOCK_CELLS // pool_threads():
+        # the calls fit one thread's share of a block: one block each, in
+        # order on the calling thread
+        bufs = block_set(max(call_cells), max((b - a) * (n // 2 + 1) for a, b, *_, n in calls))
+        for a, b, i0, i1, n in calls:
+            block(a, b - a, i0, i1 - i0, n, bufs)
+    else:
+        # calls are cut into blocks of at most a share, and each thread
+        # holds a whole share: one block in all
+        threads = pool_threads()
+        share = _FFT_BLOCK_CELLS // threads
+        tasks = []
+        for a, b, i0, i1, n in calls:
+            step = min(max(share // n, 1), b - a)
+            tasks += [(s, min(step, b - s), i0, i1 - i0, n) for s in range(a, b, step)]
+        cells = max(share, *(k * n for *_, k, _, _, n in tasks))
+        coef_cells = max(cells // 2 + 1, *(k * (n // 2 + 1) for _, k, _, _, n in tasks))
+        ids = itertools.count()
+        map_blocks(lambda task, bufs: block(*task, bufs), tasks, min(threads, len(tasks)),
+                   lambda: block_set(cells, coef_cells, next(ids)))
     spill = 0.0
     for a, b, *_ in calls:
         spill += float(spills[a:b].sum())
@@ -529,7 +531,7 @@ class JointLattice:
     sets no geometry: ``s_margin`` cells reserved beyond the S windows at
     each end of the S axis, ``d_margin`` cells reserved at the top of the D
     axis, and ``s_windows[j]``, the (lo, hi) quantile window of stage j's
-    through-flow at the stage budget, padded by a few planning cells.
+    through-flow at the stage budget, padded by three planning cells.
     """
 
     s_base: int

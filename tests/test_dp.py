@@ -608,6 +608,39 @@ def test_plan_records_windows_and_margins():
     assert widths[0] == max(widths)
 
 
+# Lattices planned with the sweep cell at 1/256 of the widest load's support,
+# which short feeders keep: s_base, s_step, s_cells, d_step, d_cells,
+# s_margin, d_margin (floats as hex)
+PLANNED_LATTICES = {
+    "feeder4-2048": (lambda: parse_feeder(CONFIG4), 2048,
+                     (-447, "0x1.5342d743714c8p-5", 2051, "0x1.cf703ad239656p-14", 2048, 6, 6)),
+    "feeder4-512": (lambda: parse_feeder(CONFIG4), 512,
+                    (-115, "0x1.595e27f02d31cp-3", 515, "0x1.d38f54a407d1cp-12", 512, 6, 6)),
+    "chain64-512": (lambda: reference_spec(n=64), 512,
+                    (-60, "0x1.62ac5f4e3e5aep-1", 515, "0x1.986f74ac3f2a8p-6", 512, 24, 24)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED_LATTICES))
+def test_plan_keeps_the_lattice_of_short_feeders(name):
+    spec, grid, want = PLANNED_LATTICES[name]
+    lat = plan_lattice(spec(), DpConfig(grid_s=grid, grid_delta=grid))
+    assert (lat.s_base, lat.s_step.hex(), lat.s_cells, lat.d_step.hex(), lat.d_cells,
+            lat.s_margin, lat.d_margin) == want
+
+
+def test_plan_sweeps_a_long_chain_at_its_lattice_resolution(monkeypatch):
+    # the sweep's cell is sized to about a quarter of a lattice cell, so no
+    # suffix-sum law of a 1024-bus chain grows past 4 grid_s cells
+    lengths = []
+    convolve = dp_engine.np.convolve
+    monkeypatch.setattr(dp_engine.np, "convolve", lambda law, w: (
+        lengths.append(len(law) + len(w) - 1), convolve(law, w))[1])
+    plan_lattice(_feeder4_chain(1024), CFG)
+    assert len(lengths) == 1024
+    assert max(lengths) <= 4 * CFG.grid_s
+
+
 def _scipy_modules_after(code, *args):
     """The scipy modules loaded in a fresh interpreter after each ``report()``
     that ``code`` calls, one list per call."""
@@ -672,9 +705,11 @@ def _feeder4_chain(n):
 # rounding. The two chains were recorded again, under the same guard, when a
 # stage began to cut a hinge line under b/8 whole, and feeder4-512,
 # chain64-256 and zero-atoms when the window's rows went in row groups, each
-# transformed at its own length (KS under 6e-16 from the laws before). Loads run
-# substation first, so the last load is applied first. The entries cover
-# every carrier x kernel pairing:
+# transformed at its own length (KS under 6e-16 from the laws before). The two
+# chains were recorded again when the planner began to size its sweep cell
+# from the loads' moments, which moved their lattices. Loads run substation
+# first, so the last load is applied first. The entries cover every carrier x
+# kernel pairing:
 LAW_REGRESSION_SPECS = {
     "feeder4-512": lambda: (parse_feeder(CONFIG4), DpConfig(grid_s=512, grid_delta=512)),
     "chain64-256": lambda: (reference_spec(n=64), CFG),
@@ -698,13 +733,13 @@ LAW_REGRESSION = {
         q=(0.017495241326613075, 0.042777360573033905, 0.07303108718268979),
         lost=8.591430293662248e-07),
     "chain64-256": dict(
-        mean=4.184488825053508, std=0.9775689801129999, atom0=3.0624810256082223e-13,
-        q=(4.144876456636268, 5.458125733123063, 6.636735194121036),
-        lost=6.99906316902269e-07),
+        mean=4.184508090837394, std=0.9776315053288023, atom0=3.067600482593724e-13,
+        q=(4.144897642469962, 5.458109565817093, 6.636884376530322),
+        lost=6.968557682255184e-07),
     "chain256-256": dict(
-        mean=66.09095142018496, std=9.835897459364363, atom0=0.0,
-        q=(66.00200747409453, 78.76828641080493, 89.3002585791629),
-        lost=6.399580477092931e-07),
+        mean=66.09226721546244, std=9.854324453963441, atom0=0.0,
+        q=(66.00248545217451, 78.79794205839714, 89.34480939465283),
+        lost=6.386543593223873e-07),
     "ref-pm3": dict(
         mean=0.008000617623397547, std=0.003164864766174999, atom0=0.0006279473499059118,
         q=(0.007215587201137969, 0.012053284447255591, 0.018947624341680687),
@@ -742,8 +777,9 @@ def test_law_regression(name):
 
 # Final joint states recorded from the engine that steps each stage on its 2D
 # budget window in a moving S frame (the two chains: and cuts a hinge line
-# under b/8 whole), in row groups each transformed at its own length. A
-# state must match them bit for bit: pc
+# under b/8 whole, and the planner sizes its sweep cell from the loads'
+# moments), in row groups each transformed at its own length. A state must
+# match them bit for bit: pc
 # padded to the lattice at its frame, the two sides of the hinge line (each
 # over all S cells), the (s, d, m) atom rows and lost_mass. The point-only
 # chains end on a zero-line atom, a diagonal atom, a free atom, an atom whose
@@ -765,10 +801,10 @@ STATE_REGRESSION_SPECS = {
 STATE_REGRESSION = {
     "feeder4-512": ("08534f536ffec7e4", "d499a5a89e5246c5", "ac3862d33d9d2b9d",
                     "da39a3ee5e6b4b0d", "0x1.cd3fb805d2c8fp-21"),
-    "chain64-256": ("96cfbc5c314ef6f1", "b20711ded284b269", "807f5004e5400b4c",
-                    "da39a3ee5e6b4b0d", "0x1.77c26447fd99fp-21"),
-    "chain256-256": ("c25d5154423f9525", "807f5004e5400b4c", "807f5004e5400b4c",
-                     "da39a3ee5e6b4b0d", "0x1.57932a1264847p-21"),
+    "chain64-256": ("873134c86a29a13a", "558b881d5c6aac0f", "807f5004e5400b4c",
+                    "da39a3ee5e6b4b0d", "0x1.761f20a4390ccp-21"),
+    "chain256-256": ("353bce180421831c", "807f5004e5400b4c", "807f5004e5400b4c",
+                     "da39a3ee5e6b4b0d", "0x1.56dffc9d53609p-21"),
     "ref-pm3": ("eee3cd2b495a9966", "82b0ddaca74c9249", "807f5004e5400b4c",
                 "da39a3ee5e6b4b0d", "0x1.75478db000000p-22"),
     "pm3-ref": ("1feaa53476b587a9", "d4ec99991a335efb", "8bd8704c0e100058",
@@ -941,7 +977,10 @@ def test_stage_losses_add_up_to_lost_mass(name):
 # tail cut at the whole stage budget: the CDF at 64 evenly spaced drops from 0
 # to ``top``, and P(D > x) at their 1 - 1e-3, 1e-4 and 1e-5 quantiles. The
 # window and the load tail share that budget, so the law may move by at most
-# tail_tol from them.
+# tail_tol from them. The two chains were recorded again on the lattices of the
+# planner that sizes its sweep cell from the loads' moments, by the engine with
+# no window cut (end cut 5e-324) and the load tail cut at the whole budget,
+# which reproduces the laws recorded on the lattices before to 5e-11.
 UNTRIMMED_LAWS = {
     "feeder4-512": dict(top=0.2, cdf=(
         0.0540201460, 0.1193802610, 0.1962104815, 0.2814771864, 0.3701035316, 0.4572591196,
@@ -959,35 +998,35 @@ UNTRIMMED_LAWS = {
                 (0.129757597351, 9.885403710396812e-05),
                 (0.158574419758, 8.85403710293442e-06))),
     "chain64-256": dict(top=10.0, cdf=(
-        0.0000000009, 0.0000001050, 0.0000006753, 0.0000028159, 0.0000094056, 0.0000272251,
-        0.0000709996, 0.0001705108, 0.0003821386, 0.0008060146, 0.0016090994, 0.0030527644,
-        0.0055209945, 0.0095427418, 0.0158002694, 0.0251155654, 0.0384095419, 0.0566331665,
-        0.0806745774, 0.1112505838, 0.1487948899, 0.1933593061, 0.2445470557, 0.3014961830,
-        0.3629236374, 0.4272276084, 0.4926316345, 0.5573447376, 0.6197106721, 0.6783255130,
-        0.7321126092, 0.7803535624, 0.8226809463, 0.8590422635, 0.8896455827, 0.9148963609,
-        0.9353331161, 0.9515668178, 0.9642240141, 0.9739303955, 0.9812517562, 0.9866876480,
-        0.9906633837, 0.9935297594, 0.9955681425, 0.9969986988, 0.9979899457, 0.9986683291,
-        0.9991270205, 0.9994335283, 0.9996359983, 0.9997682524, 0.9998537066, 0.9999083450,
-        0.9999429297, 0.9999646109, 0.9999780784, 0.9999863707, 0.9999914339, 0.9999945006,
-        0.9999963436, 0.9999974429, 0.9999980936, 0.9999984760),
-        exceed=((7.56846754293, 0.000998999972878778),
-                (8.38280729417, 9.899997287166062e-05),
-                (9.15284347487, 8.999972872625328e-06))),
+        0.0000000009, 0.0000001052, 0.0000006765, 0.0000028204, 0.0000094189, 0.0000272589,
+        0.0000710763, 0.0001706693, 0.0003824420, 0.0008065596, 0.0016100270, 0.0030542711,
+        0.0055233403, 0.0095462499, 0.0158053052, 0.0251224815, 0.0384185800, 0.0566443236,
+        0.0806874720, 0.1112643848, 0.1488083647, 0.1933710023, 0.2445555624, 0.3015003731,
+        0.3629228015, 0.4272214526, 0.4926201839, 0.5573282214, 0.6196894532, 0.6783000791,
+        0.7320836065, 0.7803218291, 0.8226475118, 0.8590082923, 0.8896122705, 0.9148648064,
+        0.9353042046, 0.9515419382, 0.9642112538, 0.9739264408, 0.9812536647, 0.9866895857,
+        0.9906647729, 0.9935307100, 0.9955687562, 0.9969990663, 0.9979901432, 0.9986684170,
+        0.9991270434, 0.9994335169, 0.9996359722, 0.9997682228, 0.9998536793, 0.9999083223,
+        0.9999429120, 0.9999645976, 0.9999780686, 0.9999863638, 0.9999914290, 0.9999944972,
+        0.9999963413, 0.9999974413, 0.9999980925, 0.9999984753),
+        exceed=((7.5684830737, 0.0009989999746771172),
+                (8.38327195574, 9.899997466999988e-05),
+                (9.15302350053, 8.999974669632316e-06))),
     "chain256-256": dict(top=120.0, cdf=(
         0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000, 0.0000000000,
-        0.0000000002, 0.0000000011, 0.0000000054, 0.0000000238, 0.0000000940, 0.0000003441,
-        0.0000011580, 0.0000035861, 0.0000103017, 0.0000276244, 0.0000700543, 0.0001677959,
-        0.0003787152, 0.0008086610, 0.0016390630, 0.0031716933, 0.0058703574, 0.0103728853,
-        0.0175410932, 0.0284494263, 0.0443739169, 0.0667115104, 0.0966246835, 0.1350781182,
-        0.1825769076, 0.2390230334, 0.3036535707, 0.3747134057, 0.4499792236, 0.5268178573,
-        0.6024569656, 0.6741606407, 0.7397707631, 0.7977111726, 0.8470984351, 0.8877305675,
-        0.9198699777, 0.9444800031, 0.9626860163, 0.9756867710, 0.9846473099, 0.9905792098,
-        0.9943866071, 0.9967553382, 0.9981803385, 0.9990096641, 0.9994745513, 0.9997279119,
-        0.9998627379, 0.9999323887, 0.9999673314, 0.9999842903, 0.9999923015, 0.9999960271,
-        0.9999977142, 0.9999984582, 0.9999987768, 0.9999989093),
-        exceed=((97.1150463929, 0.0009990000005696276),
-                (103.705866167, 9.900000060281133e-05),
-                (109.762085532, 9.000000583458956e-06))),
+        0.0000000002, 0.0000000012, 0.0000000057, 0.0000000252, 0.0000000992, 0.0000003559,
+        0.0000011976, 0.0000037118, 0.0000106644, 0.0000285872, 0.0000718702, 0.0001709622,
+        0.0003861247, 0.0008245941, 0.0016708851, 0.0032220356, 0.0059279791, 0.0104696593,
+        0.0177031363, 0.0287014208, 0.0447061928, 0.0670263175, 0.0969411989, 0.1354849731,
+        0.1830520361, 0.2395025317, 0.3039742102, 0.3748814746, 0.4500449037, 0.5267435132,
+        0.6022008481, 0.6738147310, 0.7393976684, 0.7973223442, 0.8466091715, 0.8871728324,
+        0.9194056730, 0.9441328446, 0.9624433694, 0.9754767862, 0.9844588599, 0.9904493625,
+        0.9943087744, 0.9967112970, 0.9981549724, 0.9989902213, 0.9994627919, 0.9997219863,
+        0.9998598792, 0.9999310708, 0.9999665441, 0.9999838436, 0.9999921030, 0.9999959416,
+        0.9999976785, 0.9999984429, 0.9999987683, 0.9999989059),
+        exceed=((97.1742850394, 0.0009990000003706756),
+                (103.774279651, 9.900000036722201e-05),
+                (109.839241618, 9.000000358638793e-06))),
 }
 
 

@@ -440,7 +440,8 @@ def test_renormalized(hand_mix):
 def test_density_csv_round_trip(hand_mix, tmp_path):
     path = tmp_path / "d.csv"
     write_density_csv(path, hand_mix)
-    rows = list(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 16 + 2
     grid_mass = sum(float(r["density"]) for r in rows) * (1.0 / 16)
     atom_mass = sum(float(r["atom_mass"]) for r in rows)
