@@ -488,18 +488,18 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
                 None if summed else scratch.array(("coef", i), (coef_cells,), complex),
                 scratch.array(("inverse", i), (cells,)), (0, 0, 0)]
 
-    call_cells = [(b - a) * n for a, b, *_, n in calls]
-    if sum(call_cells) <= _FFT_BLOCK_CELLS // pool_threads():
+    threads = pool_threads()
+    share = _FFT_BLOCK_CELLS // threads
+    if sum((b - a) * n for a, b, *_, n in calls) <= share:
         # the calls fit one thread's share of a block: one block each, in
         # order on the calling thread
-        bufs = block_set(max(call_cells), max((b - a) * (n // 2 + 1) for a, b, *_, n in calls))
+        bufs = block_set(max((b - a) * n for a, b, *_, n in calls),
+                         max((b - a) * (n // 2 + 1) for a, b, *_, n in calls))
         for a, b, i0, i1, n in calls:
             block(a, b - a, i0, i1 - i0, n, bufs)
     else:
         # calls are cut into blocks of at most a share, and each thread
         # holds a whole share: one block in all
-        threads = pool_threads()
-        share = _FFT_BLOCK_CELLS // threads
         tasks = []
         for a, b, i0, i1, n in calls:
             step = min(max(share // n, 1), b - a)
