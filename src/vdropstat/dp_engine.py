@@ -51,7 +51,9 @@ kernel's cache the first time) and folds each block, transposed,
 into its lines of the workspace's band, shifted by the kernel's offset;
 what falls off the lattice is summed per line and added up group by
 group. A point load's two-cell split shifts the lines the same way,
-without transforms. The blocks of a big band run on a thread pool
+without transforms. Every convolution runs its blocks through one
+runner: those of calls that fit one thread's share of a block run in
+order on the calling thread, and those of a bigger band on a thread pool
 (``pool_threads``: one thread per CPU, at most four) that lives for that
 one convolution. A line's result depends on its group's call alone, and
 the spill sums, the window and the shear stay on the calling thread, so

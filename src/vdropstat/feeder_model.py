@@ -421,14 +421,12 @@ _FAMILIES: dict[str, type] = {
 }
 
 
-def density_from_dict(obj, path: str = "load") -> LoadDensity:
-    """Build a LoadDensity from a tagged config mapping."""
-    _require(isinstance(obj, dict), path, f"expected an object, got {type(obj).__name__}")
-    family = obj.get("family")
-    _require(family in _FAMILIES, f"{path}.family",
-             f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
-    cls = _FAMILIES[family]
-    extra = set(obj) - {f.name for f in fields(cls)} - {"family"}
+def _from_fields(cls, obj: dict, path: str, tags: frozenset = frozenset()):
+    """Build the dataclass ``cls`` from the config record ``obj`` at ``path``:
+    one number per field, or a list of numbers for a ``tuple[float, ...]``
+    field. ``tags`` names the record's keys that are not fields (a load's
+    ``family``). Errors the dataclass raises are re-anchored at ``path``."""
+    extra = set(obj) - {f.name for f in fields(cls)} - tags
     _require(not extra, path, f"unexpected fields {sorted(extra)}")
     kwargs = {}
     for f in fields(cls):
@@ -444,8 +442,16 @@ def density_from_dict(obj, path: str = "load") -> LoadDensity:
     try:
         return cls(**kwargs)
     except FeederConfigError as err:
-        # re-anchor the field path reported by the dataclass validator
         raise FeederConfigError(f"{path}.{err.path}", str(err).split(": ", 1)[-1]) from None
+
+
+def density_from_dict(obj, path: str = "load") -> LoadDensity:
+    """Build a LoadDensity from a tagged config mapping."""
+    _require(isinstance(obj, dict), path, f"expected an object, got {type(obj).__name__}")
+    family = obj.get("family")
+    _require(family in _FAMILIES, f"{path}.family",
+             f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
+    return _from_fields(_FAMILIES[family], obj, path, frozenset({"family"}))
 
 
 # ---------------------------------------------------------------------------
@@ -524,25 +530,14 @@ def feeder_from_dict(obj) -> FeederSpec:
     for name in known:
         _require(name in obj, name, "missing")
     v0 = _as_float(obj["base_voltage"], "base_voltage")
-    _require(v0 > 0, "base_voltage", "must be > 0")
     alpha = _as_float(obj["alpha"], "alpha")
 
     raw_segments = obj["segments"]
     _require(isinstance(raw_segments, list), "segments", "expected a list")
     segments = []
     for k, raw in enumerate(raw_segments):
-        path = f"segments[{k}]"
-        _require(isinstance(raw, dict), path, "expected an object")
-        extra = set(raw) - {"r", "x"}
-        _require(not extra, path, f"unexpected fields {sorted(extra)}")
-        _require("r" in raw, f"{path}.r", "missing")
-        _require("x" in raw, f"{path}.x", "missing")
-        r = _as_float(raw["r"], f"{path}.r")
-        x = _as_float(raw["x"], f"{path}.x")
-        try:
-            segments.append(LineSegment(r=r, x=x))
-        except FeederConfigError as err:
-            raise FeederConfigError(f"{path}.{err.path}", str(err).split(": ", 1)[-1]) from None
+        _require(isinstance(raw, dict), f"segments[{k}]", "expected an object")
+        segments.append(_from_fields(LineSegment, raw, f"segments[{k}]"))
 
     raw_loads = obj["loads"]
     _require(isinstance(raw_loads, list), "loads", "expected a list")

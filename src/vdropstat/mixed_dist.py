@@ -362,8 +362,7 @@ def _fold(lines: np.ndarray, full: np.ndarray, d: int, spills: np.ndarray) -> No
 
 
 def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
-                   spectra: dict[int, np.ndarray] | None = None,
-                   scratch: Scratch | None = None, groups=None) -> float:
+                   spectra: dict[int, np.ndarray], scratch: Scratch, groups) -> float:
     """Convolve lines of ``src`` with ``weights`` into ``dest``; returns the
     value sum of the output cells that land off ``dest``.
 
@@ -376,8 +375,6 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
     rows. ``groups`` tiles the lines of ``dest`` in order with row groups
     (a, b, i0, i1): lines [a, b) whose input cells are [i0, i1), all others
     zero (none when i1 <= i0); an array ``src`` holds every cell they name.
-    When None, which needs an array ``src``, every line is one group over
-    all the cells ``src`` holds.
 
     Cell t of the full linear convolution of a line's input cells (n_vals =
     i1 - i0 of them, so n_out = n_vals + len(weights) - 1 output cells) lands
@@ -389,75 +386,73 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
 
     Weights of at most two cells (a point load's split) shift the lines
     directly, and a single line (1D ``dest``) with fewer than 4096 output
-    cells is summed directly; a single line that is summed runs on the
-    calling thread with no blocks. Everything else is transformed, one call
-    per group, except that adjacent groups share a call when that costs no
-    more than two calls (``_calls``). A call transforms at n_fft =
-    ``next_fast_len`` of its n_out, against the weights' spectrum at n_fft:
-    ``spectra`` is the caller's cache of the weights' transforms by length,
-    and a missing one is computed here, on the calling thread, and stored in
-    it when n_fft is at most _CACHED_FFT_LEN (longer ones, and all of them
-    without ``spectra``, serve this call only).
+    cells is summed directly. Everything else is transformed, one call per
+    group, except that adjacent groups share a call when that costs no more
+    than two calls (``_calls``). A call transforms at n_fft =
+    ``next_fast_len`` of its n_out, against the weights' spectrum at n_fft
+    from ``spectra``, the caller's cache of the weights' transforms by
+    length: a missing one is computed here, on the calling thread, and
+    stored in it when n_fft is at most _CACHED_FFT_LEN (longer ones serve
+    this call only).
 
-    A call's lines go as blocks of rows. A block fills its lines' input
-    cells into its zero-padded array, transforms it (``numpy.fft.rfft``
-    into the block's coefficient array), multiplies by the spectrum,
-    transforms back (``numpy.fft.irfft`` into its inverse array), clips its
-    transform dust and folds the output, transposed, into ``dest``
-    (``_fold``). _FFT_BLOCK_CELLS transform cells are shared out among
-    ``pool_threads()``: calls that fit one share in all run as one block
-    each on the calling thread; otherwise a call is cut into blocks of at
-    most a share, the blocks of every call run through one ``map_blocks``,
-    and each thread holds a whole share's arrays, so the arrays in flight
-    come to one block whatever the thread count. Each thread's block arrays
-    come from ``scratch`` (a fresh one when None); a thread zeroes the pad
-    of a row of its padded array only when the row was last padded for
-    another n_fft or n_vals, or not yet in this call. A line comes out
-    bitwise the same whatever its block or thread: only the groups decide
-    its call.
+    Every call runs one way: its lines go as blocks of rows, and all the
+    blocks run through one ``map_blocks``. A block fills its lines' input
+    cells into its array (zero-padded when transformed), transforms it
+    (``numpy.fft.rfft`` into the block's coefficient array), multiplies by
+    the spectrum, transforms back (``numpy.fft.irfft`` into its inverse
+    array), clips its transform dust and folds the output, transposed, into
+    ``dest`` (``_fold``); a summed block sums its lines into the inverse
+    array instead. _FFT_BLOCK_CELLS cells are shared out among
+    ``pool_threads()``, and a call is cut into blocks of at most a share.
+    Calls whose cells fit one share in all are one block each, run in
+    order on the calling thread, with arrays the size of their largest
+    block. Otherwise the blocks run on the pool, and each thread holds a
+    whole share's arrays (or its largest block's, when one row is more), so
+    the arrays in flight come to one block whatever the thread count. Each
+    thread's block arrays come from ``scratch``; a thread zeroes the pad of
+    a row of its padded array only when the row was last padded for another
+    n_fft or n_vals, or not yet in this call. A line comes out bitwise the
+    same whatever its block or thread: only the groups decide its call.
     """
     out = dest if dest.ndim == 2 else dest[:, np.newaxis]
-    n_dest, n_lines = out.shape
     n_w = len(weights)
     fill = src
     if not callable(src):
         band = src if src.ndim == 2 else src[np.newaxis]
-        if groups is None:
-            groups = [(0, n_lines, 0, band.shape[1])]
 
         def fill(x, a, i0):
             x[...] = band[a:a + len(x), i0:i0 + x.shape[1]]
     for a, b, i0, i1 in groups:
         if i1 <= i0:
             out[:, a:b] = 0.0
-    line = dest.ndim == 1
-    summed = n_w <= 2 or (line and groups[0][3] - groups[0][2] + n_w - 1 < _FFT_THRESHOLD)
+    summed = n_w <= 2 or (dest.ndim == 1 and groups[0][3] - groups[0][2] + n_w - 1 < _FFT_THRESHOLD)
     calls = _calls(groups, lambda n: n + n_w - 1 if summed else next_fast_len(n + n_w - 1))
-    if not calls:
-        return 0.0
-    spills = np.zeros((n_lines, 2))
-    if summed and line:  # one line, summed on the calling thread
-        (_, _, i0, i1, n_out), = calls
-        x = np.empty((1, i1 - i0))
-        fill(x, 0, i0)
-        _fold(out, _direct(x, weights, np.empty((1, n_out))), i0 + k0, spills)
-        return float(spills.sum())
-    if not summed:  # the weights' spectra of this call, kept in ``spectra`` when short
-        cache, spectra = spectra, {}
-        for *_, n in calls:
-            if n not in spectra:
-                spectrum = None if cache is None else cache.get(n)
-                if spectrum is None:
-                    spectrum = rfft(weights, n)
-                    if cache is not None and n <= _CACHED_FFT_LEN:
-                        cache[n] = spectrum
-                spectra[n] = spectrum
-    if scratch is None:
-        scratch = Scratch()
+    # one pass over the calls: their spectra, blocks, array sizes and threads
+    threads = pool_threads()
+    share = _FFT_BLOCK_CELLS // threads
+    own, tasks, cells, coef_cells, total = {}, [], 0, 0, 0
+    for a, b, i0, i1, n in calls:
+        if not summed and n not in own:
+            own[n] = spectra.get(n)
+            if own[n] is None:
+                own[n] = rfft(weights, n)
+                if n <= _CACHED_FFT_LEN:
+                    spectra[n] = own[n]
+        step = min(max(share // n, 1), b - a)
+        tasks += [(s, min(step, b - s), i0, i1 - i0, n) for s in range(a, b, step)]
+        cells, coef_cells = max(cells, step * n), max(coef_cells, step * (n // 2 + 1))
+        total += (b - a) * n
+    if total > share:  # each pool thread holds a whole share
+        threads = min(threads, len(tasks))
+        cells, coef_cells = max(cells, share), max(coef_cells, share // 2 + 1)
+    else:
+        threads = 1
+    spills = np.zeros((out.shape[1], 2))
 
-    def block(a, k, i0, n_vals, n, bufs):
+    def block(task, bufs):
         # the lines [a, a + k) of one call, over their input cells [i0, i0 +
         # n_vals), at n cells per line
+        a, k, i0, n_vals, n = task
         if summed:
             x = bufs[0][:k * n_vals].reshape(k, n_vals)
             fill(x, a, i0)
@@ -473,14 +468,14 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
             fill(padded[:, :n_vals], a, i0)
             coef = bufs[1][:k * (n // 2 + 1)].reshape(k, n // 2 + 1)
             rfft(padded, axis=-1, out=coef)
-            coef *= spectra[n]
+            coef *= own[n]
             full = bufs[2][:k * n].reshape(k, n)
             irfft(coef, n, axis=-1, out=full)
             full = full[:, :n_vals + n_w - 1]
             np.maximum(full, 0.0, out=full)
         _fold(out[:, a:a + k], full, i0 + k0, spills[a:a + k])
 
-    def block_set(cells, coef_cells, i=0):
+    def block_set(i):
         # input lines (zero-padded on the transform path), coefficients and
         # inverse of one thread, and (n_fft, n_vals, rows): its padded
         # array's first rows, whose pad is zero for that n_fft and n_vals
@@ -488,27 +483,8 @@ def convolve_lines(src, dest: np.ndarray, weights: np.ndarray, k0: int,
                 None if summed else scratch.array(("coef", i), (coef_cells,), complex),
                 scratch.array(("inverse", i), (cells,)), (0, 0, 0)]
 
-    threads = pool_threads()
-    share = _FFT_BLOCK_CELLS // threads
-    if sum((b - a) * n for a, b, *_, n in calls) <= share:
-        # the calls fit one thread's share of a block: one block each, in
-        # order on the calling thread
-        bufs = block_set(max((b - a) * n for a, b, *_, n in calls),
-                         max((b - a) * (n // 2 + 1) for a, b, *_, n in calls))
-        for a, b, i0, i1, n in calls:
-            block(a, b - a, i0, i1 - i0, n, bufs)
-    else:
-        # calls are cut into blocks of at most a share, and each thread
-        # holds a whole share: one block in all
-        tasks = []
-        for a, b, i0, i1, n in calls:
-            step = min(max(share // n, 1), b - a)
-            tasks += [(s, min(step, b - s), i0, i1 - i0, n) for s in range(a, b, step)]
-        cells = max(share, *(k * n for *_, k, _, _, n in tasks))
-        coef_cells = max(cells // 2 + 1, *(k * (n // 2 + 1) for _, k, _, _, n in tasks))
-        ids = itertools.count()
-        map_blocks(lambda task, bufs: block(*task, bufs), tasks, min(threads, len(tasks)),
-                   lambda: block_set(cells, coef_cells, next(ids)))
+    ids = itertools.count()
+    map_blocks(block, tasks, threads, lambda: block_set(next(ids)))
     spill = 0.0
     for a, b, *_ in calls:
         spill += float(spills[a:b].sum())

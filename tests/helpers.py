@@ -82,3 +82,14 @@ def transform_threads(monkeypatch):
     monkeypatch.setattr(mixed_dist, "rfft", lambda *a, **k: (
         seen.add(threading.get_ident()), rfft(*a, **k))[1])
     return seen
+
+
+def on_threads(monkeypatch, threads, block_cells=None):
+    """Plan ``threads`` pool threads (as on a host with that many CPUs) and,
+    when given, blocks of ``block_cells`` transform cells; returns the set
+    that collects the transforms' thread ids (``transform_threads``)."""
+    monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
+    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(threads, mixed_dist._MAX_THREADS))
+    if block_cells is not None:
+        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", block_cells)
+    return transform_threads(monkeypatch)

@@ -16,11 +16,11 @@ import pytest
 from helpers import (
     CONFIG4,
     REPO,
+    on_threads,
     point_spec,
     random_point_spec,
     reference_load,
     reference_spec,
-    transform_threads,
     segment,
     write_config,
 )
@@ -42,7 +42,7 @@ from vdropstat.feeder_model import (
     parse_feeder,
 )
 from vdropstat.mc_oracle import McConfig, run_mc
-from vdropstat.mixed_dist import JointLattice, JointState, convolve_lines
+from vdropstat.mixed_dist import JointLattice, JointState, Scratch, convolve_lines
 
 
 CFG = DpConfig(grid_s=256, grid_delta=256)
@@ -504,14 +504,14 @@ def test_band_limited_convolution_equals_full_canvas():
         full = canvas.copy()
         band = canvas[r0:r1].copy()
         spectra = {}
-        convolve_lines(full, full.T, weights, -5)
-        convolve_lines(band, band.T, weights, -5, spectra)
+        convolve_lines(full, full.T, weights, -5, {}, Scratch(), [(0, 128, 0, cols)])
+        convolve_lines(band, band.T, weights, -5, spectra, Scratch(), [(0, r1 - r0, 0, cols)])
         assert not full[:r0].any() and not full[r1:].any()
         assert np.array_equal(full[r0:r1], band)
         assert np.abs(band - direct).max() <= 1e-12 * direct.max()
         # a line of the band matches the 1D call with the band's cached transform
         one = canvas[r0].copy()
-        convolve_lines(one, one, weights, -5, spectra)
+        convolve_lines(one, one, weights, -5, spectra, Scratch(), [(0, 1, 0, cols)])
         assert np.abs(one - direct[0]).max() <= 1e-12 * direct.max()
 
 
@@ -1171,23 +1171,13 @@ def test_stepped_states_keep_their_digests(name):
 # ---------------------------------------------------------------------------
 
 
-def _on_threads(monkeypatch, threads, block_cells=None):
-    """Plan ``threads`` DP threads and blocks of ``block_cells`` transform
-    cells; returns the set that collects the transforms' thread ids."""
-    monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
-    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(threads, mixed_dist._MAX_THREADS))
-    if block_cells is not None:
-        monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", block_cells)
-    return transform_threads(monkeypatch)
-
-
 @pytest.mark.parametrize("name", sorted(STATE_REGRESSION))
 def test_state_regression_on_threads(monkeypatch, name):
     # 4096-cell blocks cut the bands of the 256^2 and 512^2 lattices into
     # blocks of a few rows, so the pool transforms them
     spec, config = STATE_REGRESSION_SPECS[name]()
     for threads in (2, 4):
-        seen = _on_threads(monkeypatch, threads, 1 << 12)
+        seen = on_threads(monkeypatch, threads, 1 << 12)
         rep = run(spec, config)
         assert rep.threads == threads
         assert _digest(rep.state) == STATE_REGRESSION[name]
@@ -1249,7 +1239,7 @@ def test_row_groups_keep_the_state_whatever_the_threads(monkeypatch):
     blocks = (mixed_dist._FFT_BLOCK_CELLS, 1 << 12)
     for threads in (1, 2, 4):
         for block_cells in blocks:
-            _on_threads(monkeypatch, threads, block_cells)
+            on_threads(monkeypatch, threads, block_cells)
             assert _digest(run(spec, config).state) == want
 
 
@@ -1257,7 +1247,7 @@ def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):
     # every band of the benchmark's 256-bus chain at 256^2 fits one block, so
     # four threads start no pool
     spec = _feeder4_chain(256)
-    seen = _on_threads(monkeypatch, 4)
+    seen = on_threads(monkeypatch, 4)
     baseline = threading.active_count()
     rep = run(spec, CFG)
     assert rep.threads == 4
@@ -1266,7 +1256,7 @@ def test_chain_bands_at_256_run_on_the_calling_thread(monkeypatch):
 
 
 def test_run_joins_every_pool_on_return_and_on_mass_loss(monkeypatch):
-    seen = _on_threads(monkeypatch, 2, 1)  # one-row blocks
+    seen = on_threads(monkeypatch, 2, 1)  # one-row blocks
     baseline = threading.active_count()
     run(parse_feeder(CONFIG4), CFG)
     assert seen - {threading.get_ident()}
@@ -1279,7 +1269,7 @@ def test_run_joins_every_pool_on_return_and_on_mass_loss(monkeypatch):
 
 
 def test_worker_exception_surfaces_from_run(monkeypatch):
-    _on_threads(monkeypatch, 2, 1)
+    on_threads(monkeypatch, 2, 1)
     raised = []
     rfft = mixed_dist.rfft  # the transform of a block of several
     caller = threading.get_ident()
@@ -1303,7 +1293,7 @@ def test_pool_stress_is_bitwise_and_leaves_no_thread(monkeypatch):
     # interpreter allows: a block written to the wrong rows, or through a
     # buffer another thread shares, would show here
     spec, config = STATE_REGRESSION_SPECS["families"]()
-    seen = _on_threads(monkeypatch, 8, 1 << 10)
+    seen = on_threads(monkeypatch, 8, 1 << 10)
     baseline = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1324,7 +1314,7 @@ def test_threads_add_at_most_one_block_of_memory(monkeypatch):
     config = DpConfig(grid_s=1024, grid_delta=1024)
     peaks = []
     for threads in (1, 2):
-        seen = _on_threads(monkeypatch, threads)
+        seen = on_threads(monkeypatch, threads)
         tracemalloc.start()
         try:
             run(spec, config)

@@ -318,6 +318,26 @@ def test_segment_errors_carry_field_paths():
         assert str(err.value) == f"segments[1].{field}: {message}"
 
 
+# a malformed segments[1] and the exact message it is reported with
+MALFORMED_SEGMENTS = {
+    "not an object": ([0.001, 0.0], "segments[1]: expected an object"),
+    "extra field": ({"r": 0.001, "x": 0.0, "b": 1.0}, "segments[1]: unexpected fields ['b']"),
+    "missing r": ({"x": 0.0}, "segments[1].r: missing"),
+    "non-number x": ({"r": 0.001, "x": "0"}, "segments[1].x: expected a number, got '0'"),
+    "r = 0": ({"r": 0, "x": 0.0}, "segments[1].r: must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SEGMENTS))
+def test_malformed_segment_messages(case):
+    raw, message = MALFORMED_SEGMENTS[case]
+    bad = json.loads(CONFIG4.read_text())
+    bad["segments"][1] = raw
+    with pytest.raises(FeederConfigError) as err:
+        feeder_from_dict(bad)
+    assert str(err.value) == message
+
+
 def test_rho_is_derived_from_base_voltage():
     obj = json.loads(CONFIG4.read_text())
     obj["base_voltage"] = 2.0

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import CONFIG4, point_spec, reference_load, reference_spec, segment
+from helpers import CONFIG4, on_threads, point_spec, reference_load, reference_spec, segment
 from vdropstat import mc_oracle, mixed_dist
 from vdropstat.cli import _sweep_spec
 from vdropstat.mc_oracle import (
@@ -218,8 +218,7 @@ LINEAR_DIGESTS = sorted(k for k, v in STREAM_DIGESTS.items() if not v[2])
 
 def _run_on(monkeypatch, cores, spec, config):
     """run_mc as on a host with ``cores`` CPUs; returns it and the batch threads."""
-    monkeypatch.setattr(mixed_dist, "_cores", lambda: cores)
-    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", max(cores, mixed_dist._MAX_THREADS))
+    on_threads(monkeypatch, cores)
     seen = set()
     draw = mc_oracle._uniforms_into
     monkeypatch.setattr(mc_oracle, "_uniforms_into",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 
-from helpers import transform_threads
+from helpers import on_threads
 from vdropstat import mixed_dist
 from vdropstat.mixed_dist import (
     DropDistribution,
@@ -17,6 +17,7 @@ from vdropstat.mixed_dist import (
     JointLattice,
     JointState,
     MixedDensity1D,
+    Scratch,
     convolve_lines,
     marginal_drop,
     write_density_csv,
@@ -61,7 +62,8 @@ def test_convolve_uniforms_gives_triangle():
     h = 1.0 / 512
     tri = np.zeros(1023)
     tri[:512] = 1.0
-    assert convolve_lines(tri, tri, np.ones(512), 0) == 0.0  # U + U fits the 1023 cells
+    # U + U fits the 1023 cells
+    assert convolve_lines(tri, tri, np.ones(512), 0, {}, Scratch(), [(0, 1, 0, 1023)]) == 0.0
     tri *= h  # density of U + U
     centers = (np.arange(len(tri)) + 1.0) * h
     assert tri.sum() * h == pytest.approx(1.0, abs=1e-12)
@@ -82,7 +84,8 @@ def test_convolve_fft_path_matches_direct():
     vb /= vb.sum() * h
     big = np.zeros(5999)
     big[:3000] = va
-    assert convolve_lines(big, big, vb, 0) < 1e-9  # 8998 output cells: transform path
+    # 8998 output cells: transform path
+    assert convolve_lines(big, big, vb, 0, {}, Scratch(), [(0, 1, 0, 5999)]) < 1e-9
     big *= h
     direct = np.convolve(va, vb) * h
     assert np.abs(big - direct).max() < 1e-9
@@ -110,7 +113,7 @@ def test_convolve_lines_is_bitwise_scipys_transforms(rows, cells, width, n_fft):
     full = irfft(rfft(band[:, :cells], n_fft, axis=-1) * rfft(weights, n_fft), n_fft, axis=-1)
     expected = np.clip(full[:, :n_out], 0.0, None) + 0.0
     # every output cell stays
-    assert convolve_lines(band, band.T, weights, 0, groups=[(0, rows, 0, cells)]) == 0.0
+    assert convolve_lines(band, band.T, weights, 0, {}, Scratch(), [(0, rows, 0, cells)]) == 0.0
     assert band.tobytes() == expected.tobytes()
 
 
@@ -124,17 +127,18 @@ def test_convolve_lines_caches_the_weights_transform_by_length(monkeypatch):
     spectra = {}
     # a line of 344 output cells is summed directly: no transform is made
     line = rng.random(300)
-    convolve_lines(line, line, weights, -7, spectra)
+    convolve_lines(line, line, weights, -7, spectra, Scratch(), [(0, 1, 0, 300)])
     assert spectra == {} and weight_calls == []
     band = rng.random((5, 300))
     first = band.copy()
-    spill = convolve_lines(first, first.T, weights, -7, spectra)
+    spill = convolve_lines(first, first.T, weights, -7, spectra, Scratch(), [(0, 5, 0, 300)])
     n_fft = next_fast_len(300 + 45 - 1, real=True)
     assert list(spectra) == [n_fft]
     assert spectra[n_fft].tobytes() == rfft(weights, n_fft).tobytes()
     assert sum(weight_calls) == 1
     again = band.copy()
-    assert convolve_lines(again, again.T, weights, -7, spectra) == spill
+    assert convolve_lines(again, again.T, weights, -7, spectra, Scratch(),
+                          [(0, 5, 0, 300)]) == spill
     assert again.tobytes() == first.tobytes()
     assert sum(weight_calls) == 1 and list(spectra) == [n_fft]  # the weights, transformed once
 
@@ -147,18 +151,16 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     k0 = -7  # output cells spill off both ends
     whole = band.copy()
     spectra = {}  # the weights' transform, cached by the first call
-    spill = convolve_lines(whole, whole.T, weights, k0, spectra)  # one block at the default size
+    groups = [(0, 37, 0, 300)]
+    # one block at the default size
+    spill = convolve_lines(whole, whole.T, weights, k0, spectra, Scratch(), groups)
     n_fft = next_fast_len(300 + 45 - 1, real=True)  # the transform length of these lines
-    seen = transform_threads(monkeypatch)
     for threads in (1, 2, 4):
-        monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
-        monkeypatch.setattr(mixed_dist, "_MAX_THREADS", threads)
         for rows in (1, 3, 8):
             # the block's cells are shared out among the threads
-            monkeypatch.setattr(mixed_dist, "_FFT_BLOCK_CELLS", rows * threads * n_fft)
-            seen.clear()
+            seen = on_threads(monkeypatch, threads, rows * threads * n_fft)
             got = band.copy()
-            assert convolve_lines(got, got.T, weights, k0, spectra) == spill
+            assert convolve_lines(got, got.T, weights, k0, spectra, Scratch(), groups) == spill
             assert got.tobytes() == whole.tobytes()
             # one thread transforms on the caller, more on the pool alone
             assert (seen == {threading.get_ident()}) == (threads == 1)
@@ -166,8 +168,45 @@ def test_convolve_blocks_of_lines_are_bitwise_one_transform(monkeypatch):
     # a lone line on the transform path comes out as a band's row does
     line = rng.random(5000)
     row = line[np.newaxis].copy()
-    assert convolve_lines(line, line, weights, k0) == convolve_lines(row, row.T, weights, k0)
+    one = [(0, 1, 0, 5000)]
+    assert (convolve_lines(line, line, weights, k0, {}, Scratch(), one)
+            == convolve_lines(row, row.T, weights, k0, {}, Scratch(), one))
     assert line.tobytes() == row[0].tobytes()
+
+
+def test_calls_within_one_share_run_on_the_calling_thread(monkeypatch):
+    # on two threads, calls whose transform cells fit one thread's share of
+    # a block run on the caller, however many blocks they make; past a share
+    # the blocks run on the pool
+    seen = on_threads(monkeypatch, 2)
+    folds = []  # the thread of each block's fold
+    fold = mixed_dist._fold
+    monkeypatch.setattr(mixed_dist, "_fold", lambda *a: (
+        folds.append(threading.get_ident()), fold(*a))[1])
+    caller = threading.get_ident()
+    share = mixed_dist._FFT_BLOCK_CELLS // 2
+    rng = np.random.default_rng(13)
+    weights = rng.random(45)
+    # two row groups of 360 and 3072 transform cells a line: two calls, two
+    # blocks, 32 * 360 + 32 * 3072 cells within the share
+    band = rng.random((64, 3000))
+    groups = [(0, 32, 0, 300), (32, 64, 0, 3000)]
+    assert 32 * 360 + 32 * 3072 <= share
+    convolve_lines(band, np.empty((3000, 64)), weights, -7, {}, Scratch(), groups)
+    assert folds == [caller, caller] and seen == {caller}
+    # a short line, summed directly: no transform, one block on the caller
+    folds.clear()
+    seen.clear()
+    line = rng.random(300)
+    convolve_lines(line, line.copy(), weights, -7, {}, Scratch(), [(0, 1, 0, 300)])
+    assert folds == [caller] and not seen
+    # 128 lines of 3072 cells pass the share: the pool transforms them
+    folds.clear()
+    seen.clear()
+    band = rng.random((128, 3000))
+    assert 128 * 3072 > share
+    convolve_lines(band, np.empty((3000, 128)), weights, -7, {}, Scratch(), [(0, 128, 0, 3000)])
+    assert caller not in folds and seen - {caller}
 
 
 def _full_convolution(vals, weights):
@@ -214,7 +253,8 @@ def _assert_fold_matches_oracle(vals, weights, k0, cells=None):
     want_spill = _fold_last(want, _full_convolution(vals[..., i0:i1], weights), i0 + k0)
     got = vals.copy()
     groups = [(0, 1 if vals.ndim == 1 else len(vals), i0, i1)]
-    spill = convolve_lines(got, got if vals.ndim == 1 else got.T, weights, k0, None, None, groups)
+    spill = convolve_lines(got, got if vals.ndim == 1 else got.T, weights, k0, {}, Scratch(),
+                           groups)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
     assert spill.hex() == want_spill.hex()
 
@@ -255,8 +295,7 @@ def test_fold_of_several_blocks_matches_the_full_output(monkeypatch, threads):
     # blocks of 1-3 rows on 1, 2 and 4 threads, at random shapes and offsets;
     # spills hundreds of cells wide, as at 2048^2, are where a sum over
     # contiguous copies of the spilled columns would round differently
-    monkeypatch.setattr(mixed_dist, "_cores", lambda: threads)
-    monkeypatch.setattr(mixed_dist, "_MAX_THREADS", threads)
+    on_threads(monkeypatch, threads)
     rng = np.random.default_rng(threads)
     for _ in range(40):
         rows = int(rng.integers(1, 12))
@@ -293,13 +332,14 @@ def test_fold_reuses_scratch_of_any_earlier_shape():
     rng = np.random.default_rng(9)
     scratch = mixed_dist.Scratch()
     big = rng.random((50, 700))
-    convolve_lines(big, big.T, rng.random(90), -20, None, scratch)
+    convolve_lines(big, big.T, rng.random(90), -20, {}, scratch, [(0, 50, 0, 700)])
     vals = rng.random((7, 300))
     weights = rng.random(45)
     want = vals.copy()
-    spill = convolve_lines(want, want.T, weights, -7)
+    groups = [(0, 7, 0, 300)]
+    spill = convolve_lines(want, want.T, weights, -7, {}, Scratch(), groups)
     got = vals.copy()
-    assert convolve_lines(got, got.T, weights, -7, None, scratch) == spill
+    assert convolve_lines(got, got.T, weights, -7, {}, scratch, groups) == spill
     assert got.tobytes() == want.tobytes()
 
 
@@ -320,12 +360,13 @@ def test_row_groups_of_one_width_pad_every_row_they_transform():
     weights = rng.random(45)
     groups = [(0, 32, 0, 300), (32, 64, 0, 0), (64, 128, 0, 300)]
     got = np.empty((300, 128))
-    spill = convolve_lines(band, got, weights, -7, None, _GarbageScratch(), groups)
+    spill = convolve_lines(band, got, weights, -7, {}, _GarbageScratch(), groups)
     want = np.zeros((300, 128))
     want_spill = 0.0
     for a, b, i0, i1 in groups:
         if i1 > i0:
-            want_spill += convolve_lines(band[a:b].copy(), want[:, a:b], weights, -7)
+            want_spill += convolve_lines(band[a:b].copy(), want[:, a:b], weights, -7, {}, Scratch(),
+                                         [(0, b - a, 0, 300)])
     assert got.tobytes() == want.tobytes()
     assert spill == want_spill
 
