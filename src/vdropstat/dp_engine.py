@@ -31,14 +31,18 @@ low-end cut of the D axis, at whose bottom the line sits. It then sizes
 one band: the window's rows and the frame of columns that the
 window's convolution reaches (its columns plus the kernel's length - 1,
 clipped to the lattice), widened to the rows and columns of the atoms'
-exact deposits, which are never cut. The band is held as a frame with its
-own column origin, so it moves along S with the through-flow from stage
-to stage and no stage holds the full d_cells x s_cells lattice.
+exact deposits, which are never cut. The band is a frame with its own
+column origin, so it moves along S with the through-flow from stage to
+stage, and it lives in the run's canvas: the whole lattice, held S-major
+(one row per S column) and made with zeros, of which only the pages that
+bands reach get mapped. Every cell outside the current band is zero.
 
 The S-convolution (``convolve_lines``) reads its source, the state's
-band, straight over the window, and writes its destination, the
-workspace's band, which is held S-major (one row per S column), so the
-shear reads it as it stands. The window's rows go in row groups of
+band, straight over the window, and writes its destination, the canvas
+over the stage's frame of columns, into the same lattice rows it read, so
+each row is folded back where it was filled from and the shear reads the
+frame as it stands. The stage then zeroes the stepped band's cells that
+the convolution did not write. The window's rows go in row groups of
 _GROUP_ROWS rows, and each group is transformed only over the columns
 between its first and last window column with mass in its rows (the
 others are exact zeros), at its own length; adjacent groups share one
@@ -48,7 +52,7 @@ on the band alone. A call fills its blocks of rows through the stage's
 diagonal's cells that lie in them, transforms them
 against the kernel's spectrum at that length (a short one kept in the
 kernel's cache the first time) and folds each block, transposed,
-into its lines of the workspace's band, shifted by the kernel's offset;
+into its lines of the canvas, shifted by the kernel's offset;
 what falls off the lattice is summed per line and added up group by
 group. A point load's two-cell split shifts the lines the same way,
 without transforms. Every convolution runs its blocks through one
@@ -58,24 +62,25 @@ order on the calling thread, and those of a bigger band on a thread pool
 one convolution. A line's result depends on its group's call alone, and
 the spill sums, the window and the shear stay on the calling thread, so
 the thread count never changes a value. The shear then forms each frame
-column's two-part move once, and copies the columns of each integer
-shift floor(rho * S / d_step), one range, with one slice into the next
-band, which spans the same columns and is written S-major too: the
-state's ``pc`` is its transpose.
+column's two-part move once, in a scratch block, and copies the columns
+of each integer shift floor(rho * S / d_step), one range, with one slice
+back into their canvas columns, zeroing the rows each column leaves: the
+new band spans the same columns, and the state's ``pc`` is the transpose
+of that part of the canvas.
 
 Each run has one workspace (``_Workspace``), made on the run's lattice:
-the lattice's S cell centers, the kernel of each distinct load, built
-once, and the shear's table of each distinct rho, and the arrays a
-stage works in (the band, the transform blocks of each thread, the
-shear's block), which grow to the largest stage's and are reused by every
-later one. The states a stage returns own their arrays. A stage reads its
-state only up to the S-convolution (``_lift_stage``), so ``run`` lets each
-state go there and the shear never holds the stepped band beside the new
-one. Atoms stay exact and the zero line stays off the 2D grid, so
-point-mass feeders and the zero-drop probability suffer no
-discretization. All truncation (load tails, cut at b/2; the window's cut;
-lattice boundary clips; shear overflow) is logged per stage; the run
-aborts when the accumulated loss blows past 100x the configured tolerance.
+the lattice's S cell centers, the canvas, the kernel of each distinct
+load, built once, and the shear's table of each distinct rho, and the
+arrays a stage works in (the transform blocks of each thread, the shear's
+block), which grow to the largest stage's and are reused by every later
+one. A stage consumes its state's band, in place, so no stage holds two
+bands: ``run`` passes each state to the next stage and keeps only the
+last, whose band is a view of the canvas. Atoms stay exact and the zero
+line stays off the 2D grid, so point-mass feeders and the zero-drop
+probability suffer no discretization. All truncation (load tails, cut at
+b/2; the window's cut; lattice boundary clips; shear overflow) is logged
+per stage; the run aborts when the accumulated loss blows past 100x the
+configured tolerance.
 """
 
 from __future__ import annotations
@@ -83,7 +88,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -486,48 +490,49 @@ def _build_shear_table(rho: float, centers: np.ndarray, lat: JointLattice) -> _S
                        np.searchsorted(base, np.arange(lo, int(base[-1]) + 1)).tolist(), lo)
 
 
-def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: JointLattice,
+def _shear_canvas(canvas: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
+                  table: _ShearTable, lat: JointLattice,
                   scratch: Scratch) -> tuple[np.ndarray | None, int, np.ndarray, float]:
-    """Shear D -> D + rho * S with clipping at zero, on a frame of the lattice.
+    """Shear D -> D + rho * S with clipping at zero, in place on a frame of
+    the run's canvas.
 
-    ``band`` holds, S-major, grid rows [r0, r0 + band.shape[1]) of the
-    lattice columns [c0, c0 + len(band)), its frame: band[i, j] is lattice
-    cell (r0 + j, c0 + i). ``table`` says where rho moves each column. The
-    frame goes in blocks of about _SHEAR_BLOCK_CELLS cells, which keeps the
-    block's work in cache. In a block each column x forms its two-part move
-    once, y = stay * x with y[1:] += frac * x (its rows from floor shift
-    on; x is scaled in place, so the shear uses ``band`` up), and the
-    columns of each floor shift, one range, copy their y as one slice into
-    their rows of the new band, which is held S-major too and spans the
-    same columns; its other cells keep the zeros it was made with. Rows
-    pushed below zero feed the zero line of their column; rows pushed past
-    the top are lost. Both are summed per integer shift, over the columns
-    that move some part by it.
+    ``canvas`` is the S-major lattice (canvas[c, r] is lattice cell (r, c))
+    and holds its mass in the band of grid rows ``rows`` = [r0, r1) over the
+    lattice columns ``cols`` = [c0, c1), its frame; every cell outside the
+    band is zero. ``table`` says where rho moves each column. The frame goes
+    in blocks of about _SHEAR_BLOCK_CELLS cells, which keeps the block's work
+    in cache. In a block each column x forms its two-part move once in
+    ``scratch``, y = stay * x with y[1:] += frac * x (its rows from floor
+    shift on; x is scaled in place), and the columns of each floor shift,
+    one range, copy their y as one slice back into their rows of the canvas
+    and zero the rows of [r0, r1) that it leaves. Rows pushed below zero feed
+    the zero line of their column; rows pushed past the top are lost. Both
+    are summed per integer shift, over the columns that move some part by
+    it.
 
-    Returns (the new band, the transpose of a new S-major array, or None
-    when none of its rows lies on the grid; its first row; per-column mass
-    clipped to the zero line, over the frame's columns; mass lost over the
-    top). Only negative-S columns can feed the zero line. A block's moves y
-    are an array of ``scratch``.
+    Returns (the new band, a view of the canvas's frame columns over the rows
+    the shear reaches, or None when none of them lies on the grid; its first
+    row; per-column mass clipped to the zero line, over the frame's columns;
+    mass lost over the top). The canvas is zero outside the new band. Only
+    negative-S columns can feed the zero line.
     """
     m_d = lat.d_cells
-    n_c, n_b = band.shape
-    r1 = r0 + n_b
+    (r0, r1), (c0, c1) = rows, cols
+    n_c, n_b = c1 - c0, r1 - r0
     cell = lat.s_step * lat.d_step
     zero_gain = np.zeros(n_c)
     top = 0.0
-    base = table.base[c0:c0 + n_c]
-    stay, frac = table.stay[c0:c0 + n_c, np.newaxis], table.frac[c0:c0 + n_c, np.newaxis]
-    parts = [p[c0:c0 + n_c] for p in table.parts]
+    base = table.base[c0:c1]
+    stay, frac = table.stay[c0:c1, np.newaxis], table.frac[c0:c1, np.newaxis]
+    parts = [p[c0:c1] for p in table.parts]
     first, f0 = table.first, table.lo  # lattice columns from first[v - f0] on shift v or more
     out_r0 = max(r0 + int(base[0]), 0)
     out_r1 = min(r1 + int(base[-1]) + 1, m_d)
-    out = np.zeros((n_c, max(out_r1 - out_r0, 0)))  # the new band, S-major
     width = max(_SHEAR_BLOCK_CELLS // max(n_b, 1), 16)
     for b0 in range(0, n_c, width):
         b1 = min(b0 + width, n_c)
         sh0, sh1 = int(base[b0]), int(base[b1 - 1])
-        x = band[b0:b1]  # x[i] is frame column b0 + i
+        x = canvas[c0 + b0:c0 + b1, r0:r1]  # x[i] is frame column b0 + i
         # x[cuts[t]:cuts[t + 1]] are the columns at floor shift sh0 - 1 + t
         cuts = [0, 0, *(v - c0 - b0 for v in first[sh0 + 1 - f0:sh1 + 1 - f0]), b1 - b0, b1 - b0]
         # the rows a shift sh pushes off the grid, for the stay part of the
@@ -546,6 +551,7 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
             if hi < n_b:
                 top += float(np.dot(w, src[:, hi:].sum(axis=1)))
         if min(r1 + sh1 + 1, m_d) <= max(r0 + sh0, 0):  # the block lands wholly off the grid
+            x[...] = 0.0
             continue
         # y = stay * x, y[1:] += frac * x: row j of y lands floor shift + j rows on
         y = scratch.array("shear_block", (b1 - b0, n_b + 1))
@@ -554,13 +560,23 @@ def _shear_canvas(band: np.ndarray, r0: int, c0: int, table: _ShearTable, lat: J
         x *= frac[b0:b1]
         y[:, 1:] += x
         for sh, a, b in zip(range(sh0, sh1 + 1), cuts[1:], cuts[2:]):
-            # y rows [j0, j1) land on the grid, on the new band's rows from out_r0 on
+            if b <= a:
+                continue
+            # y rows [j0, j1) land on the grid, on lattice rows from o = r0 + sh on
             j0 = -sh - r0 if sh < -r0 else 0
             j1 = m_d - sh - r0 if sh > m_d - r1 - 1 else n_b + 1
-            if b > a and j1 > j0:
-                o = r0 - out_r0 + sh
-                out[b0 + a:b0 + b, o + j0:o + j1] = y[a:b, j0:j1]
-    return (out.T if out.shape[1] else None), out_r0, zero_gain * cell, top * cell
+            o = r0 + sh
+            moved = canvas[c0 + b0 + a:c0 + b0 + b]  # the columns, whole
+            if j1 > j0:
+                moved[:, o + j0:o + j1] = y[a:b, j0:j1]
+            # the rows of [r0, r1) the columns leave: those below the first row
+            # written and from the last one on (all of them when none is written)
+            if o + j0 > r0:
+                moved[:, r0:min(o + j0, r1)] = 0.0
+            if o + j1 < r1:
+                moved[:, max(o + j1, r0):r1] = 0.0
+    new = canvas[c0:c1, out_r0:out_r1].T if out_r1 > out_r0 else None
+    return new, out_r0, zero_gain * cell, top * cell
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +598,29 @@ class _PhaseClock:
 
 
 class _Workspace(Scratch):
-    """What one run keeps from stage to stage: its lattice, the kernel
-    cache and the stage scratch.
+    """What one run keeps from stage to stage: its lattice, the canvas, the
+    kernel cache and the stage scratch.
 
     The lattice is bound here, once per run, with its S cell centers, and
     every kernel and shear table is built on it: each distinct load's
     kernel once (its short transforms are cached on it by
     ``convolve_lines``, one per transform length), and the shear's table
-    once per distinct rho. The scratch arrays (the stage's band, held
-    S-major, the S-convolution's block arrays, one set per thread, and the
-    shear's block) grow to the largest stage's and every stage reuses them,
-    so a stage maps no new memory for them. A state
-    never holds one of them: its ``pc``, ``line`` and atoms are new arrays.
+    once per distinct rho. ``canvas`` is the whole lattice, held S-major
+    (canvas[c, r] is lattice cell (r, c)) and made with zeros, whose pages
+    stay unmapped until a band reaches them. Every band of the run lives in
+    it: the state a stage returns has its ``pc`` as a view of the canvas,
+    and the canvas holds zeros outside that band, so the next stage steps
+    the band where it lies and consumes it. The scratch arrays (the
+    S-convolution's block arrays, one set per thread, and the shear's
+    block) grow to the largest stage's and every stage reuses them, so a
+    warm stage maps no new memory for them.
     """
 
     def __init__(self, lat: JointLattice):
         super().__init__()
         self.lattice = lat
         self.centers = lat.s_centers()
+        self.canvas = np.zeros((lat.s_cells, lat.d_cells))
         self.kernels: dict[LoadDensity, _Kernel] = {}
         self.shear_tables: dict[float, _ShearTable] = {}
 
@@ -733,6 +754,18 @@ def _place(dest: np.ndarray, src: np.ndarray, r: int, c: int) -> None:
     dest[a0:a1, b0:b1] = src[a0 - r:a1 - r, b0 - c:b1 - c]
 
 
+def _clear(canvas: np.ndarray, box: tuple[tuple[int, int], tuple[int, int]],
+           keep: tuple[tuple[int, int], tuple[int, int]]) -> None:
+    """Zero the cells of the S-major ``canvas`` in the lattice box ``box`` =
+    (rows, cols) that lie outside the box ``keep``."""
+    ((r0, r1), (c0, c1)), ((k0, k1), (q0, q1)) = box, keep
+    canvas[c0:min(c1, q0), r0:r1] = 0.0
+    canvas[max(c0, q1):c1, r0:r1] = 0.0
+    kept = canvas[max(c0, q0):min(c1, q1)]  # the box's columns that ``keep`` spans
+    kept[:, r0:min(k0, r1)] = 0.0
+    kept[:, max(k1, r0):r1] = 0.0
+
+
 def _window_fill(pc: np.ndarray, at: tuple[int, int], lift):
     """The ``fill(x, a, i0)`` through which ``convolve_lines`` reads a
     stage's window: band ``pc`` with its cell (0, 0) on window row at[0]
@@ -753,19 +786,22 @@ def _window_fill(pc: np.ndarray, at: tuple[int, int], lift):
     return fill
 
 
-def _lift_stage(state: JointState, load: LoadDensity, rho: float,
-                config: DpConfig, ws: _Workspace) -> Callable[[], tuple[JointState, StageLog]]:
-    """The part of a stage that reads ``state``: the hinge line's split, the
-    budget window and its row groups, and the S-convolution of the window
-    straight from the state's band into the workspace's band, of the zero
-    line and of the atoms. ``rho`` is the drop coefficient of the stage's
-    segment, and ``state`` lies on the lattice of the run's workspace ``ws``.
+def _stage(state: JointState, load: LoadDensity, rho: float, config: DpConfig,
+           ws: _Workspace) -> tuple[JointState, StageLog]:
+    """One stage: the hinge line's split, the budget window and its row
+    groups, the S-convolution of the window, of the zero line and of the
+    atoms, then the shear. ``rho`` is the drop coefficient of the stage's
+    segment, and ``state`` lies on the lattice of the run's workspace ``ws``,
+    whose canvas holds no mass outside the state's band.
 
-    Returns the rest of the stage (shear, the new state and its log) as a
-    function of no arguments. It keeps no reference to ``state``, whose
-    band the convolution has read, so a caller that lets ``state`` go
-    before calling it frees that band before the shear allocates the next
-    one.
+    A stage consumes its state's band. The band is stepped where it lies:
+    the S-convolution reads the window from the state's band and writes it
+    back into the same lattice rows of the canvas, over the stage's frame
+    of columns; the stage zeroes the band's cells that lie outside what it
+    wrote, and the shear moves the frame in place. The new state's ``pc``
+    is a view of the canvas, and the state passed in no longer holds its
+    band (when its ``pc`` was a view of the canvas too). Returns the new
+    state and the stage's log.
     """
     faults = _minor_faults()
     clock = _PhaseClock()
@@ -828,27 +864,24 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
         s = s + kernel.shift
     r0, r1 = _span(spans)
     e0, e1 = _span(frame)
-    band = ws.array("band", (e1 - e0, r1 - r0))  # S-major: band[i, j] is cell (r0 + j, e0 + i)
-    if w1 > w0:  # the convolution writes the window's rows whole
-        if w0 > r0:
-            band[:, :w0 - r0] = 0.0
-        if w1 < r1:
-            band[:, w1 - r0:] = 0.0
+    canvas = ws.canvas  # S-major: canvas[c, r] is lattice cell (r, c)
+    if w1 > w0:
         # the window's input: the state's band and the lifted diagonal's
         # window cells, on the window's rows and the frame's columns
         fill = _window_fill(_NO_BAND if pc is None else pc, (state.pc_r0 - w0, state.pc_c0 - e0),
                             [(rows - w0, cols - e0, dens)
                              for rows, cols, dens in _cut(parts, (w0, w1), (v0, v1))])
-    else:
-        band[...] = 0.0
-    stage, lost_before = state.stage - 1, state.lost_mass
     clock.lap("lift")
 
-    # ---- convolve: the window (into the frame), the zero line, the atoms ----
+    # ---- convolve: the window (into the frame, in the lattice rows it was
+    # read from), the zero line, the atoms ----
     if w1 > w0:
         spill += convolve_lines(
-            fill, band[:, w0 - r0:w1 - r0], kernel.weights, kernel.k0, kernel.spectra, ws,
+            fill, canvas[e0:e1, w0:w1], kernel.weights, kernel.k0, kernel.spectra, ws,
             [(a - w0, b - w0, c0 - e0, c1 - e0) for a, b, c0, c1 in groups]) * cell
+    if pc is not None:  # the stepped band's cells that the convolution did not write
+        _clear(canvas, ((state.pc_r0, state.pc_r0 + len(pc)),
+                        (state.pc_c0, state.pc_c0 + pc.shape[1])), ((w0, w1), (e0, e1)))
     z_vals = np.zeros(lat.s_cells)
     held = np.flatnonzero(zero_side)
     if len(held):
@@ -862,54 +895,50 @@ def _lift_stage(state: JointState, load: LoadDensity, rho: float,
             if row >= lat.d_cells:
                 spill += w * float(vals.sum())
             else:
-                band[a0 - e0:a0 - e0 + len(vals), row - r0] += (w / cell) * vals
+                canvas[a0:a0 + len(vals), row] += (w / cell) * vals
     clock.lap("convolve")
 
-    def finish() -> tuple[JointState, StageLog]:
-        nonlocal spill
-        # ---- shear the frame ----
-        new_pc, new_r0 = None, 0
-        if r1 > r0 and e1 > e0:
-            new_pc, new_r0, zero_gain, top = _shear_canvas(band, r0, e0, ws.shear_table(rho),
-                                                           lat, ws)
-            spill += top
-            z_vals[e0:e1] += zero_gain / h_s
-        clock.lap("shear")
+    # ---- shear the frame ----
+    new_pc, new_r0 = None, 0
+    if r1 > r0 and e1 > e0:
+        new_pc, new_r0, zero_gain, top = _shear_canvas(canvas, (r0, r1), (e0, e1),
+                                                       ws.shear_table(rho), lat, ws)
+        spill += top
+        z_vals[e0:e1] += zero_gain / h_s
+    clock.lap("shear")
 
-        new_state = JointState(
-            stage=stage,
-            slope=rho,
-            lattice=lat,
-            pc=new_pc,
-            pc_r0=new_r0,
-            pc_c0=e0,
-            line=z_vals if z_vals.any() else None,
-            atom_s=s,
-            atom_d=np.maximum(0.0, d + rho * s) if len(s) else s,
-            atom_mass=m,
-            lost_mass=lost_before + tail_loss + spill + cut,
-        )
-        if new_state.lost_mass > 100.0 * config.tail_tol:
-            raise MassLossError(
-                f"accumulated mass loss {new_state.lost_mass:.3e} exceeds "
-                f"100x tail_tol={config.tail_tol:.1e} at stage {new_state.stage}")
-        clock.lap("lines")
-        log = StageLog(
-            stage=new_state.stage,
-            seconds=clock.last - clock.start,
-            kernel_tail=tail_loss,
-            boundary_spill=spill,
-            window_cut=cut,
-            cumulative_lost=new_state.lost_mass,
-            rows=(r0, r1),
-            cols=(e0, e1),
-            masses=masses,
-            phase_s=clock.phases,
-            minor_faults=None if faults is None else _minor_faults() - faults,
-        )
-        return new_state, log
-
-    return finish
+    new_state = JointState(
+        stage=state.stage - 1,
+        slope=rho,
+        lattice=lat,
+        pc=new_pc,
+        pc_r0=new_r0,
+        pc_c0=e0,
+        line=z_vals if z_vals.any() else None,
+        atom_s=s,
+        atom_d=np.maximum(0.0, d + rho * s) if len(s) else s,
+        atom_mass=m,
+        lost_mass=state.lost_mass + tail_loss + spill + cut,
+    )
+    if new_state.lost_mass > 100.0 * config.tail_tol:
+        raise MassLossError(
+            f"accumulated mass loss {new_state.lost_mass:.3e} exceeds "
+            f"100x tail_tol={config.tail_tol:.1e} at stage {new_state.stage}")
+    clock.lap("lines")
+    log = StageLog(
+        stage=new_state.stage,
+        seconds=clock.last - clock.start,
+        kernel_tail=tail_loss,
+        boundary_spill=spill,
+        window_cut=cut,
+        cumulative_lost=new_state.lost_mass,
+        rows=(r0, r1),
+        cols=(e0, e1),
+        masses=masses,
+        phase_s=clock.phases,
+        minor_faults=None if faults is None else _minor_faults() - faults,
+    )
+    return new_state, log
 
 
 def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
@@ -921,9 +950,7 @@ def run(spec: FeederSpec, config: DpConfig | None = None) -> DpReport:
     logs: list[StageLog] = []
     rho = spec.rho.tolist()
     for j in range(spec.n - 1, -1, -1):
-        finish = _lift_stage(state, spec.loads[j], rho[j], config, ws)
-        del state  # the workspace holds its band now: free it before the shear allocates the next
-        state, log = finish()
+        state, log = _stage(state, spec.loads[j], rho[j], config, ws)
         logs.append(log)
     drop = marginal_drop(state)
     if config.renormalize:

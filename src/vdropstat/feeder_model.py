@@ -524,8 +524,8 @@ class FeederSpec:
 def feeder_from_dict(obj) -> FeederSpec:
     """Build and validate a FeederSpec from a config mapping."""
     _require(isinstance(obj, dict), "", f"expected a JSON object, got {type(obj).__name__}")
-    known = {"base_voltage", "alpha", "segments", "loads"}
-    extra = set(obj) - known
+    known = ("base_voltage", "alpha", "segments", "loads")  # checked in this order
+    extra = set(obj) - set(known)
     _require(not extra, "", f"unexpected fields {sorted(extra)}")
     for name in known:
         _require(name in obj, name, "missing")

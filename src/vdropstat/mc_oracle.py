@@ -132,8 +132,8 @@ class McConfig:
             raise ValueError("need at least one sample")
         if self.shards < 1 or self.shards > self.samples:
             raise ValueError("shards must lie in [1, samples]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:  # the streams see the seed modulo 2^64
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass(eq=False)

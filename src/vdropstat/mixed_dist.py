@@ -567,8 +567,12 @@ class JointState:
     ``pc`` is the 2D density on a frame of the lattice: cell (i, j) of
     ``pc`` is lattice cell (``pc_r0 + i``, ``pc_c0 + j``), the frame lies
     within the lattice, and the cells outside it hold no mass. Any memory
-    layout will do; the engine's states hold it S-major (``pc.T`` is
-    C-contiguous), as its shear writes it. ``line`` is
+    layout will do. In the engine's states ``pc`` is a view of the run's
+    canvas, the whole lattice held S-major (``pc.T`` is a block of its
+    rows), and the stage that steps the state consumes it there: once a
+    state has been stepped, its ``pc`` shows the canvas as that stage left
+    it, so a caller that needs a state after stepping it copies its band
+    first. ``line`` is
     the hinge line density over all the S cells, its mass at
     D = max(0, slope * S). Each is None while it holds no mass. ``slope``
     is the drop coefficient of the most recently applied segment.

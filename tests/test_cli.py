@@ -447,6 +447,16 @@ def test_sweep_mass_loss_exit_2(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "18446744073709551621"])
+def test_mc_seed_past_64_bits_exits_1_without_output(tmp_path, capsys, seed):
+    # 2^64 and 2^64 + 5 would draw seed 0's and seed 5's samples
+    out = tmp_path / "mc"
+    code = main(["mc", str(CONFIG4), "--samples", "100", "--seed", seed, "--out-dir", str(out)])
+    assert code == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_seed_echoed_when_omitted(tmp_path):
     out = tmp_path / "an3"
     code = main(["analyze", str(CONFIG4), *CFG_FLAGS, "--skip-joint",

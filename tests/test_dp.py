@@ -1,5 +1,6 @@
 """Stage kernel and full propagation of the joint flow-drop law."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,7 +9,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -53,9 +53,11 @@ def _terminal(spec, config):
 
 
 def _step(state, spec, j, config):
-    """Apply bus j's stage alone, with a workspace of its own."""
-    return dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config,
-                                 dp_engine._Workspace(state.lattice))()[0]
+    """Apply bus j's stage alone, with a workspace of its own (whose canvas
+    is zero, so the stage reads ``state``'s band where it lies and leaves it
+    as it was)."""
+    return dp_engine._stage(state, spec.loads[j], spec.rho[j], config,
+                            dp_engine._Workspace(state.lattice))[0]
 
 
 def test_config_validation():
@@ -302,6 +304,23 @@ def _table(rho, lat):
     return dp_engine._build_shear_table(rho, lat.s_centers(), lat)
 
 
+def _shear(band, r0, c0, table, lat):
+    """``_shear_canvas`` of ``band`` (first cell at lattice cell (r0, c0))
+    on a canvas that holds nothing else. Checks that the canvas is zero
+    outside the new band afterwards."""
+    rows, cols = (r0, r0 + len(band)), (c0, c0 + band.shape[1])
+    canvas = np.zeros((lat.s_cells, lat.d_cells))
+    canvas[c0:cols[1], r0:rows[1]] = band.T
+    got = dp_engine._shear_canvas(canvas, rows, cols, table, lat, mixed_dist.Scratch())
+    new, o0 = got[0], got[1]
+    rest = canvas.copy()
+    if new is not None:
+        assert np.shares_memory(new, canvas)
+        rest[c0:cols[1], o0:o0 + len(new)] = 0.0
+    assert not rest.any()
+    return got
+
+
 def _shear_per_column(canvas, rho, lat):
     """The column-by-column shear the run-wise one replaced; kept as its oracle."""
     m_d, n_s = canvas.shape
@@ -348,8 +367,7 @@ def _assert_shear_matches_oracle(canvas, r0, r1, rho, lat):
         c_lo, c_hi = int(occupied[0]), int(occupied[-1]) + 1
         frames += [(c_lo, c_hi), (max(c_lo - 3, 0), min(c_hi + 2, lat.s_cells))]
     for c0, c1 in frames:
-        band, o0, zero_gain, top = dp_engine._shear_canvas(
-            canvas[r0:r1, c0:c1].T.copy(), r0, c0, _table(rho, lat), lat, mixed_dist.Scratch())
+        band, o0, zero_gain, top = _shear(canvas[r0:r1, c0:c1], r0, c0, _table(rho, lat), lat)
         assert zero_gain.shape == (c1 - c0,)
         if band is not None:
             # the new band spans the frame's columns and the rows the shear reaches
@@ -397,9 +415,8 @@ def test_shear_column_blocks_match_per_column_loop(monkeypatch, s_base, rho):
 
 def test_shear_reports_an_emptied_grid_as_none():
     lat = JointLattice(s_base=-15, s_step=1.0, s_cells=30, d_step=0.5, d_cells=24)
-    band = np.ones((4, 2))  # S-major: rows 3 and 4 of the S < 0 columns 2-5, pushed far below zero
-    out, _, zero_gain, top = dp_engine._shear_canvas(band, 3, 2, _table(5.0, lat), lat,
-                                                     mixed_dist.Scratch())
+    band = np.ones((2, 4))  # rows 3 and 4 of the S < 0 columns 2-5, pushed far below zero
+    out, _, zero_gain, top = _shear(band, 3, 2, _table(5.0, lat), lat)
     assert out is None and top == 0.0
     assert zero_gain.shape == (4,)
     assert zero_gain.sum() == pytest.approx(8.0 * 0.5)
@@ -475,7 +492,7 @@ def test_shear_equals_per_shift_shear_bitwise(monkeypatch, block_cells):
         band = rng.random((r1 - r0, c1 - c0))
         band[:, rng.random(c1 - c0) < 0.2] = 0.0  # some empty columns
         table = _table(rho, lat)
-        got = dp_engine._shear_canvas(band.T.copy(), r0, c0, table, lat, mixed_dist.Scratch())
+        got = _shear(band, r0, c0, table, lat)
         want = _shear_per_shift(band, r0, c0, rho, lat, mixed_dist.Scratch())
         assert got[1] == want[1]
         assert (got[0] is None) == (want[0] is None)
@@ -862,14 +879,22 @@ def test_base_voltage_enters_only_through_rho():
     assert run_mc(double, mc).samples.tobytes() == run_mc(unit, mc).samples.tobytes()
 
 
+def _snapshot(state):
+    """``state`` with a copy of its band, S-major as the engine holds it (the
+    band's sums depend on its layout): a stage consumes the band itself."""
+    return state if state.pc is None else dataclasses.replace(state, pc=state.pc.T.copy().T)
+
+
 def _stages(spec, config):
-    """Yield (state stepped, its stage log, next state) over a whole run."""
+    """Yield (state stepped, its stage log, next state) over a whole run in
+    one workspace. The stepped state is a snapshot taken before the stage;
+    the next state holds its band in the canvas until the next stage."""
     state = _terminal(spec, config)
     ws = dp_engine._Workspace(state.lattice)
     for j in range(spec.n - 1, -1, -1):
-        new, log = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
-        yield state, log, new
-        state = new
+        stepped = _snapshot(state)
+        state, log = dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)
+        yield stepped, log, state
 
 
 @pytest.mark.parametrize("name", sorted(STATE_REGRESSION_SPECS))
@@ -1044,17 +1069,17 @@ def test_trim_moves_the_law_by_at_most_tail_tol(name):
 
 def test_stage_holds_no_full_canvas():
     # the second stage lifts the first one's diagonal onto a 6-row band and
-    # steps the window of it the budget keeps; stepping it must stay under a
-    # tenth of one 1024^2 canvas (8.4 MB)
+    # steps the window of it the budget keeps, in the workspace's canvas;
+    # stepping it must allocate under a tenth of one 1024^2 canvas (8.4 MB)
     spec = reference_spec(n=64)
     config = DpConfig(grid_s=1024, grid_delta=1024)
     state = _terminal(spec, config)
     ws = dp_engine._Workspace(state.lattice)
-    state, _ = dp_engine._lift_stage(state, spec.loads[63], spec.rho[63], config, ws)()
+    state, _ = dp_engine._stage(state, spec.loads[63], spec.rho[63], config, ws)
     lat = state.lattice
     tracemalloc.start()
     try:
-        new, log = dp_engine._lift_stage(state, spec.loads[62], spec.rho[62], config, ws)()
+        new, log = dp_engine._stage(state, spec.loads[62], spec.rho[62], config, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1064,106 +1089,159 @@ def test_stage_holds_no_full_canvas():
     assert peak < 8 * lat.d_cells * lat.s_cells // 10
 
 
-def test_run_frees_the_stepped_band_before_the_shear(monkeypatch):
-    # run() lets each state go once the stage has lifted its band into the
-    # workspace, so the shear never holds the stepped band beside the new one
-    spec, config = STATE_REGRESSION_SPECS["chain64-256"]()
-    bands = []
-    lift, shear = dp_engine._lift_stage, dp_engine._shear_canvas
-
-    def lift_spy(state, *args):
-        bands.append(None if state.pc is None else weakref.ref(state.pc))
-        return lift(state, *args)
-
-    def shear_spy(*args):
-        assert bands[-1] is None or bands[-1]() is None
-        return shear(*args)
-
-    monkeypatch.setattr(dp_engine, "_lift_stage", lift_spy)
-    monkeypatch.setattr(dp_engine, "_shear_canvas", shear_spy)
-    run(spec, config)
-    assert sum(b is not None for b in bands) == spec.n - 2  # the first two step no band
+def _into(ws, state):
+    """``state`` with its band placed in ``ws``'s canvas, which holds nothing
+    else: a stepped state as the stage before leaves it."""
+    ws.canvas[...] = 0.0
+    if state.pc is None:
+        return state
+    rows, cols = state.pc.shape
+    view = ws.canvas[state.pc_c0:state.pc_c0 + cols, state.pc_r0:state.pc_r0 + rows]
+    view[...] = state.pc.T
+    return dataclasses.replace(state, pc=view.T)
 
 
 def _warm_step(spec, load, config):
     """Step ``spec``'s stages down to bus 1, then bus 0 with ``load`` twice in
-    one workspace; returns (the second result, its log, its tracemalloc
-    peak, the bytes of the frame it sheared: the window's rows by the frame's
-    columns)."""
+    one workspace, the second time from the same band put back into the
+    canvas; returns (the second result, its log, its tracemalloc peak, the
+    state it stepped)."""
     state = _terminal(spec, config)
     ws = dp_engine._Workspace(state.lattice)
     for j in range(spec.n - 1, 0, -1):
-        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
-    first, _ = dp_engine._lift_stage(state, load, spec.rho[0], config, ws)()
+        state, _ = dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)
+    stepped = _snapshot(state)
+    first = _snapshot(dp_engine._stage(state, load, spec.rho[0], config, ws)[0])
+    state = _into(ws, stepped)
     tracemalloc.start()
     try:
-        again, log = dp_engine._lift_stage(state, load, spec.rho[0], config, ws)()
+        again, log = dp_engine._stage(state, load, spec.rho[0], config, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert _digest(again) == _digest(first)
-    return again, log, peak, 8 * (log.rows[1] - log.rows[0]) * (log.cols[1] - log.cols[0])
+    return again, log, peak, stepped
+
+
+def _frame_bytes(log):
+    """Bytes of the frame a stage sheared: its rows by its columns."""
+    return 8 * (log.rows[1] - log.rows[0]) * (log.cols[1] - log.cols[0])
 
 
 def test_warm_workspace_steps_a_stage_in_its_own_arrays():
-    # once the workspace holds a stage's band, transform blocks and shear
-    # blocks, stepping that stage again allocates its new band and under an
-    # eighth of a window besides: the window's group sums, each line's two
-    # spills and the shear's per-column sums (a fresh band and a full rows x
-    # n_out convolution output per stage came to over four bands more)
+    # once the workspace holds a stage's transform blocks and shear blocks,
+    # stepping that stage again allocates under a quarter of a window: the
+    # window's group sums, each line's two spills, the shear's per-column
+    # sums and numpy's iterator buffers for the shear's products over the
+    # canvas's strided columns (about 190 KB) (a new band per stage came to
+    # a whole band more, a full rows x n_out convolution output to over four)
     spec = reference_spec(n=52)
-    again, _, peak, window = _warm_step(spec, spec.loads[0], DpConfig(grid_s=512, grid_delta=512))
+    _, log, peak, _ = _warm_step(spec, spec.loads[0], DpConfig(grid_s=512, grid_delta=512))
+    window = _frame_bytes(log)
     assert window > 1 << 20
-    assert peak < again.pc.nbytes + window // 8
+    assert peak < window // 4
 
 
-def test_warm_big_stage_copies_no_band_and_keeps_no_spill_array():
+def test_warm_big_stage_copies_no_band_and_keeps_no_spill_array(monkeypatch):
     # feeder4's last stage at 1024^2: 674 window rows, whose outputs run
     # hundreds of cells past the lattice at each end. The convolution reads
     # the stepped band where it lies and sums each line's spill as its block
     # folds, so up to the shear the stage allocates under an eighth of a
     # window (a copy of the band, or a rows x spill array, is over a third),
-    # and the shear its new band and as little besides
+    # and the shear, which moves the frame in place, as little
+    peaks = []
+    shear = dp_engine._shear_canvas
+
+    def shear_spy(*args):
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+        return shear(*args)
+
+    monkeypatch.setattr(dp_engine, "_shear_canvas", shear_spy)
     spec = parse_feeder(CONFIG4)
-    config = DpConfig(grid_s=1024, grid_delta=1024)
-    state = _terminal(spec, config)
-    ws = dp_engine._Workspace(state.lattice)
-    for j in range(spec.n - 1, 0, -1):
-        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
-    first, log = dp_engine._lift_stage(state, spec.loads[0], spec.rho[0], config, ws)()
-    window = 8 * (log.rows[1] - log.rows[0]) * state.pc.shape[1]
-    tracemalloc.start()
-    try:
-        finish = dp_engine._lift_stage(state, spec.loads[0], spec.rho[0], config, ws)
-        convolve_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        again, log = finish()
-        shear_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert _digest(again) == _digest(first)
+    _, log, shear_peak, stepped = _warm_step(spec, spec.loads[0],
+                                             DpConfig(grid_s=1024, grid_delta=1024))
+    window = 8 * (log.rows[1] - log.rows[0]) * stepped.pc.shape[1]
+    (convolve_peak,) = peaks
     assert log.rows[1] - log.rows[0] > 600 and log.boundary_spill > 0.0
     assert convolve_peak < window // 8
-    assert shear_peak < again.pc.nbytes + window // 8
+    assert shear_peak < window // 8
 
 
 def test_warm_workspace_shifts_a_point_load_in_place():
     # a point load's shift copies the band rows into the workspace and forms
-    # each weighted part there, so it allocates the new band and at most a
-    # quarter window besides (a band copy and a band-sized product per split
-    # weight came to about one band more)
-    again, _, peak, window = _warm_step(reference_spec(n=30), PointMass(location=1.5),
-                                        DpConfig(grid_s=512, grid_delta=512))
+    # each weighted part there, so it allocates at most a quarter window (a
+    # band copy and a band-sized product per split weight came to about one
+    # band more)
+    _, log, peak, _ = _warm_step(reference_spec(n=30), PointMass(location=1.5),
+                                 DpConfig(grid_s=512, grid_delta=512))
+    window = _frame_bytes(log)
     assert window > 1 << 20
-    assert peak <= again.pc.nbytes + window // 4
+    assert peak <= window // 4
+
+
+@pytest.mark.parametrize("name", ["feeder4-512", "families", "pm3-ref"])
+def test_canvas_is_zero_outside_the_new_band(name):
+    # a stage steps its band in the run's canvas and leaves nothing behind:
+    # after every stage each cell outside the new band is exactly zero, the
+    # new band is a view of the canvas, and the stage steps the band the
+    # stage before left there
+    spec, config = STATE_REGRESSION_SPECS[name]()
+    state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
+    for j in range(spec.n - 1, -1, -1):
+        state, _ = dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)
+        rest = ws.canvas.copy()
+        if state.pc is not None:
+            assert np.shares_memory(state.pc, ws.canvas)
+            rows, cols = state.pc.shape
+            rest[state.pc_c0:state.pc_c0 + cols, state.pc_r0:state.pc_r0 + rows] = 0.0
+        assert not rest.any(), j
+    assert _digest(state) == STATE_REGRESSION[name]
 
 
 @pytest.mark.parametrize("name", ["feeder4-512", "chain64-256", "families", "free-atoms"])
-def test_stepped_states_keep_their_digests(name):
-    # no state holds a workspace array, so later stages leave it as it was
+def test_warm_stage_allocates_no_band_sized_array(name):
+    # every stage of a run, stepped a second time from the same band put back
+    # into the canvas (its transform and shear blocks already grown), makes
+    # the same state and allocates under an eighth of the frame it shears
+    # plus 256 KB, of which numpy's iterator buffers for the shear's products
+    # over the canvas's strided columns take about 200 KB (a new band per
+    # stage, 2 MB at feeder4-512's last stage, is more)
     spec, config = STATE_REGRESSION_SPECS[name]()
-    seen = [(st, _digest(st)) for _, _, st in _stages(spec, config)]
-    assert [_digest(st) for st, _ in seen] == [digest for _, digest in seen]
+    state = _terminal(spec, config)
+    ws = dp_engine._Workspace(state.lattice)
+    for j in range(spec.n - 1, -1, -1):
+        stepped = _snapshot(state)
+        first = _snapshot(dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)[0])
+        state = _into(ws, stepped)
+        tracemalloc.start()
+        try:
+            state, log = dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _digest(state) == _digest(first)
+        assert peak < _frame_bytes(log) // 8 + (1 << 18), j
+
+
+def test_warm_run_holds_the_canvas_and_one_block():
+    # a warm feeder4 run at 1024^2 allocates its canvas (8.4 MB, of which
+    # only the pages its bands reach get mapped), the transform blocks of one
+    # thread's share (padded lines, coefficients, inverse: 3 x 4 MB at most)
+    # and under 3 MB besides: no band beside another
+    spec = parse_feeder(CONFIG4)
+    config = DpConfig(grid_s=1024, grid_delta=1024)
+    run(spec, config)
+    tracemalloc.start()
+    try:
+        rep = run(spec, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    canvas = 8 * rep.lattice.s_cells * rep.lattice.d_cells
+    assert peak <= canvas + 3 * 8 * mixed_dist._FFT_BLOCK_CELLS + (3 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1295,7 @@ def test_row_groups_transform_fewer_cells_than_their_window(monkeypatch):
     for j in range(spec.n - 1, -1, -1):
         windows.clear()
         cells.clear()
-        state, _ = dp_engine._lift_stage(state, spec.loads[j], spec.rho[j], config, ws)()
+        state, _ = dp_engine._stage(state, spec.loads[j], spec.rho[j], config, ws)
         (w0, w1), (v0, v1), _, groups = windows[0]
         if len(groups) > 4:
             big += 1

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from helpers import CONFIG4, reference_load, segment, write_config
+from helpers import CONFIG4, REPO, reference_load, segment, write_config
 from vdropstat import feeder_model
 from vdropstat.feeder_model import (
     FeederConfigError,
@@ -306,6 +309,22 @@ def test_feeder_from_dict_errors():
     bad["extra_field"] = 1
     with pytest.raises(FeederConfigError, match="unexpected"):
         feeder_from_dict(bad)
+
+
+def test_missing_fields_are_reported_in_their_documented_order():
+    # the top-level fields are checked as base_voltage, alpha, segments,
+    # loads, so with both alpha and loads missing the message names alpha
+    # whatever the interpreter's string hash seed
+    code = ("from vdropstat.feeder_model import FeederConfigError, feeder_from_dict\n"
+            "try:\n"
+            "    feeder_from_dict({'base_voltage': 1.0, 'segments': []})\n"
+            "except FeederConfigError as err:\n"
+            "    print(err)\n")
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=str(seed))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "alpha: missing\n", seed
 
 
 def test_segment_errors_carry_field_paths():

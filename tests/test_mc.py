@@ -123,6 +123,11 @@ def test_mc_config_validation():
         McConfig(samples=10, shards=11)
     with pytest.raises(ValueError):
         McConfig(seed=-1)
+    # the streams see the seed modulo 2^64: a larger one would alias a smaller
+    McConfig(seed=2**64 - 1)
+    for seed in (2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            McConfig(seed=seed)
 
 
 def test_point_mass_feeder_is_deterministic():
